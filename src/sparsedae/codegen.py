@@ -2,8 +2,25 @@
 
 Tree-walking evaluation is fine for a handful of equations but far too slow
 for the 10^4-row residuals coming out of 2-D discretizations.  Here each
-expression list is printed as one flat Python function body and compiled
-once per (system, method); evaluation then runs at plain-arithmetic speed.
+expression list is compiled once per (system, method) into one Python
+function.
+
+Discretized PDE rows are a few stencil *shapes* repeated thousands of
+times.  The shape of an expression is its generated source with every
+unknown (``u``) and base-state (``Y0_k`` -> ``b``) leaf replaced by a slot
+number.  Slots are numbered by first appearance, so the aliasing pattern is
+part of the shape: ``u_i*u_i`` and ``u_i*u_j`` never share one.  Rows are
+grouped by shape, and a group of at least ``_VECTOR_MIN_ROWS`` rows becomes
+a single numpy statement ``out[R] = <shape over u[I0], b[I1], ...>`` whose
+index arrays are built at compile time.  Smaller groups, and so every row of
+a small system, are emitted as plain scalar lines, one per row, because a
+numpy statement's fixed cost exceeds a handful of scalar rows.
+
+The vectorized statements run under ``np.errstate(all="ignore")``: ``exp``
+and ``ln`` become ``np.exp``/``np.log``, and ``piecewise`` becomes a
+first-match ``np.select`` that evaluates every branch, so a branch that is
+not taken may produce inf or nan without raising.  Callers detect
+non-finite results with ``isfinite`` on the output, as for scalar lines.
 
 Generated functions share a single calling convention::
 
@@ -13,8 +30,7 @@ where ``u`` is the unknown vector (0-based ndarray), ``b`` the base-state
 values bound to the Y0_* parameter slots, ``h`` the step size, ``p`` the
 remaining parameter values in a fixed order, and ``out`` the output buffer.
 
-No common-subexpression elimination is attempted; entries are emitted
-row-major as written.
+No common-subexpression elimination is attempted.
 """
 
 from __future__ import annotations
@@ -25,9 +41,12 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import NonFiniteValue
 
 BASE_PREFIX = "Y0_"
+
+# Rows per shape from which one numpy statement beats scalar lines; measured
+# break-even for a five-point-stencil shape is about 10 rows.
+_VECTOR_MIN_ROWS = 10
 
 
 class ParamLayout:
@@ -44,50 +63,95 @@ class ParamLayout:
         return p
 
 
-def _emit(e: ex.Expr, layout: ParamLayout) -> str:
-    if isinstance(e, ex.Const):
+def _shape(e: ex.Expr, layout: ParamLayout, slots: Dict[tuple, int], vec: bool) -> str:
+    """Source of ``e`` with each leaf ``u[i]``/``b[i]`` written as ``u[{k}]``/``b[{k}]``.
+
+    ``slots`` maps each leaf (array name, 0-based index) to its slot number
+    ``k`` and is filled in first-appearance order.  With ``vec`` a leaf is
+    written as ``{k}``, to be filled with the name of an array gathered for
+    that slot, and the source uses numpy functions."""
+    # exact type tests: no node class is subclassed, and this walk is a
+    # visible share of a small system's setup time
+    t = type(e)
+    if t is ex.U:
+        k = slots.setdefault(("u", e.index - 1), len(slots))
+        return "{%d}" % k if vec else "u[{%d}]" % k
+    if t is ex.Const:
         return repr(e.value)
-    if isinstance(e, ex.U):
-        return f"u[{e.index - 1}]"
-    if isinstance(e, ex.Param):
+    if t is ex.Param:
         if e.name == "h":
             return "h"
         if e.name.startswith(BASE_PREFIX):
-            return f"b[{int(e.name[len(BASE_PREFIX):]) - 1}]"
+            k = slots.setdefault(("b", int(e.name[len(BASE_PREFIX):]) - 1), len(slots))
+            return "{%d}" % k if vec else "b[{%d}]" % k
         return f"p[{layout.slot[e.name]}]"
-    if isinstance(e, ex.Add):
-        return "(" + " + ".join(_emit(t, layout) for t in e.terms) + ")"
-    if isinstance(e, ex.Mul):
-        return "(" + " * ".join(_emit(f, layout) for f in e.factors) + ")"
-    if isinstance(e, ex.Div):
-        return f"({_emit(e.num, layout)} / {_emit(e.den, layout)})"
-    if isinstance(e, ex.Pow):
-        return f"({_emit(e.base, layout)} ** {repr(e.exponent)})"
-    if isinstance(e, ex.Neg):
-        return f"(-{_emit(e.arg, layout)})"
-    if isinstance(e, ex.ExpF):
-        return f"exp({_emit(e.arg, layout)})"
-    if isinstance(e, ex.LnF):
-        return f"log({_emit(e.arg, layout)})"
-    if isinstance(e, ex.Piecewise):
-        s = _emit(e.default, layout)
-        for b in reversed(e.branches):
-            cond = f"{_emit(b.test, layout)} {b.op} {repr(b.threshold)}"
-            s = f"({_emit(b.value, layout)} if {cond} else {s})"
+    if t is ex.Add:
+        return "(" + " + ".join([_shape(a, layout, slots, vec) for a in e.terms]) + ")"
+    if t is ex.Mul:
+        return "(" + " * ".join([_shape(a, layout, slots, vec) for a in e.factors]) + ")"
+    if t is ex.Div:
+        return f"({_shape(e.num, layout, slots, vec)} / {_shape(e.den, layout, slots, vec)})"
+    if t is ex.Pow:
+        return f"({_shape(e.base, layout, slots, vec)} ** {e.exponent!r})"
+    if t is ex.Neg:
+        return f"(-{_shape(e.arg, layout, slots, vec)})"
+    if t is ex.ExpF:
+        return ("np.exp(" if vec else "exp(") + _shape(e.arg, layout, slots, vec) + ")"
+    if t is ex.LnF:
+        return ("np.log(" if vec else "log(") + _shape(e.arg, layout, slots, vec) + ")"
+    if t is ex.Piecewise:
+        # children are visited in the same order in both modes, so a shape's
+        # slot numbers agree between its scalar and vectorized source
+        conds, values = [], []
+        for b in e.branches:
+            conds.append(f"{_shape(b.test, layout, slots, vec)} {b.op} {b.threshold!r}")
+            values.append(_shape(b.value, layout, slots, vec))
+        s = _shape(e.default, layout, slots, vec)
+        if vec:
+            return f"np.select([{', '.join(conds)}], [{', '.join(values)}], {s})"
+        for cond, value in zip(reversed(conds), reversed(values)):
+            s = f"({value} if {cond} else {s})"
         return s
     raise TypeError(f"unhandled node {type(e).__name__}")
 
 
 def compile_exprs(exprs: Sequence[ex.Expr], layout: ParamLayout, tag: str = "residual"):
-    """Compile a list of expressions into ``fn(u, b, h, p, out)``."""
-    lines = [f"def _{tag}(u, b, h, p, out, exp=exp, log=log):"]
-    if not exprs:
-        lines.append("    pass")
+    """Compile a list of expressions into ``fn(u, b, h, p, out)``.
+
+    ``out[i]`` receives ``exprs[i]``; rows are grouped by shape and each
+    group is emitted as one numpy statement or as scalar lines."""
+    groups: Dict[str, list] = {}
     for i, e in enumerate(exprs):
-        lines.append(f"    out[{i}] = {_emit(e, layout)}")
-    source = "\n".join(lines)
-    ns = {"exp": math.exp, "log": math.log}
-    code = compile(source, f"<generated {tag}>", "exec")
+        slots: Dict[tuple, int] = {}
+        text = _shape(e, layout, slots, False)
+        groups.setdefault(text, []).append((i, slots))
+
+    ns = {"exp": math.exp, "log": math.log, "np": np}
+    scalar = [""] * len(exprs)
+    vector: List[str] = []
+    for g, (text, members) in enumerate(groups.items()):
+        if len(members) < _VECTOR_MIN_ROWS:
+            for i, slots in members:
+                scalar[i] = f"    out[{i}] = " + text.format(*[j for _, j in slots])
+            continue
+        rows = [i for i, _ in members]
+        ns[f"_r{g}"] = np.array(rows, dtype=np.int64)
+        idx = np.array([[j for _, j in slots] for _, slots in members], dtype=np.int64)
+        slots = {}
+        vec_text = _shape(exprs[rows[0]], layout, slots, True)
+        for k, ((name, _), column) in enumerate(zip(slots, idx.T)):
+            ns[f"_i{g}_{k}"] = column.copy()
+            vector.append(f"x{k} = {name}[_i{g}_{k}]")
+        vector.append(f"out[_r{g}] = " + vec_text.format(*(f"x{k}" for k in range(len(slots)))))
+
+    lines = [f"def _{tag}(u, b, h, p, out, exp=exp, log=log):"]
+    lines += [s for s in scalar if s]
+    if vector:
+        lines.append('    with np.errstate(all="ignore"):')
+        lines += ["        " + s for s in vector]
+    if len(lines) == 1:
+        lines.append("    pass")
+    code = compile("\n".join(lines), f"<generated {tag}>", "exec")
     exec(code, ns)
     return ns[f"_{tag}"]
 
@@ -120,7 +184,7 @@ class CompiledResidual:
             self.p[self.layout.slot[name]] = v
 
     def evaluate(self, uu: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        from .errors import NonFiniteResidual
+        from sparsedae.errors import NonFiniteResidual
 
         if out is None:
             out = self._out

@@ -8,7 +8,9 @@ branches whose conditions compare a subexpression against a constant.
 Trees are immutable; construction goes through the smart constructors
 (``add``, ``mul``, ...) which do local constant folding and zero/one
 elimination only.  No canonicalization beyond that: structural zeros are what
-the sparsity detection relies on, not canonical forms.
+the sparsity detection relies on, not canonical forms.  A constant that
+would fold to inf or nan, or a division by the constant zero, raises
+NonFiniteValue at construction.
 """
 
 from __future__ import annotations
@@ -139,11 +141,18 @@ ZERO = Const(0.0)
 ONE = Const(1.0)
 
 
+def const(value: float) -> Const:
+    """A constant node; raises NonFiniteValue for inf or nan."""
+    if math.isfinite(value):
+        return Const(float(value))
+    raise NonFiniteValue(f"constant folds to a non-finite value ({value!r})")
+
+
 def _coerce(x) -> Expr:
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, float)):
-        return Const(float(x))
+        return const(x)
     raise TypeError(f"cannot build an expression from {type(x).__name__}")
 
 
@@ -158,24 +167,24 @@ def _is_const(e: Expr, value=None) -> bool:
 
 def add(*terms) -> Expr:
     flat = []
-    const = 0.0
+    total = 0.0
     for t in terms:
         t = _coerce(t)
         if isinstance(t, Add):
             flat.extend(t.terms)
         elif isinstance(t, Const):
-            const += t.value
+            total += t.value
         else:
             flat.append(t)
     # fold constants inherited through flattening
     kept = []
     for t in flat:
         if isinstance(t, Const):
-            const += t.value
+            total += t.value
         else:
             kept.append(t)
-    if const != 0.0:
-        kept.append(Const(const))
+    if total != 0.0:
+        kept.append(const(total))
     if not kept:
         return ZERO
     if len(kept) == 1:
@@ -185,7 +194,7 @@ def add(*terms) -> Expr:
 
 def mul(*factors) -> Expr:
     flat = []
-    const = 1.0
+    product = 1.0
     for f in factors:
         f = _coerce(f)
         if isinstance(f, Mul):
@@ -195,15 +204,15 @@ def mul(*factors) -> Expr:
     kept = []
     for f in flat:
         if isinstance(f, Const):
-            const *= f.value
+            product *= f.value
         else:
             kept.append(f)
-    if const == 0.0:
+    if product == 0.0:
         return ZERO
     if not kept:
-        return Const(const)
-    if const != 1.0:
-        kept.insert(0, Const(const))
+        return const(product)
+    if product != 1.0:
+        kept.insert(0, const(product))
     if len(kept) == 1:
         return kept[0]
     return Mul(tuple(kept))
@@ -211,14 +220,14 @@ def mul(*factors) -> Expr:
 
 def div(num, den) -> Expr:
     num, den = _coerce(num), _coerce(den)
+    if _is_const(den, 0.0):
+        raise NonFiniteValue("division by the constant zero")
     if _is_const(num, 0.0):
         return ZERO
     if _is_const(den, 1.0):
         return num
     if isinstance(num, Const) and isinstance(den, Const):
-        if den.value == 0.0:
-            raise ZeroDivisionError("constant division by zero")
-        return Const(num.value / den.value)
+        return const(num.value / den.value)
     return Div(num, den)
 
 
@@ -245,14 +254,23 @@ def pow_(base, exponent) -> Expr:
     if exponent == 1.0:
         return base
     if isinstance(base, Const):
-        return Const(base.value ** exponent)
+        try:
+            value = base.value ** exponent
+        except (OverflowError, ZeroDivisionError):
+            raise NonFiniteValue("constant power overflowed or divided by zero")
+        if isinstance(value, complex):
+            raise NonFiniteValue("constant power of a negative base is not real")
+        return const(value)
     return Pow(base, exponent)
 
 
 def exp(e) -> Expr:
     e = _coerce(e)
     if isinstance(e, Const):
-        return Const(math.exp(e.value))
+        try:
+            return const(math.exp(e.value))
+        except OverflowError:
+            raise NonFiniteValue("exp of a constant overflowed")
     return ExpF(e)
 
 
@@ -261,7 +279,7 @@ def ln(e) -> Expr:
     if isinstance(e, Const):
         if e.value <= 0.0:
             raise NonFiniteValue("ln of a non-positive constant")
-        return Const(math.log(e.value))
+        return const(math.log(e.value))
     return LnF(e)
 
 

@@ -110,7 +110,7 @@ class _Parser:
     def parse_atom(self) -> ex.Expr:
         kind, val = self.next()
         if kind == "num":
-            return ex.Const(val)
+            return ex.const(val)
         if kind == "op" and val == "(":
             node = self.parse_expr()
             self.expect_op(")")

@@ -11,7 +11,7 @@ reused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -112,20 +112,3 @@ class JacobianAssembler:
             raise NonFiniteValue(f"non-finite Jacobian entry at row {row}, col {col}")
         return SparseMatrix(n=self.n, indptr=self.indptr, rowind=self.rowind, values=values)
 
-
-def assemble(jac: SymbolicJacobian, uu: np.ndarray, bindings: Mapping[str, float]) -> SparseMatrix:
-    """Evaluate the analytic entries at (uu, bindings) into a compressed-
-    column matrix with exactly the pattern's slots.
-
-    ``bindings`` must cover h, the Y0_* slots, and every model parameter.
-    This is the convenience (interpretive) path; the stepper uses a
-    JacobianAssembler built once per integration.
-    """
-    indptr, rowind, order = _csc_order(jac.pattern)
-    values = np.empty(len(order))
-    for idx, (row, col) in enumerate(order):
-        try:
-            values[idx] = ex.eval_expr(jac.entries[(row, col)], uu, bindings)
-        except NonFiniteValue:
-            raise NonFiniteValue(f"non-finite Jacobian entry at row {row}, col {col}")
-    return SparseMatrix(n=jac.pattern.n, indptr=indptr, rowind=rowind, values=values)

@@ -45,16 +45,21 @@ class SparseMatrix:
         self.values = np.asarray(self.values, dtype=float)
         if len(self.indptr) != self.n + 1:
             raise ValueError("indptr must have n+1 entries")
+        if self.indptr[0] != 0:
+            raise ValueError("indptr must start at 0")
         if np.any(np.diff(self.indptr) < 0):
             raise ValueError("indptr must be nondecreasing")
         if self.indptr[-1] != len(self.rowind) or len(self.rowind) != len(self.values):
             raise ValueError("nnz mismatch between indptr, rowind, values")
-        for j in range(self.n):
-            rows = self.rowind[self.indptr[j]:self.indptr[j + 1]]
-            if len(rows) and (rows.min() < 0 or rows.max() >= self.n):
-                raise ValueError(f"row index out of range in column {j + 1}")
-            if np.any(np.diff(rows) <= 0):
-                raise ValueError(f"row indices not strictly ascending in column {j + 1}")
+        rows = self.rowind
+        cols = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        bad = np.flatnonzero((rows < 0) | (rows >= self.n))
+        if len(bad):
+            raise ValueError(f"row index out of range in column {cols[bad[0]] + 1}")
+        # neighbours in one column must ascend; a new column may start lower
+        bad = np.flatnonzero((np.diff(rows) <= 0) & (cols[1:] == cols[:-1]))
+        if len(bad):
+            raise ValueError(f"row indices not strictly ascending in column {cols[bad[0]] + 1}")
 
     @property
     def nnz(self) -> int:
@@ -94,32 +99,25 @@ class SparseMatrix:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.to_scipy() @ np.asarray(x, dtype=float)
 
-    def structure_fingerprint(self) -> Tuple[int, int, int]:
-        return (self.n, self.nnz, id(self.indptr))
-
 
 @dataclass
 class Factorization:
     """Frozen LU factors of one assembled matrix.
 
-    ``stamp`` records the (t, h) the owning stepper built it at; it is
-    bookkeeping only.  Immutable after construction; concurrent solves
-    against distinct right-hand sides are safe.
+    Immutable after construction; concurrent solves against distinct
+    right-hand sides are safe.
     """
 
     n: int
-    fingerprint: Tuple[int, int, int]
     _dense: Optional[Tuple[np.ndarray, np.ndarray]] = None
     _splu: Optional[object] = None
-    stamp: Tuple[float, float] = (0.0, 0.0)
     perturbed: bool = False
-    solve_count: int = 0
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return solve(self, b)
 
 
-def factorize(a: SparseMatrix, stamp: Tuple[float, float] = (0.0, 0.0)) -> Factorization:
+def factorize(a: SparseMatrix) -> Factorization:
     """PA = LU with partial pivoting; SuperLU adds a fill-reducing column
     ordering for n > 64.
 
@@ -138,14 +136,12 @@ def factorize(a: SparseMatrix, stamp: Tuple[float, float] = (0.0, 0.0)) -> Facto
         bad = np.where(diag < _PIVOT_RTOL * np.maximum(col_mag, 1e-300))[0]
         if len(bad):
             raise SingularMatrix(column=int(bad[0]) + 1)
-        return Factorization(n=a.n, fingerprint=a.structure_fingerprint(),
-                             _dense=(lu, piv), stamp=stamp)
+        return Factorization(n=a.n, _dense=(lu, piv))
 
     csc = a.to_scipy()
     try:
         lu = scipy.sparse.linalg.splu(csc)
-        return Factorization(n=a.n, fingerprint=a.structure_fingerprint(),
-                             _splu=lu, stamp=stamp)
+        return Factorization(n=a.n, _splu=lu)
     except RuntimeError as err:
         if "singular" not in str(err).lower():
             raise
@@ -156,8 +152,7 @@ def factorize(a: SparseMatrix, stamp: Tuple[float, float] = (0.0, 0.0)) -> Facto
         lu = scipy.sparse.linalg.splu(perturbed)
     except RuntimeError as err2:
         raise SingularMatrix(detail=str(err2))
-    return Factorization(n=a.n, fingerprint=a.structure_fingerprint(),
-                         _splu=lu, stamp=stamp, perturbed=True)
+    return Factorization(n=a.n, _splu=lu, perturbed=True)
 
 
 def solve(f: Factorization, b: np.ndarray) -> np.ndarray:
@@ -165,7 +160,6 @@ def solve(f: Factorization, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != (f.n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({f.n},)")
-    f.solve_count += 1
     if f._dense is not None:
         return scipy.linalg.lu_solve(f._dense, b, check_finite=False)
     return f._splu.solve(b)

@@ -223,10 +223,10 @@ class Stepper:
             n_p = len(self.layout.names) - len(self._f_out)
             self.res.p[n_p:] = self._f_out
 
-    def _factorize(self, base: np.ndarray, h: float, t: float) -> Factorization:
+    def _factorize(self, base: np.ndarray, h: float) -> Factorization:
         self._bind(base, h)
         a = self.assembler.assemble(self._uu0, self.res.b, h, self.res.p)
-        return factorize(a, stamp=(t, h))
+        return factorize(a)
 
     def _solve_once(self, base: np.ndarray, h: float, f: Factorization) -> np.ndarray:
         self._bind(base, h)
@@ -239,7 +239,7 @@ class Stepper:
         """Consistent initialization: Newton on the h=0 residual with a
         fresh factorization.  Returns the corrected state."""
         state0 = self.system.initial_state()
-        f = self._factorize(state0, 0.0, 0.0)
+        f = self._factorize(state0, 0.0)
         ctol = min(self.ctol, 1e-10)
         out = newton_solve(self.res, f, self._uu0, _INIT_MAX_ITER, ctol)
         if not out.converged:
@@ -298,7 +298,7 @@ class Stepper:
                 traj.status = Status.STEP_UNDERFLOW
                 break
             if refresh:
-                frozen = self._factorize(state, h, t)
+                frozen = self._factorize(state, h)
                 traj.jac_updates += 1
                 traj.lu_count += 1
                 refresh = False
@@ -349,7 +349,7 @@ class Stepper:
         p = self.kind.order
         for k in range(nsteps):
             t = k * h
-            frozen = self._factorize(state, h, t)
+            frozen = self._factorize(state, h)
             traj.jac_updates += 1
             traj.lu_count += 1
             trial = self.attempt_step(state, t, h, frozen)

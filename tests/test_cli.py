@@ -75,7 +75,7 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert len(out.splitlines()) < 60
 
 
-def test_exit_code_1_on_bad_input(capsys):
+def test_exit_code_1_on_bad_input(capsys, tmp_path):
     assert run(capsys, "solve", "no_such_problem", "--tf", "1.0")[0] == 1
     assert run(capsys, "solve", "ex1")[0] == 1            # missing --tf
     assert run(capsys, "solve", "ex1", "--tf", "-1")[0] == 1
@@ -83,6 +83,14 @@ def test_exit_code_1_on_bad_input(capsys):
                "--n-list", "4,8")[0] == 1                 # not a PDE problem
     assert run(capsys, "orders", "ex2", "--tf", "1.0",
                "--h-list", "0.1")[0] == 1                 # no oracle
+    # constants that fold to inf or divide by an underflowed zero
+    for rhs in ("-1e308 * 10 * x", "x * 1e400", "exp(1000) * x",
+                "x / (1e-320 * 1e-10)"):
+        prob = tmp_path / "nonfinite.prob"
+        prob.write_text(f"[odes]\nx' = {rhs}\n[init]\nx = 1.0\n")
+        code, _, err = run(capsys, "solve", str(prob), "--tf", "1.0", "--stdout")
+        assert code == 1, rhs
+        assert err.startswith("error:")
 
 
 def test_exit_code_2_on_early_stop(capsys, tmp_path):

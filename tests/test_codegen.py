@@ -1,0 +1,121 @@
+"""Compiled evaluation: per-shape vectorized groups against the tree-walk oracle."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from sparsedae import expr as ex
+from sparsedae.codegen import _VECTOR_MIN_ROWS, CompiledResidual, ParamLayout, compile_exprs
+from sparsedae.errors import NonFiniteResidual
+from sparsedae.jacobian import JacobianAssembler, detect_pattern, differentiate
+from sparsedae.problems import example4, example5, example6
+from sparsedae.system import MethodKind, build_residual
+
+N_ROWS = _VECTOR_MIN_ROWS + 2
+
+
+def is_vectorized(fn) -> bool:
+    return "errstate" in fn.__code__.co_names
+
+
+def run(exprs, u, params=None):
+    layout = ParamLayout(sorted(params or {}))
+    fn = compile_exprs(exprs, layout)
+    out = np.empty(len(exprs))
+    fn(np.asarray(u, dtype=float), np.zeros(0), 0.0, layout.vector(params or {}), out)
+    return fn, out
+
+
+def test_small_systems_stay_scalar():
+    fn, out = run([ex.U(1) * ex.U(1)] * (_VECTOR_MIN_ROWS - 1), [3.0])
+    assert not is_vectorized(fn)
+    assert out.tolist() == [9.0] * (_VECTOR_MIN_ROWS - 1)
+
+
+def test_aliased_and_distinct_leaves_do_not_merge():
+    # u_i*u_i and u_i*u_(i+1) print the same but for which slots alias
+    u = np.arange(1.0, N_ROWS + 2)
+    squares = [ex.U(i) * ex.U(i) for i in range(1, N_ROWS + 1)]
+    products = [ex.U(i) * ex.U(i + 1) for i in range(1, N_ROWS + 1)]
+    fn, out = run(squares + products, u)
+    assert is_vectorized(fn)
+    assert out[:N_ROWS].tolist() == (u[:N_ROWS] ** 2).tolist()
+    assert out[N_ROWS:].tolist() == (u[:N_ROWS] * u[1:N_ROWS + 1]).tolist()
+
+
+def test_vectorized_piecewise_is_first_match_and_quiet():
+    # the two conditions overlap below 0; the first must win there, so
+    # ln(u) is never taken at negative u, and evaluating it must not warn
+    rows = [ex.piecewise((ex.Branch(ex.U(i), "<", 0.0, 2.0 * ex.U(i)),
+                          ex.Branch(ex.U(i), "<", 1.0, ex.ln(ex.U(i)))),
+                         ex.U(i) * ex.Param("k"))
+            for i in range(1, 3 * N_ROWS + 1)]
+    u = np.concatenate([-np.linspace(0.5, 3.0, N_ROWS),
+                        np.linspace(0.1, 0.9, N_ROWS),
+                        np.linspace(1.0, 4.0, N_ROWS)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fn, out = run(rows, u, {"k": 3.0})
+    assert is_vectorized(fn)
+    expected = [ex.eval_expr(r, u, {"k": 3.0}) for r in rows]
+    assert out.tolist() == expected
+
+
+def test_vectorized_nonfinite_reaches_the_isfinite_check():
+    res = CompiledResidual([ex.ln(ex.U(i)) for i in range(1, N_ROWS + 1)], ParamLayout([]))
+    u = np.ones(N_ROWS)
+    assert res.evaluate(u).tolist() == [0.0] * N_ROWS
+    u[3] = -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteResidual):
+            res.evaluate(u)
+
+
+def evaluate_against_oracle(sysn, kind, seed):
+    """Compiled residual and Jacobian next to eval_expr at a random state."""
+    rng = np.random.default_rng(seed)
+    mr = build_residual(sysn, kind)
+    layout = ParamLayout(sorted(sysn.params) + mr.explicit_param_names())
+    res = CompiledResidual(mr.rows, layout)
+    res.set_params(sysn.params)
+    explicit = {n: 0.1 * rng.standard_normal() for n in mr.explicit_param_names()}
+    res.set_params(explicit)
+    base = np.asarray(sysn.y0z0) + 0.05 * rng.standard_normal(sysn.n_total)
+    h = 0.01
+    res.set_base(base)
+    res.set_h(h)
+    uu = 0.05 * rng.standard_normal(mr.n)
+    bindings = {"h": h, **sysn.params, **explicit}
+    bindings.update({f"Y0_{k}": v for k, v in enumerate(base, start=1)})
+
+    jac = differentiate(mr, detect_pattern(mr))
+    asm = JacobianAssembler(jac, layout)
+    a = asm.assemble(uu, res.b, h, res.p).to_dense()
+    assert is_vectorized(asm._fn) and is_vectorized(res._fn)
+
+    got_r = res.evaluate(uu).copy()
+    want_r = np.array([ex.eval_expr(r, uu, bindings) for r in mr.rows])
+    cells = sorted(jac.entries)
+    got_j = np.array([a[i - 1, k - 1] for i, k in cells])
+    want_j = np.array([ex.eval_expr(jac.entries[c], uu, bindings) for c in cells])
+    return got_r, want_r, got_j, want_j
+
+
+@pytest.mark.parametrize("kind", list(MethodKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("build", [lambda: example5(8, 8), lambda: example6(6, 12)],
+                         ids=["ex5", "ex6"])
+def test_rational_models_are_bit_identical_to_the_oracle(build, kind):
+    got_r, want_r, got_j, want_j = evaluate_against_oracle(build(), kind, seed=17)
+    assert np.array_equal(got_r, want_r)
+    assert np.array_equal(got_j, want_j)
+
+
+def test_exp_model_matches_the_oracle_to_a_few_ulp():
+    # numpy's vectorized exp may differ from libm's by one ulp; after the
+    # sums of a stencil row that is a few ulp of the row's largest term
+    got_r, want_r, got_j, want_j = evaluate_against_oracle(example4(32), MethodKind.IMPTRAP, seed=5)
+    for got, want in ((got_r, want_r), (got_j, want_j)):
+        scale = np.spacing(np.maximum(np.abs(want), 1.0))
+        assert np.all(np.abs(got - want) <= 8 * scale)

@@ -39,6 +39,22 @@ def test_constant_folding():
     assert ex.add(ex.Const(0.0), ex.U(2)) == ex.U(2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ex.mul(-1e308, 10.0, ex.U(1)),
+    lambda: ex.add(1e308, 1e308, ex.U(1)),
+    lambda: ex.mul(ex.U(1), math.inf),
+    lambda: ex.div(ex.U(1), ex.mul(1e-320, 1e-10)),
+    lambda: ex.div(1.0, 1e-320),
+    lambda: ex.exp(1000.0),
+    lambda: ex.pow_(1e200, 2.0),
+    lambda: ex.pow_(0.0, -1.0),
+    lambda: ex.pow_(-8.0, 0.5),
+])
+def test_nonfinite_constant_fold_raises(build):
+    with pytest.raises(NonFiniteValue):
+        build()
+
+
 def test_pow_integer_derivative():
     e = ex.pow_(ex.U(1), 3.0)
     d = ex.diff(e, 1)

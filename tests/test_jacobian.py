@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from sparsedae import expr as ex
+from sparsedae.codegen import ParamLayout
 from sparsedae.errors import EmptyRow
 from sparsedae.jacobian import (
     JacobianAssembler,
-    assemble,
     detect_pattern,
     differentiate,
 )
@@ -23,20 +23,24 @@ def test_pattern_simple_dae_backward_euler():
     assert pat.nnz == 4
 
 
+def ex1_eb_assembler():
+    mr = build_residual(example1(), MethodKind.EB)
+    jac = differentiate(mr, detect_pattern(mr))
+    return JacobianAssembler(jac, ParamLayout(mr.explicit_param_names()))
+
+
 def test_assembled_values_at_rest():
     # at uu=0, h=0, Y0=(0,1): d(row1)/d(uu1)=1, d(row2)/d(uu2)=2*z0=2,
     # and the off-diagonal slots hold structural zeros
-    mr = build_residual(example1(), MethodKind.EB)
-    jac = differentiate(mr, detect_pattern(mr))
-    a = assemble(jac, np.zeros(2), {"h": 0.0, "Y0_1": 0.0, "Y0_2": 1.0})
+    asm = ex1_eb_assembler()
+    a = asm.assemble(np.zeros(2), np.array([0.0, 1.0]), 0.0, np.zeros(0))
     assert a.to_dense() == pytest.approx(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
 def test_pattern_is_h_and_state_independent():
-    mr = build_residual(example1(), MethodKind.EB)
-    jac = differentiate(mr, detect_pattern(mr))
-    a = assemble(jac, np.zeros(2), {"h": 0.0, "Y0_1": 0.0, "Y0_2": 1.0})
-    b = assemble(jac, np.array([0.3, -0.1]), {"h": 0.7, "Y0_1": 2.0, "Y0_2": -1.0})
+    asm = ex1_eb_assembler()
+    a = asm.assemble(np.zeros(2), np.array([0.0, 1.0]), 0.0, np.zeros(0))
+    b = asm.assemble(np.array([0.3, -0.1]), np.array([2.0, -1.0]), 0.7, np.zeros(0))
     assert a.indptr.tolist() == b.indptr.tolist()
     assert a.rowind.tolist() == b.rowind.tolist()
 
@@ -88,7 +92,6 @@ def test_derivatives_match_finite_differences():
 def test_assembler_reuses_structure_buffers():
     mr = build_residual(example1(), MethodKind.IMPTRAP)
     jac = differentiate(mr, detect_pattern(mr))
-    from sparsedae.codegen import ParamLayout
     layout = ParamLayout(["h"] + mr.base_param_names())
     asm = JacobianAssembler(jac, layout)
     p = layout.vector({"h": 0.1, "Y0_1": 0.0, "Y0_2": 1.0})

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from sparsedae import expr as ex
+from sparsedae import newton as newton_mod
 from sparsedae.codegen import CompiledResidual, ParamLayout
 from sparsedae.errors import NonFiniteResidual
-from sparsedae.linalg import SparseMatrix, factorize
+from sparsedae.linalg import SparseMatrix, factorize, solve
 from sparsedae.newton import NewtonOutcome, default_ctol, newton_solve
 
 
@@ -65,12 +66,20 @@ def test_nonfinite_residual_raises():
         newton_solve(res, f, np.array([-0.5]), max_iter=5, ctol=1e-10)
 
 
-def test_never_factorizes_only_solves():
+def test_never_factorizes_only_solves(monkeypatch):
+    calls = []
+
+    def counting_solve(f, r):
+        calls.append(f)
+        return solve(f, r)
+
+    monkeypatch.setattr(newton_mod, "solve", counting_solve)
     res = make_residual([ex.U(1) * ex.U(1) - 2.0])
     f = factorize(SparseMatrix.from_dense(np.array([[3.0]])))
     out = newton_solve(res, f, np.array([1.5]), max_iter=30, ctol=1e-13)
-    # one triangular solve per iteration, no refactorization side channel
-    assert f.solve_count == out.iterations
+    # one triangular solve per iteration, all against the factors handed in
+    assert len(calls) == out.iterations
+    assert all(c is f for c in calls)
 
 
 def test_uu0_length_validated():

@@ -68,7 +68,7 @@ def test_backward_euler_single_step_closed_form():
                                         iter=40))
     state, _ = st.initialize()
     assert state == pytest.approx([1.0])
-    f = st._factorize(state, h, 0.0)
+    f = st._factorize(state, h)
     trial = st.attempt_step(state, 0.0, h, f)
     assert trial.y_h == pytest.approx([1.0 / 1.1], abs=1e-12)
     assert trial.y_h2 == pytest.approx([1.0 / 1.05 ** 2], abs=1e-12)
