@@ -55,7 +55,6 @@ from .system import (
     MethodKind,
     MethodResidual,
     build_residual,
-    initialization_residual,
     state_update,
 )
 

@@ -7,14 +7,21 @@ function.
 
 Discretized PDE rows are a few stencil *shapes* repeated thousands of
 times.  The shape of an expression is its generated source with every
-unknown (``u``) and base-state (``Y0_k`` -> ``b``) leaf replaced by a slot
-number.  Slots are numbered by first appearance, so the aliasing pattern is
-part of the shape: ``u_i*u_i`` and ``u_i*u_j`` never share one.  Rows are
-grouped by shape, and a group of at least ``_VECTOR_MIN_ROWS`` rows becomes
-a single numpy statement ``out[R] = <shape over u[I0], b[I1], ...>`` whose
-index arrays are built at compile time.  Smaller groups, and so every row of
-a small system, are emitted as plain scalar lines, one per row, because a
-numpy statement's fixed cost exceeds a handful of scalar rows.
+unknown (``u``), base-state (``Y0_k`` -> ``b``) and CN explicit-term
+(``Fexp_i`` -> ``p``) leaf replaced by a slot number.  Slots are numbered by
+first appearance, so the aliasing pattern is part of the shape: ``u_i*u_i``
+and ``u_i*u_j`` never share one.  ``group_shapes`` walks each expression
+once and groups them by shape into ``ShapeGroup``s, which hold every
+member's leaf indices as one row of an index table.  The Jacobian reuses
+the residual's groups: ``derived_groups`` takes expressions built from a
+group's first member (its derivatives) and instantiates each for every
+member by picking columns of that table.
+
+A group of at least ``_VECTOR_MIN_ROWS`` members becomes a single numpy
+statement ``out[R] = <shape over u[I0], b[I1], ...>`` whose index arrays are
+built at compile time.  Smaller groups, and so every row of a small system,
+are emitted as plain scalar lines, one per row, because a numpy statement's
+fixed cost exceeds a handful of scalar rows.
 
 The vectorized statements run under ``np.errstate(all="ignore")``: ``exp``
 and ``ln`` become ``np.exp``/``np.log``, and ``piecewise`` becomes a
@@ -36,13 +43,14 @@ No common-subexpression elimination is attempted.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from . import expr as ex
 
 BASE_PREFIX = "Y0_"
+CN_EXPLICIT_PREFIX = "Fexp_"
 
 # Rows per shape from which one numpy statement beats scalar lines; measured
 # break-even for a five-point-stencil shape is about 10 rows.
@@ -64,7 +72,7 @@ class ParamLayout:
 
 
 def _shape(e: ex.Expr, layout: ParamLayout, slots: Dict[tuple, int], vec: bool) -> str:
-    """Source of ``e`` with each leaf ``u[i]``/``b[i]`` written as ``u[{k}]``/``b[{k}]``.
+    """Source of ``e`` with each leaf ``u[i]``/``b[i]``/``p[i]`` written as ``u[{k}]``/``b[{k}]``/``p[{k}]``.
 
     ``slots`` maps each leaf (array name, 0-based index) to its slot number
     ``k`` and is filled in first-appearance order.  With ``vec`` a leaf is
@@ -84,6 +92,10 @@ def _shape(e: ex.Expr, layout: ParamLayout, slots: Dict[tuple, int], vec: bool) 
         if e.name.startswith(BASE_PREFIX):
             k = slots.setdefault(("b", int(e.name[len(BASE_PREFIX):]) - 1), len(slots))
             return "{%d}" % k if vec else "b[{%d}]" % k
+        if e.name.startswith(CN_EXPLICIT_PREFIX):
+            # one slot per CN row, so gathered like a leaf, not fixed
+            k = slots.setdefault(("p", layout.slot[e.name]), len(slots))
+            return "{%d}" % k if vec else "p[{%d}]" % k
         return f"p[{layout.slot[e.name]}]"
     if t is ex.Add:
         return "(" + " + ".join([_shape(a, layout, slots, vec) for a in e.terms]) + ")"
@@ -115,32 +127,91 @@ def _shape(e: ex.Expr, layout: ParamLayout, slots: Dict[tuple, int], vec: bool) 
     raise TypeError(f"unhandled node {type(e).__name__}")
 
 
-def compile_exprs(exprs: Sequence[ex.Expr], layout: ParamLayout, tag: str = "residual"):
-    """Compile a list of expressions into ``fn(u, b, h, p, out)``.
+class ShapeGroup(NamedTuple):
+    """Expressions that share one shape.
 
-    ``out[i]`` receives ``exprs[i]``; rows are grouped by shape and each
-    group is emitted as one numpy statement or as scalar lines."""
-    groups: Dict[str, list] = {}
+    ``text`` is the shape's scalar source with slot ``k`` written as ``{k}``
+    inside its subscript, and ``expr`` is the first member.  ``names[k]`` is
+    the array slot ``k`` reads (``u``, ``b`` or ``p``), ``rows[r]`` is member
+    ``r``'s output position and ``index[r][k]`` the 0-based array index slot
+    ``k`` takes in member ``r``.  Plain lists: most groups of a small system
+    have one member, where numpy's per-call cost would dominate."""
+
+    text: str
+    expr: ex.Expr
+    names: Tuple[str, ...]
+    rows: List[int]
+    index: List[List[int]]
+
+
+def group_shapes(exprs: Sequence[ex.Expr], layout: ParamLayout) -> List[ShapeGroup]:
+    """Walk each expression once; groups in order of first appearance."""
+    groups: Dict[str, ShapeGroup] = {}
     for i, e in enumerate(exprs):
         slots: Dict[tuple, int] = {}
         text = _shape(e, layout, slots, False)
-        groups.setdefault(text, []).append((i, slots))
+        g = groups.get(text)
+        if g is None:
+            groups[text] = g = ShapeGroup(text, e, tuple([name for name, _ in slots]), [], [])
+        g.rows.append(i)
+        g.index.append([j for _, j in slots])
+    return list(groups.values())
 
-    ns = {"exp": math.exp, "log": math.log, "np": np}
-    scalar = [""] * len(exprs)
-    vector: List[str] = []
-    for g, (text, members) in enumerate(groups.items()):
-        if len(members) < _VECTOR_MIN_ROWS:
-            for i, slots in members:
-                scalar[i] = f"    out[{i}] = " + text.format(*[j for _, j in slots])
+
+def derived_groups(blocks: Iterable[Tuple[ShapeGroup, ex.Expr, List[int]]],
+                   layout: ParamLayout) -> List[ShapeGroup]:
+    """Group expressions instantiated over the members of source groups.
+
+    Each block ``(source, d, rows)`` holds an expression ``d`` built from the
+    leaves of ``source.expr``; member ``r`` of ``source`` gets ``d`` with
+    those leaves replaced by its own, at output position ``rows[r]``.  Blocks
+    with the same shape text merge.  Members are ordered by output position
+    and groups by their first one, as ``group_shapes`` would order them if
+    given the instantiated expressions in output order."""
+    groups: Dict[str, ShapeGroup] = {}
+    last = None
+    for source, d, rows in blocks:
+        slots: Dict[tuple, int] = {}
+        text = _shape(d, layout, slots, False)
+        g = groups.get(text)
+        if g is None:
+            groups[text] = g = ShapeGroup(text, d, tuple([name for name, _ in slots]), [], [])
+        g.rows.extend(rows)
+        if len(rows) == 1:
+            # the only member is the one ``d`` was built from
+            g.index.append([j for _, j in slots])
             continue
-        rows = [i for i, _ in members]
-        ns[f"_r{g}"] = np.array(rows, dtype=np.int64)
-        idx = np.array([[j for _, j in slots] for _, slots in members], dtype=np.int64)
-        slots = {}
-        vec_text = _shape(exprs[rows[0]], layout, slots, True)
-        for k, ((name, _), column) in enumerate(zip(slots, idx.T)):
-            ns[f"_i{g}_{k}"] = column.copy()
+        if source is not last:
+            last = source
+            first = {key: k for k, key in enumerate(zip(source.names, source.index[0]))}
+        columns = [first[key] for key in slots]
+        g.index.extend([[idx[k] for k in columns] for idx in source.index])
+    for g in groups.values():
+        if g.rows != sorted(g.rows):
+            order = sorted(range(len(g.rows)), key=g.rows.__getitem__)
+            g.rows[:] = [g.rows[r] for r in order]
+            g.index[:] = [g.index[r] for r in order]
+    return sorted(groups.values(), key=lambda g: g.rows[0])
+
+
+def compile_groups(groups: Sequence[ShapeGroup], n_out: int, layout: ParamLayout,
+                   tag: str = "residual"):
+    """Compile shape groups into ``fn(u, b, h, p, out)`` filling ``out[:n_out]``;
+    each group is emitted as one numpy statement or as scalar lines."""
+    ns = {"exp": math.exp, "log": math.log, "np": np}
+    scalar = [""] * n_out
+    vector: List[str] = []
+    for g, group in enumerate(groups):
+        if len(group.rows) < _VECTOR_MIN_ROWS:
+            for i, idx in zip(group.rows, group.index):
+                scalar[i] = f"    out[{i}] = " + group.text.format(*idx)
+            continue
+        ns[f"_r{g}"] = np.array(group.rows, dtype=np.int64)
+        index = np.array(group.index, dtype=np.int64)
+        slots: Dict[tuple, int] = {}
+        vec_text = _shape(group.expr, layout, slots, True)
+        for k, name in enumerate(group.names):
+            ns[f"_i{g}_{k}"] = index[:, k].copy()
             vector.append(f"x{k} = {name}[_i{g}_{k}]")
         vector.append(f"out[_r{g}] = " + vec_text.format(*(f"x{k}" for k in range(len(slots)))))
 
@@ -156,6 +227,12 @@ def compile_exprs(exprs: Sequence[ex.Expr], layout: ParamLayout, tag: str = "res
     return ns[f"_{tag}"]
 
 
+def compile_exprs(exprs: Sequence[ex.Expr], layout: ParamLayout, tag: str = "residual"):
+    """Compile a list of expressions into ``fn(u, b, h, p, out)``; ``out[i]``
+    receives ``exprs[i]``."""
+    return compile_groups(group_shapes(exprs, layout), len(exprs), layout, tag)
+
+
 class CompiledResidual:
     """A method residual plus its numeric bindings, ready for Newton.
 
@@ -167,7 +244,8 @@ class CompiledResidual:
     def __init__(self, exprs: Sequence[ex.Expr], layout: ParamLayout):
         self.n = len(exprs)
         self.layout = layout
-        self._fn = compile_exprs(exprs, layout)
+        self.shapes = group_shapes(exprs, layout)
+        self._fn = compile_groups(self.shapes, self.n, layout)
         self.b = np.zeros(0)
         self.h = 0.0
         self.p = np.zeros(len(layout.names))

@@ -5,7 +5,8 @@ all three Newton solves sharing one frozen LU factorization.  The two
 results give the local error estimate; accepted steps are advanced with
 Richardson extrapolation.  The Jacobian is refactorized only when flagged:
 at the start, after any step whose error estimate exceeds 0.1, and after
-every rejection (a rejection also divides h by 4).
+every rejection (a rejection also divides h by 4).  A non-finite residual,
+or a refreshed Jacobian that is not finite, rejects the step.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from typing import List, Optional, TextIO, Tuple
 
 import numpy as np
 
-from .codegen import CompiledResidual, ParamLayout, compile_exprs
-from .errors import InitializationFailed, NonFiniteResidual
-from .jacobian import JacobianAssembler, detect_pattern, differentiate
+from .codegen import CompiledResidual, compile_exprs
+from .errors import InitializationFailed, NonFiniteResidual, NonFiniteValue
+from .jacobian import JacobianAssembler, detect_pattern, differentiate, param_layout
 from .linalg import Factorization, factorize
 from .newton import default_ctol, newton_solve
 from .system import DaeSystem, MethodKind, MethodResidual, build_residual, state_update
@@ -95,6 +96,9 @@ class Trajectory:
 
     Counters cover the time-stepping loop; the single factorization used by
     consistent initialization is reported separately in ``init_lu``.
+    ``lu_count`` counts LU factorizations actually computed, so a refresh
+    whose Jacobian is not finite adds none and a perturbed-pivot retry adds
+    a second one.
     """
 
     var_names: Tuple[str, ...]
@@ -190,12 +194,13 @@ class Stepper:
         self.options = options
         self.kind = options.method
         self.residual_sym: MethodResidual = build_residual(sys, self.kind)
-        self.pattern = detect_pattern(self.residual_sym)
-        self.sym_jac = differentiate(self.residual_sym, self.pattern)
-        names = sorted(sys.params) + self.residual_sym.explicit_param_names()
-        self.layout = ParamLayout(names)
+        self.layout = param_layout(self.residual_sym)
+        # the residual's shape groups are walked once and reused by the
+        # pattern, the derivatives and the Jacobian code
         self.res = CompiledResidual(self.residual_sym.rows, self.layout)
         self.res.set_params(sys.params)
+        self.pattern = detect_pattern(self.residual_sym, self.res.shapes)
+        self.sym_jac = differentiate(self.residual_sym, self.pattern)
         self.assembler = JacobianAssembler(self.sym_jac, self.layout)
         self.n = self.residual_sym.n
         self.n_t = sys.n_total
@@ -223,10 +228,17 @@ class Stepper:
             n_p = len(self.layout.names) - len(self._f_out)
             self.res.p[n_p:] = self._f_out
 
-    def _factorize(self, base: np.ndarray, h: float) -> Factorization:
+    def _factorize(self, base: np.ndarray, h: float,
+                   traj: Optional[Trajectory] = None) -> Factorization:
+        """Assemble and factorize the Jacobian at (base, h); with ``traj``,
+        count the factorization in its ``lu_count`` (two when the pivot
+        perturbation retry ran)."""
         self._bind(base, h)
         a = self.assembler.assemble(self._uu0, self.res.b, h, self.res.p)
-        return factorize(a)
+        f = factorize(a)
+        if traj is not None:
+            traj.lu_count += 1 + f.perturbed
+        return f
 
     def _solve_once(self, base: np.ndarray, h: float, f: Factorization) -> np.ndarray:
         self._bind(base, h)
@@ -298,13 +310,16 @@ class Stepper:
                 traj.status = Status.STEP_UNDERFLOW
                 break
             if refresh:
-                frozen = self._factorize(state, h)
-                traj.jac_updates += 1
-                traj.lu_count += 1
-                refresh = False
+                try:
+                    frozen = self._factorize(state, h, traj)
+                    traj.jac_updates += 1
+                    refresh = False
+                except (NonFiniteResidual, NonFiniteValue):
+                    # rejected below, as a non-finite residual would be
+                    frozen = None
 
-            trial = self.attempt_step(state, t, h, frozen)
-            if trial.err > 1.0:
+            trial = self.attempt_step(state, t, h, frozen) if frozen is not None else None
+            if trial is None or trial.err > 1.0:
                 traj.rejected += 1
                 consecutive_rejects += 1
                 if consecutive_rejects > _MAX_CONSECUTIVE_REJECTS:
@@ -349,9 +364,11 @@ class Stepper:
         p = self.kind.order
         for k in range(nsteps):
             t = k * h
-            frozen = self._factorize(state, h)
+            try:
+                frozen = self._factorize(state, h, traj)
+            except NonFiniteValue:
+                raise NonFiniteResidual(f"fixed step at t={t} left the domain")
             traj.jac_updates += 1
-            traj.lu_count += 1
             trial = self.attempt_step(state, t, h, frozen)
             if trial.y_h is None:
                 raise NonFiniteResidual(f"fixed step at t={t} left the domain")

@@ -22,10 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
-from .codegen import BASE_PREFIX
+from .codegen import BASE_PREFIX, CN_EXPLICIT_PREFIX
 from .errors import UnsupportedSystem
-
-CN_EXPLICIT_PREFIX = "Fexp_"
 
 
 class MethodKind(enum.Enum):
@@ -48,19 +46,6 @@ class MethodKind(enum.Enum):
     @property
     def stage_multiplier(self) -> int:
         return 2 if self is MethodKind.RAD else 1
-
-    @property
-    def a_stable(self) -> bool:
-        return True
-
-    @property
-    def l_stable(self) -> bool:
-        return self in (MethodKind.EB, MethodKind.RAD)
-
-    @property
-    def extrapolated_order(self) -> int:
-        # CN/IMPTRAP are symmetric (even error expansion), RAD gains one order
-        return {"eb": 2, "cn": 4, "imptrap": 4, "rad": 4}[self.value]
 
 
 @dataclass(frozen=True)
@@ -220,12 +205,6 @@ def build_residual(sys: DaeSystem, kind: MethodKind) -> MethodResidual:
         raise ValueError(f"unknown method {kind}")
 
     return MethodResidual(system=sys, kind=kind, rows=tuple(rows))
-
-
-def initialization_residual(sys: DaeSystem, kind: MethodKind) -> MethodResidual:
-    """Same structure as build_residual; solved with h bound to 0, which
-    pins the ODE components of uu at 0 and moves only algebraic ones."""
-    return build_residual(sys, kind)
 
 
 def state_update(y0: np.ndarray, uu: np.ndarray, kind: MethodKind) -> np.ndarray:

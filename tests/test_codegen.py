@@ -8,8 +8,8 @@ import pytest
 from sparsedae import expr as ex
 from sparsedae.codegen import _VECTOR_MIN_ROWS, CompiledResidual, ParamLayout, compile_exprs
 from sparsedae.errors import NonFiniteResidual
-from sparsedae.jacobian import JacobianAssembler, detect_pattern, differentiate
-from sparsedae.problems import example4, example5, example6
+from sparsedae.jacobian import JacobianAssembler, detect_pattern, differentiate, param_layout
+from sparsedae.problems import example4, example5, example6, make_builtin
 from sparsedae.system import MethodKind, build_residual
 
 N_ROWS = _VECTOR_MIN_ROWS + 2
@@ -74,10 +74,11 @@ def test_vectorized_nonfinite_reaches_the_isfinite_check():
 
 
 def evaluate_against_oracle(sysn, kind, seed):
-    """Compiled residual and Jacobian next to eval_expr at a random state."""
+    """Compiled residual and Jacobian next to eval_expr at a random state.
+    The oracle differentiates every row on its own, per pattern entry."""
     rng = np.random.default_rng(seed)
     mr = build_residual(sysn, kind)
-    layout = ParamLayout(sorted(sysn.params) + mr.explicit_param_names())
+    layout = param_layout(mr)
     res = CompiledResidual(mr.rows, layout)
     res.set_params(sysn.params)
     explicit = {n: 0.1 * rng.standard_normal() for n in mr.explicit_param_names()}
@@ -90,16 +91,16 @@ def evaluate_against_oracle(sysn, kind, seed):
     bindings = {"h": h, **sysn.params, **explicit}
     bindings.update({f"Y0_{k}": v for k, v in enumerate(base, start=1)})
 
-    jac = differentiate(mr, detect_pattern(mr))
-    asm = JacobianAssembler(jac, layout)
+    pat = detect_pattern(mr)
+    asm = JacobianAssembler(differentiate(mr, pat), layout)
     a = asm.assemble(uu, res.b, h, res.p).to_dense()
     assert is_vectorized(asm._fn) and is_vectorized(res._fn)
 
     got_r = res.evaluate(uu).copy()
     want_r = np.array([ex.eval_expr(r, uu, bindings) for r in mr.rows])
-    cells = sorted(jac.entries)
+    cells = pat.support()
     got_j = np.array([a[i - 1, k - 1] for i, k in cells])
-    want_j = np.array([ex.eval_expr(jac.entries[c], uu, bindings) for c in cells])
+    want_j = np.array([ex.eval_expr(ex.diff(mr.rows[i - 1], k), uu, bindings) for i, k in cells])
     return got_r, want_r, got_j, want_j
 
 
@@ -119,3 +120,34 @@ def test_exp_model_matches_the_oracle_to_a_few_ulp():
     for got, want in ((got_r, want_r), (got_j, want_j)):
         scale = np.spacing(np.maximum(np.abs(want), 1.0))
         assert np.all(np.abs(got - want) <= 8 * scale)
+
+
+def test_cn_explicit_slots_vectorize():
+    # each CN ODE row has its own Fexp_i slot; gathered like a leaf, the
+    # rows still share a shape, so CN has EB's shapes and every row of
+    # ex5 8x8 is in a vectorized group
+    shapes = {}
+    for kind in (MethodKind.EB, MethodKind.CN):
+        mr = build_residual(example5(8, 8), kind)
+        res = CompiledResidual(mr.rows, param_layout(mr))
+        shapes[kind] = [len(g.rows) for g in res.shapes]
+    assert is_vectorized(res._fn)
+    assert shapes[MethodKind.CN] == shapes[MethodKind.EB]
+    assert min(shapes[MethodKind.CN]) >= _VECTOR_MIN_ROWS
+
+
+BUILTINS = {"ex1": {}, "ex1pw": {}, "ex2": {}, "ex3": {}, "decay": {},
+            "ex4": dict(n=8), "ex5": dict(n=4, m=6), "ex6": dict(n=4, m=6)}
+
+
+@pytest.mark.parametrize("kind", list(MethodKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_shape_pattern_and_csc_structure_match_the_rows(name, kind):
+    mr = build_residual(make_builtin(name, **BUILTINS[name]), kind)
+    pat = detect_pattern(mr)
+    assert pat.rows == tuple(tuple(ex.free_unknowns(r)) for r in mr.rows)
+    asm = JacobianAssembler(differentiate(mr, pat), param_layout(mr))
+    support = sorted((k - 1, i - 1) for i, k in pat.support())
+    assert asm.rowind.tolist() == [row for _, row in support]
+    counts = np.bincount([col for col, _ in support], minlength=mr.n)
+    assert asm.indptr.tolist() == [0] + np.cumsum(counts).tolist()

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from sparsedae import expr as ex
+from sparsedae.errors import NonFiniteResidual, NonFiniteValue
+from sparsedae.problemfile import parse_problem_text
 from sparsedae.problems import example1
 from sparsedae.stepper import (
     SolverOptions,
@@ -84,6 +86,42 @@ def test_nonfinite_step_reports_infinite_error():
     # a huge step drives the iterate negative and ln out of its domain
     trial = st.attempt_step(np.array([0.5]), 0.0, 1.0, f)
     assert trial.err == math.inf and trial.y_h is None
+
+
+SQRT_DECAY = """
+[odes]
+x' = -x^0.5 - 1
+[init]
+x = 1.0
+"""
+
+
+def test_nonfinite_jacobian_at_refresh_rejects_the_step():
+    # x reaches 0 near t=0.61; past it x^0.5 and the refreshed Jacobian
+    # -0.5*x^-0.5 are not finite, which must reject steps, not end the run
+    sysd = parse_problem_text(SQRT_DECAY)
+    with np.errstate(all="ignore"):
+        traj = integrate(sysd, SolverOptions(tf=3.0, atol=1e-6))
+        assert traj.status is Status.STEP_UNDERFLOW
+        assert traj.rejected > 0
+        assert traj.lu_count == traj.jac_updates
+        assert traj.final_time < 0.7
+
+
+def test_nonfinite_jacobian_in_fixed_step_mode_raises(monkeypatch):
+    st = Stepper(decay(), SolverOptions(tf=1.0, atol=1e-6, fixed_h=0.5, hinit=0.5, hmax=0.5))
+    assemble = st.assembler.assemble
+    calls = []
+
+    def second_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:   # the first refresh after initialization
+            raise NonFiniteValue("non-finite Jacobian entry at row 1, col 1")
+        return assemble(*args)
+
+    monkeypatch.setattr(st.assembler, "assemble", second_fails)
+    with pytest.raises(NonFiniteResidual, match="t=0.0"):
+        st.integrate_fixed()
 
 
 def test_adaptive_run_hits_tf_exactly():

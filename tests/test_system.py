@@ -11,7 +11,6 @@ from sparsedae.system import (
     MethodKind,
     MethodResidual,
     build_residual,
-    initialization_residual,
     state_update,
 )
 
@@ -44,9 +43,6 @@ def eval_rows(mr: MethodResidual, uu, y0, h, extra=None):
 
 def test_method_properties():
     assert [k.order for k in MethodKind] == [1, 2, 2, 3]
-    assert [k.extrapolated_order for k in MethodKind] == [2, 4, 4, 4]
-    assert all(k.a_stable for k in MethodKind)
-    assert [k.l_stable for k in MethodKind] == [True, False, False, True]
     assert [k.stage_multiplier for k in MethodKind] == [1, 1, 1, 2]
 
 
@@ -128,13 +124,6 @@ def test_endpoint_projection_needs_algebraic_reference():
             build_residual(bad, kind)
     # EB tolerates it: every variable is implicit at the endpoint anyway
     build_residual(bad, MethodKind.EB)
-
-
-def test_initialization_residual_is_the_method_residual():
-    sysd = simple_dae()
-    a = initialization_residual(sysd, MethodKind.EB)
-    b = build_residual(sysd, MethodKind.EB)
-    assert a.rows == b.rows
 
 
 def test_system_validation():
