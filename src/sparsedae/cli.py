@@ -74,12 +74,14 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--err-denominator", default=None, choices=["literal", "standard"])
 
 
-def _build_problem(args):
+def _build_problem(args, n=None):
+    """The system ``args`` names; ``n``, when given, replaces ``--N``."""
     name = args.problem
     if name in _BUILTINS:
         kw = {}
-        if args.N is not None:
-            kw["n"] = args.N
+        n = args.N if n is None else n
+        if n is not None:
+            kw["n"] = n
         elif name in BUILTIN_GRIDDED:
             kw["n"] = 4
         if args.M is not None:
@@ -175,10 +177,7 @@ def cmd_converge(args) -> int:
     rows = []
     obs_names = None
     for n in n_list:
-        saved = args.N
-        args.N = n
-        sys_ = _build_problem(args)
-        args.N = saved
+        sys_ = _build_problem(args, n)
         if obs_names is None:
             obs_names = args.observable or sorted(sys_.observables)
         traj = integrate(sys_, options)

@@ -7,15 +7,14 @@ function.
 
 Discretized PDE rows are a few stencil *shapes* repeated thousands of
 times.  The shape of an expression is its generated source with every
-unknown (``u``), base-state (``Y0_k`` -> ``b``) and CN explicit-term
-(``Fexp_i`` -> ``p``) leaf replaced by a slot number.  Slots are numbered by
-first appearance, so the aliasing pattern is part of the shape: ``u_i*u_i``
-and ``u_i*u_j`` never share one.  ``group_shapes`` walks each expression
-once and groups them by shape into ``ShapeGroup``s, which hold every
-member's leaf indices as one row of an index table.  The Jacobian reuses
-the residual's groups: ``derived_groups`` takes expressions built from a
-group's first member (its derivatives) and instantiates each for every
-member by picking columns of that table.
+unknown (``u``) and base-state (``Y0_k`` -> ``b``) leaf replaced by a slot
+number.  Slots are numbered by first appearance, so the aliasing pattern is
+part of the shape: ``u_i*u_i`` and ``u_i*u_j`` never share one.
+``group_shapes`` walks each expression once and groups them by shape into
+``ShapeGroup``s, which hold every member's leaf indices as one row of an
+index table.  The Jacobian reuses the residual's groups: ``derived_groups``
+takes expressions built from a group's first member (its derivatives) and
+instantiates each for every member by picking columns of that table.
 
 A group of at least ``_VECTOR_MIN_ROWS`` members becomes a single numpy
 statement ``out[R] = <shape over u[I0], b[I1], ...>`` whose index arrays are
@@ -26,8 +25,10 @@ fixed cost exceeds a handful of scalar rows.
 The vectorized statements run under ``np.errstate(all="ignore")``: ``exp``
 and ``ln`` become ``np.exp``/``np.log``, and ``piecewise`` becomes a
 first-match ``np.select`` that evaluates every branch, so a branch that is
-not taken may produce inf or nan without raising.  Callers detect
-non-finite results with ``isfinite`` on the output, as for scalar lines.
+not taken may produce inf or nan without raising.  Scalar lines evaluate on
+numpy scalars under the caller's error state; ``Stepper`` integrates under
+``np.errstate(all="ignore")`` too.  Callers detect non-finite results with
+``isfinite`` on the output.
 
 Generated functions share a single calling convention::
 
@@ -35,7 +36,7 @@ Generated functions share a single calling convention::
 
 where ``u`` is the unknown vector (0-based ndarray), ``b`` the base-state
 values bound to the Y0_* parameter slots, ``h`` the step size, ``p`` the
-remaining parameter values in a fixed order, and ``out`` the output buffer.
+system's parameter values in a fixed order, and ``out`` the output buffer.
 
 No common-subexpression elimination is attempted.
 """
@@ -50,7 +51,6 @@ import numpy as np
 from . import expr as ex
 
 BASE_PREFIX = "Y0_"
-CN_EXPLICIT_PREFIX = "Fexp_"
 
 # Rows per shape from which one numpy statement beats scalar lines; measured
 # break-even for a five-point-stencil shape is about 10 rows.
@@ -72,7 +72,7 @@ class ParamLayout:
 
 
 def _shape(e: ex.Expr, layout: ParamLayout, slots: Dict[tuple, int], vec: bool) -> str:
-    """Source of ``e`` with each leaf ``u[i]``/``b[i]``/``p[i]`` written as ``u[{k}]``/``b[{k}]``/``p[{k}]``.
+    """Source of ``e`` with each leaf ``u[i]``/``b[i]`` written as ``u[{k}]``/``b[{k}]``.
 
     ``slots`` maps each leaf (array name, 0-based index) to its slot number
     ``k`` and is filled in first-appearance order.  With ``vec`` a leaf is
@@ -92,10 +92,6 @@ def _shape(e: ex.Expr, layout: ParamLayout, slots: Dict[tuple, int], vec: bool) 
         if e.name.startswith(BASE_PREFIX):
             k = slots.setdefault(("b", int(e.name[len(BASE_PREFIX):]) - 1), len(slots))
             return "{%d}" % k if vec else "b[{%d}]" % k
-        if e.name.startswith(CN_EXPLICIT_PREFIX):
-            # one slot per CN row, so gathered like a leaf, not fixed
-            k = slots.setdefault(("p", layout.slot[e.name]), len(slots))
-            return "{%d}" % k if vec else "p[{%d}]" % k
         return f"p[{layout.slot[e.name]}]"
     if t is ex.Add:
         return "(" + " + ".join([_shape(a, layout, slots, vec) for a in e.terms]) + ")"
@@ -132,7 +128,7 @@ class ShapeGroup(NamedTuple):
 
     ``text`` is the shape's scalar source with slot ``k`` written as ``{k}``
     inside its subscript, and ``expr`` is the first member.  ``names[k]`` is
-    the array slot ``k`` reads (``u``, ``b`` or ``p``), ``rows[r]`` is member
+    the array slot ``k`` reads (``u`` or ``b``), ``rows[r]`` is member
     ``r``'s output position and ``index[r][k]`` the 0-based array index slot
     ``k`` takes in member ``r``.  Plain lists: most groups of a small system
     have one member, where numpy's per-call cost would dominate."""
@@ -225,12 +221,6 @@ def compile_groups(groups: Sequence[ShapeGroup], n_out: int, layout: ParamLayout
     code = compile("\n".join(lines), f"<generated {tag}>", "exec")
     exec(code, ns)
     return ns[f"_{tag}"]
-
-
-def compile_exprs(exprs: Sequence[ex.Expr], layout: ParamLayout, tag: str = "residual"):
-    """Compile a list of expressions into ``fn(u, b, h, p, out)``; ``out[i]``
-    receives ``exprs[i]``."""
-    return compile_groups(group_shapes(exprs, layout), len(exprs), layout, tag)
 
 
 class CompiledResidual:

@@ -428,58 +428,47 @@ def diff(e: Expr, k: int) -> Expr:
 
 def free_unknowns(e: Expr) -> list:
     """Sorted, duplicate-free list of unknown indices appearing in ``e``."""
-    out = set()
-    _collect(e, out)
-    return sorted(out)
-
-
-def _collect(e: Expr, out: set) -> None:
-    if isinstance(e, U):
-        out.add(e.index)
-    elif isinstance(e, Add):
-        for t in e.terms:
-            _collect(t, out)
-    elif isinstance(e, Mul):
-        for f in e.factors:
-            _collect(f, out)
-    elif isinstance(e, Div):
-        _collect(e.num, out)
-        _collect(e.den, out)
-    elif isinstance(e, (Pow, Neg, ExpF, LnF)):
-        _collect(e.base if isinstance(e, Pow) else e.arg, out)
-    elif isinstance(e, Piecewise):
-        for b in e.branches:
-            _collect(b.test, out)
-            _collect(b.value, out)
-        _collect(e.default, out)
+    return sorted(free_leaves(e)[0])
 
 
 def free_params(e: Expr) -> set:
     """Set of parameter names appearing in ``e``."""
-    out = set()
-    _collect_params(e, out)
-    return out
+    return free_leaves(e)[1]
 
 
-def _collect_params(e: Expr, out: set) -> None:
-    if isinstance(e, Param):
-        out.add(e.name)
-    elif isinstance(e, Add):
-        for t in e.terms:
-            _collect_params(t, out)
-    elif isinstance(e, Mul):
-        for f in e.factors:
-            _collect_params(f, out)
-    elif isinstance(e, Div):
-        _collect_params(e.num, out)
-        _collect_params(e.den, out)
-    elif isinstance(e, (Pow, Neg, ExpF, LnF)):
-        _collect_params(e.base if isinstance(e, Pow) else e.arg, out)
-    elif isinstance(e, Piecewise):
+def free_leaves(e: Expr) -> tuple:
+    """The unknown indices and the parameter names appearing in ``e``, as two
+    sets, from one walk."""
+    unknowns, params = set(), set()
+    _collect(e, unknowns, params)
+    return unknowns, params
+
+
+def _collect(e: Expr, unknowns: set, params: set) -> None:
+    # exact type tests, as in ``diff``
+    t = type(e)
+    if t is U:
+        unknowns.add(e.index)
+    elif t is Param:
+        params.add(e.name)
+    elif t is Add:
+        for a in e.terms:
+            _collect(a, unknowns, params)
+    elif t is Mul:
+        for a in e.factors:
+            _collect(a, unknowns, params)
+    elif t is Div:
+        _collect(e.num, unknowns, params)
+        _collect(e.den, unknowns, params)
+    elif t is Pow:
+        _collect(e.base, unknowns, params)
+    elif t is Neg or t is ExpF or t is LnF:
+        _collect(e.arg, unknowns, params)
+    elif t is Piecewise:
         for b in e.branches:
-            _collect_params(b.test, out)
-            _collect_params(b.value, out)
-        _collect_params(e.default, out)
+            _collect(b.test, unknowns, params)
+            _collect(b.value, unknowns, params)
+        _collect(e.default, unknowns, params)
 
 
 def substitute(e: Expr, mapping: Mapping[int, Expr]) -> Expr:

@@ -211,7 +211,6 @@ def format_expr(e: ex.Expr, var_names: Optional[Sequence[str]] = None) -> str:
 def _fmt(e: ex.Expr, names, level: int) -> str:
     if isinstance(e, ex.Const):
         s = _fmt_num(e.value)
-        need = 2 if e.value < 0 else 4
         return f"({s})" if e.value < 0 and level >= 1 else s
     if isinstance(e, ex.U):
         return names[e.index - 1] if names else f"u[{e.index}]"

@@ -61,9 +61,8 @@ class SymbolicJacobian:
 
 
 def param_layout(res: MethodResidual) -> ParamLayout:
-    """The parameter slots of ``res``: the system's parameters, sorted, then
-    the method's explicit-term slots."""
-    return ParamLayout(sorted(res.system.params) + res.explicit_param_names())
+    """The parameter slots of ``res``: the system's parameters, sorted."""
+    return ParamLayout(sorted(res.system.params))
 
 
 def detect_pattern(res: MethodResidual,

@@ -6,7 +6,9 @@ results give the local error estimate; accepted steps are advanced with
 Richardson extrapolation.  The Jacobian is refactorized only when flagged:
 at the start, after any step whose error estimate exceeds 0.1, and after
 every rejection (a rejection also divides h by 4).  A non-finite residual,
-or a refreshed Jacobian that is not finite, rejects the step.
+or a refreshed Jacobian that is not finite, rejects the step.  Both
+integration loops run under ``np.errstate(all="ignore")``, so a domain error
+in generated code shows up as a non-finite value, never as a warning.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import List, Optional, TextIO, Tuple
 
 import numpy as np
 
-from .codegen import CompiledResidual, compile_exprs
+from .codegen import CompiledResidual
 from .errors import InitializationFailed, NonFiniteResidual, NonFiniteValue
 from .jacobian import JacobianAssembler, detect_pattern, differentiate, param_layout
 from .linalg import Factorization, factorize
@@ -27,6 +29,13 @@ from .system import DaeSystem, MethodKind, MethodResidual, build_residual, state
 
 _INIT_MAX_ITER = 100
 _MAX_CONSECUTIVE_REJECTS = 40
+# step-size controller: next_h's growth cap and safety factor, the divisor of
+# h on a rejection, and the error above which an accepted step refreshes the
+# Jacobian
+_GROWTH = 3.0
+_SAFETY = 0.9
+_REJECT_DIVISOR = 4.0
+_JAC_REFRESH_ERR = 0.1
 
 
 class Status(enum.Enum):
@@ -48,10 +57,6 @@ class SolverOptions:
     iter: int = 5
     method: MethodKind = MethodKind.IMPTRAP
     rtol: Optional[float] = None
-    growth: float = 3.0
-    safety: float = 0.9
-    reject_divisor: float = 4.0
-    jac_refresh_err: float = 0.1
     extrapolate: bool = True
     fixed_h: Optional[float] = None
     norm: str = "inf"                  # "inf" or "rms"
@@ -159,13 +164,12 @@ def error_norm(y_err: np.ndarray, yref: np.ndarray, atol: float, rtol: float,
     return float(np.max(w))
 
 
-def next_h(h_old: float, err: float, p: int, hmax: float,
-           growth: float = 3.0, safety: float = 0.9) -> float:
-    """h_new = min(hmax, h_old * min(growth, safety * (1/err)^(1/(p+1))))."""
+def next_h(h_old: float, err: float, p: int, hmax: float) -> float:
+    """h_new = min(hmax, h_old * min(_GROWTH, _SAFETY * (1/err)^(1/(p+1))))."""
     if err <= 0.0:
-        factor = growth
+        factor = _GROWTH
     else:
-        factor = min(growth, safety * (1.0 / err) ** (1.0 / (p + 1)))
+        factor = min(_GROWTH, _SAFETY * (1.0 / err) ** (1.0 / (p + 1)))
     return min(hmax, h_old * factor)
 
 
@@ -194,39 +198,24 @@ class Stepper:
         self.options = options
         self.kind = options.method
         self.residual_sym: MethodResidual = build_residual(sys, self.kind)
-        self.layout = param_layout(self.residual_sym)
+        layout = param_layout(self.residual_sym)
         # the residual's shape groups are walked once and reused by the
         # pattern, the derivatives and the Jacobian code
-        self.res = CompiledResidual(self.residual_sym.rows, self.layout)
+        self.res = CompiledResidual(self.residual_sym.rows, layout)
         self.res.set_params(sys.params)
         self.pattern = detect_pattern(self.residual_sym, self.res.shapes)
         self.sym_jac = differentiate(self.residual_sym, self.pattern)
-        self.assembler = JacobianAssembler(self.sym_jac, self.layout)
+        self.assembler = JacobianAssembler(self.sym_jac, layout)
         self.n = self.residual_sym.n
         self.n_t = sys.n_total
         self._uu0 = np.zeros(self.n)
         self.ctol = default_ctol(options.atol)
-        if self.kind is MethodKind.CN:
-            self._f_fn = compile_exprs(sys.ode_rhs, self.layout, tag="odes")
-            self._f_out = np.empty(sys.n_ode)
-        else:
-            self._f_fn = None
 
     # -- bindings ---------------------------------------------------------
 
     def _bind(self, base: np.ndarray, h: float) -> None:
         self.res.set_base(base)
         self.res.set_h(h)
-        if self._f_fn is not None:
-            # CN explicit term: f evaluated at the sub-step's base state
-            try:
-                self._f_fn(base, base, h, self.res.p, self._f_out)
-            except (ZeroDivisionError, OverflowError, ValueError):
-                raise NonFiniteResidual("explicit right-hand side left the domain")
-            if not np.isfinite(self._f_out).all():
-                raise NonFiniteResidual("explicit right-hand side is non-finite")
-            n_p = len(self.layout.names) - len(self._f_out)
-            self.res.p[n_p:] = self._f_out
 
     def _factorize(self, base: np.ndarray, h: float,
                    traj: Optional[Trajectory] = None) -> Factorization:
@@ -280,6 +269,7 @@ class Stepper:
 
     # -- drivers ------------------------------------------------------------
 
+    @np.errstate(all="ignore")
     def integrate(self) -> Trajectory:
         opt = self.options
         traj = Trajectory(var_names=self.system.var_names)
@@ -325,7 +315,7 @@ class Stepper:
                 if consecutive_rejects > _MAX_CONSECUTIVE_REJECTS:
                     traj.status = Status.STEP_UNDERFLOW
                     break
-                h = h / opt.reject_divisor
+                h = h / _REJECT_DIVISOR
                 landing = False
                 refresh = True
                 continue
@@ -335,9 +325,9 @@ class Stepper:
             t = opt.tf if landing else t + h
             traj.accepted += 1
             traj.record(t, state)
-            if trial.err > opt.jac_refresh_err:
+            if trial.err > _JAC_REFRESH_ERR:
                 refresh = True
-            hn = next_h(h, trial.err, p, opt.hmax, opt.growth, opt.safety)
+            hn = next_h(h, trial.err, p, opt.hmax)
             if hn >= opt.tf - t:
                 hn = opt.tf - t
                 landing = True
@@ -347,6 +337,7 @@ class Stepper:
                         f"number of failed steps={traj.rejected}")
         return traj
 
+    @np.errstate(all="ignore")
     def integrate_fixed(self) -> Trajectory:
         """Fixed-step mode for order verification: every step accepted,
         Jacobian refreshed every step, extrapolation per options."""

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
-from .codegen import BASE_PREFIX, CN_EXPLICIT_PREFIX
+from .codegen import BASE_PREFIX
 from .errors import UnsupportedSystem
 
 
@@ -76,10 +76,11 @@ class DaeSystem:
             raise ValueError("y0z0 length must equal N_ode + N_ae")
         declared = set(self.params)
         for eq in tuple(self.ode_rhs) + tuple(self.alg_residual):
-            bad = [k for k in ex.free_unknowns(eq) if not 1 <= k <= self.n_total]
+            unknowns, params = ex.free_leaves(eq)
+            bad = sorted(k for k in unknowns if not 1 <= k <= self.n_total)
             if bad:
                 raise ValueError(f"equation references state index {bad[0]} outside 1..{self.n_total}")
-            undecl = ex.free_params(eq) - declared
+            undecl = params - declared
             if undecl:
                 raise ValueError(f"undeclared parameter(s): {sorted(undecl)}")
 
@@ -106,8 +107,9 @@ class MethodResidual:
     Row count is stage_multiplier * N_t.  The step size appears as the
     parameter ``h`` and the base state as parameters ``Y0_1..Y0_Nt``; the
     sparsity structure is therefore independent of their numeric values.
-    CN additionally carries one explicit-term slot ``Fexp_i`` per ODE row,
-    bound numerically to f_i(base state) before each solve.
+    CN's explicit half f_i(base state) is part of its row, an expression over
+    the ``Y0_k`` slots alone, so every row reads only uu, the base state, h
+    and the system parameters.
     """
 
     system: DaeSystem
@@ -124,11 +126,6 @@ class MethodResidual:
 
     def base_param_names(self) -> List[str]:
         return [f"{BASE_PREFIX}{k}" for k in range(1, self.n_state + 1)]
-
-    def explicit_param_names(self) -> List[str]:
-        if self.kind is MethodKind.CN:
-            return [f"{CN_EXPLICIT_PREFIX}{i}" for i in range(1, self.system.n_ode + 1)]
-        return []
 
 
 def _base(k: int) -> ex.Expr:
@@ -170,9 +167,11 @@ def build_residual(sys: DaeSystem, kind: MethodKind) -> MethodResidual:
 
     elif kind is MethodKind.CN:
         _check_endpoint_constraints(sys, kind)
+        base = {j: _base(j) for j in range(1, n_t + 1)}
         for i, f in enumerate(sys.ode_rhs, start=1):
-            explicit = ex.Param(f"{CN_EXPLICIT_PREFIX}{i}")
-            rows.append(ex.U(i) - ex.mul(0.5, h) * ex.substitute(f, end) - ex.mul(0.5, h) * explicit)
+            # the explicit half f_i(Y0) reads no unknown, so its derivatives fold to zero
+            rows.append(ex.U(i) - ex.mul(0.5, h) * ex.substitute(f, end)
+                        - ex.mul(0.5, h) * ex.substitute(f, base))
         for g in sys.alg_residual:
             rows.append(ex.substitute(g, end))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sparsedae import expr as ex
-from sparsedae.codegen import _VECTOR_MIN_ROWS, CompiledResidual, ParamLayout, compile_exprs
+from sparsedae.codegen import _VECTOR_MIN_ROWS, CompiledResidual, ParamLayout
 from sparsedae.errors import NonFiniteResidual
 from sparsedae.jacobian import JacobianAssembler, detect_pattern, differentiate, param_layout
 from sparsedae.problems import example4, example5, example6, make_builtin
@@ -20,11 +20,9 @@ def is_vectorized(fn) -> bool:
 
 
 def run(exprs, u, params=None):
-    layout = ParamLayout(sorted(params or {}))
-    fn = compile_exprs(exprs, layout)
-    out = np.empty(len(exprs))
-    fn(np.asarray(u, dtype=float), np.zeros(0), 0.0, layout.vector(params or {}), out)
-    return fn, out
+    res = CompiledResidual(exprs, ParamLayout(sorted(params or {})))
+    res.set_params(params or {})
+    return res._fn, res.evaluate(np.asarray(u, dtype=float))
 
 
 def test_small_systems_stay_scalar():
@@ -81,14 +79,12 @@ def evaluate_against_oracle(sysn, kind, seed):
     layout = param_layout(mr)
     res = CompiledResidual(mr.rows, layout)
     res.set_params(sysn.params)
-    explicit = {n: 0.1 * rng.standard_normal() for n in mr.explicit_param_names()}
-    res.set_params(explicit)
     base = np.asarray(sysn.y0z0) + 0.05 * rng.standard_normal(sysn.n_total)
     h = 0.01
     res.set_base(base)
     res.set_h(h)
     uu = 0.05 * rng.standard_normal(mr.n)
-    bindings = {"h": h, **sysn.params, **explicit}
+    bindings = {"h": h, **sysn.params}
     bindings.update({f"Y0_{k}": v for k, v in enumerate(base, start=1)})
 
     pat = detect_pattern(mr)
@@ -122,10 +118,10 @@ def test_exp_model_matches_the_oracle_to_a_few_ulp():
         assert np.all(np.abs(got - want) <= 8 * scale)
 
 
-def test_cn_explicit_slots_vectorize():
-    # each CN ODE row has its own Fexp_i slot; gathered like a leaf, the
-    # rows still share a shape, so CN has EB's shapes and every row of
-    # ex5 8x8 is in a vectorized group
+def test_cn_explicit_half_vectorizes():
+    # each CN ODE row carries f_i at its own base state; its Y0 leaves are
+    # gathered like the implicit half's, so the rows still share a shape,
+    # CN has EB's shapes and every row of ex5 8x8 is in a vectorized group
     shapes = {}
     for kind in (MethodKind.EB, MethodKind.CN):
         mr = build_residual(example5(8, 8), kind)

@@ -6,7 +6,6 @@ import pytest
 from sparsedae import expr as ex
 from sparsedae.errors import UnsupportedSystem
 from sparsedae.system import (
-    CN_EXPLICIT_PREFIX,
     DaeSystem,
     MethodKind,
     MethodResidual,
@@ -60,8 +59,7 @@ def test_h_zero_root_moves_only_algebraic():
     for kind in MethodKind:
         mr = build_residual(sysd, kind)
         uu = [0.0] * (kind.stage_multiplier * 2)
-        extra = {f"{CN_EXPLICIT_PREFIX}1": 0.8} if kind is MethodKind.CN else None
-        assert eval_rows(mr, uu, y0, 0.0, extra) == pytest.approx([0.0] * len(uu))
+        assert eval_rows(mr, uu, y0, 0.0) == pytest.approx([0.0] * len(uu))
 
 
 def test_backward_euler_rows_by_hand():
@@ -81,11 +79,11 @@ def test_midpoint_ode_row_uses_half_increment():
     assert got[1] == pytest.approx(0.1 ** 2 + 0.8 ** 2 - 1.0)
 
 
-def test_cn_explicit_term_is_a_parameter():
+def test_cn_explicit_term_reads_the_base_state():
+    # row 1: uu1 - h/2*f(uu + Y0) - h/2*f(Y0) with f = z: z0 - 0.2 and z0
     mr = build_residual(simple_dae(), MethodKind.CN)
-    assert mr.explicit_param_names() == [f"{CN_EXPLICIT_PREFIX}1"]
-    got = eval_rows(mr, [0.1, -0.2], [0.0, 1.0], 0.5,
-                    {f"{CN_EXPLICIT_PREFIX}1": 1.0})
+    assert ex.free_params(mr.rows[0]) == {"h", "Y0_2"}
+    got = eval_rows(mr, [0.1, -0.2], [0.0, 1.0], 0.5)
     assert got[0] == pytest.approx(0.1 - 0.25 * 0.8 - 0.25 * 1.0)
 
 
