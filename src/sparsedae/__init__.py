@@ -26,7 +26,6 @@ from .newton import NewtonOutcome, default_ctol, newton_solve
 from .problemfile import load_problem, parse_problem_text
 from .problems import (
     ORACLES,
-    GridSpec,
     decay,
     example1,
     example1_piecewise,

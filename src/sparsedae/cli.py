@@ -15,7 +15,6 @@ go to stderr; data goes to stdout only with --stdout.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from typing import Dict, List, Optional
@@ -26,11 +25,9 @@ from .errors import SparseDaeError
 from .jacobian import detect_pattern
 from .linalg import SparseMatrix, write_matrix_market
 from .problemfile import load_problem
-from .problems import BUILTIN_GRIDDED, ORACLES, make_builtin, probe
-from .stepper import SolverOptions, Status, Stepper, integrate, integrate_fixed
+from .problems import BUILTIN_GRIDDED, BUILTINS, ORACLES, make_builtin, probe
+from .stepper import SolverOptions, Status, integrate, integrate_fixed
 from .system import MethodKind, build_residual
-
-_BUILTINS = ("ex1", "ex1pw", "ex2", "ex3", "ex4", "ex5", "ex6", "decay")
 
 
 def _read_config(path: str) -> Dict[str, str]:
@@ -48,7 +45,7 @@ def _read_config(path: str) -> Dict[str, str]:
 
 
 def _add_problem_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("problem", help="builtin id (%s) or a problem-file path" % ", ".join(_BUILTINS))
+    p.add_argument("problem", help="builtin id (%s) or a problem-file path" % ", ".join(BUILTINS))
     p.add_argument("--N", type=int, default=None, help="grid cells in x (PDE problems)")
     p.add_argument("--M", type=int, default=None, help="grid cells in y (2-D problems)")
     p.add_argument("--phi", type=float, default=None, help="ex5 reaction modulus (default 0.5)")
@@ -77,7 +74,7 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
 def _build_problem(args, n=None):
     """The system ``args`` names; ``n``, when given, replaces ``--N``."""
     name = args.problem
-    if name in _BUILTINS:
+    if name in BUILTINS:
         kw = {}
         n = args.N if n is None else n
         if n is not None:
@@ -253,12 +250,7 @@ def cmd_pattern(args) -> int:
     sys_ = _build_problem(args)
     method = MethodKind(args.method or "imptrap")
     pat = detect_pattern(build_residual(sys_, method))
-    coo_rows, coo_cols = [], []
-    for i, cols in enumerate(pat.rows):
-        for k in cols:
-            coo_rows.append(i)
-            coo_cols.append(k - 1)
-    mat = SparseMatrix.from_coo(pat.n, coo_rows, coo_cols, np.ones(len(coo_rows)))
+    mat = SparseMatrix(pat.n, pat.indptr, pat.rowind, np.ones(pat.nnz))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             write_matrix_market(mat, fh, pattern_only=True)

@@ -49,6 +49,7 @@ from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
+from .errors import NonFiniteResidual
 
 BASE_PREFIX = "Y0_"
 
@@ -63,12 +64,6 @@ class ParamLayout:
     def __init__(self, names: Sequence[str]):
         self.names = list(names)
         self.slot = {n: i for i, n in enumerate(self.names)}
-
-    def vector(self, values: Dict[str, float]) -> np.ndarray:
-        p = np.empty(len(self.names))
-        for n, i in self.slot.items():
-            p[i] = values[n]
-        return p
 
 
 def _shape(e: ex.Expr, layout: ParamLayout, slots: Dict[tuple, int], vec: bool) -> str:
@@ -129,32 +124,32 @@ class ShapeGroup(NamedTuple):
     ``text`` is the shape's scalar source with slot ``k`` written as ``{k}``
     inside its subscript, and ``expr`` is the first member.  ``names[k]`` is
     the array slot ``k`` reads (``u`` or ``b``), ``rows[r]`` is member
-    ``r``'s output position and ``index[r][k]`` the 0-based array index slot
-    ``k`` takes in member ``r``.  Plain lists: most groups of a small system
-    have one member, where numpy's per-call cost would dominate."""
+    ``r``'s output position and ``index[r, k]`` the 0-based array index slot
+    ``k`` takes in member ``r``; both are ``int64`` arrays."""
 
     text: str
     expr: ex.Expr
     names: Tuple[str, ...]
-    rows: List[int]
-    index: List[List[int]]
+    rows: np.ndarray
+    index: np.ndarray
 
 
 def group_shapes(exprs: Sequence[ex.Expr], layout: ParamLayout) -> List[ShapeGroup]:
     """Walk each expression once; groups in order of first appearance."""
-    groups: Dict[str, ShapeGroup] = {}
+    groups: Dict[str, tuple] = {}
     for i, e in enumerate(exprs):
         slots: Dict[tuple, int] = {}
         text = _shape(e, layout, slots, False)
         g = groups.get(text)
         if g is None:
-            groups[text] = g = ShapeGroup(text, e, tuple([name for name, _ in slots]), [], [])
-        g.rows.append(i)
-        g.index.append([j for _, j in slots])
-    return list(groups.values())
+            groups[text] = g = (e, tuple([name for name, _ in slots]), [], [])
+        g[2].append(i)
+        g[3].append([j for _, j in slots])
+    return [ShapeGroup(text, e, names, np.array(rows, dtype=np.int64), np.array(index, dtype=np.int64))
+            for text, (e, names, rows, index) in groups.items()]
 
 
-def derived_groups(blocks: Iterable[Tuple[ShapeGroup, ex.Expr, List[int]]],
+def derived_groups(blocks: Iterable[Tuple[ShapeGroup, ex.Expr, np.ndarray]],
                    layout: ParamLayout) -> List[ShapeGroup]:
     """Group expressions instantiated over the members of source groups.
 
@@ -164,30 +159,26 @@ def derived_groups(blocks: Iterable[Tuple[ShapeGroup, ex.Expr, List[int]]],
     with the same shape text merge.  Members are ordered by output position
     and groups by their first one, as ``group_shapes`` would order them if
     given the instantiated expressions in output order."""
-    groups: Dict[str, ShapeGroup] = {}
+    groups: Dict[str, tuple] = {}
     last = None
     for source, d, rows in blocks:
         slots: Dict[tuple, int] = {}
         text = _shape(d, layout, slots, False)
         g = groups.get(text)
         if g is None:
-            groups[text] = g = ShapeGroup(text, d, tuple([name for name, _ in slots]), [], [])
-        g.rows.extend(rows)
-        if len(rows) == 1:
-            # the only member is the one ``d`` was built from
-            g.index.append([j for _, j in slots])
-            continue
+            groups[text] = g = (d, tuple([name for name, _ in slots]), [], [])
         if source is not last:
+            # the source slot of each leaf, found on the first member
             last = source
-            first = {key: k for k, key in enumerate(zip(source.names, source.index[0]))}
-        columns = [first[key] for key in slots]
-        g.index.extend([[idx[k] for k in columns] for idx in source.index])
-    for g in groups.values():
-        if g.rows != sorted(g.rows):
-            order = sorted(range(len(g.rows)), key=g.rows.__getitem__)
-            g.rows[:] = [g.rows[r] for r in order]
-            g.index[:] = [g.index[r] for r in order]
-    return sorted(groups.values(), key=lambda g: g.rows[0])
+            first = {key: k for k, key in enumerate(zip(source.names, source.index[0].tolist()))}
+        g[2].append(rows)
+        g[3].append(source.index.take([first[key] for key in slots], axis=1))
+    out = []
+    for text, (d, names, rows, index) in groups.items():
+        rows = np.concatenate(rows)
+        order = rows.argsort()
+        out.append(ShapeGroup(text, d, names, rows.take(order), np.concatenate(index).take(order, axis=0)))
+    return sorted(out, key=lambda g: g.rows[0])
 
 
 def compile_groups(groups: Sequence[ShapeGroup], n_out: int, layout: ParamLayout,
@@ -199,15 +190,14 @@ def compile_groups(groups: Sequence[ShapeGroup], n_out: int, layout: ParamLayout
     vector: List[str] = []
     for g, group in enumerate(groups):
         if len(group.rows) < _VECTOR_MIN_ROWS:
-            for i, idx in zip(group.rows, group.index):
+            for i, idx in zip(group.rows.tolist(), group.index.tolist()):
                 scalar[i] = f"    out[{i}] = " + group.text.format(*idx)
             continue
-        ns[f"_r{g}"] = np.array(group.rows, dtype=np.int64)
-        index = np.array(group.index, dtype=np.int64)
+        ns[f"_r{g}"] = group.rows
         slots: Dict[tuple, int] = {}
         vec_text = _shape(group.expr, layout, slots, True)
         for k, name in enumerate(group.names):
-            ns[f"_i{g}_{k}"] = index[:, k].copy()
+            ns[f"_i{g}_{k}"] = group.index[:, k].copy()
             vector.append(f"x{k} = {name}[_i{g}_{k}]")
         vector.append(f"out[_r{g}] = " + vec_text.format(*(f"x{k}" for k in range(len(slots)))))
 
@@ -252,8 +242,6 @@ class CompiledResidual:
             self.p[self.layout.slot[name]] = v
 
     def evaluate(self, uu: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        from sparsedae.errors import NonFiniteResidual
-
         if out is None:
             out = self._out
         try:

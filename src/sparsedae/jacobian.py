@@ -6,9 +6,14 @@ unknowns its slots name.  Derivatives are taken once per (shape, unknown
 slot), on the shape's first row: ``diff`` and the smart constructors depend
 only on tree structure, constants and which leaves are equal, all of which
 the shape records, so the derivative of every other row of the shape is the
-same expression over that row's leaves.  The Jacobian code instantiates
-each derivative through the shape's index matrix, and one ``np.lexsort``
-puts the entries in CSC order.
+same expression over that row's leaves.
+
+``detect_pattern`` builds the sparse structure once, as index arrays: one
+``np.lexsort`` of the (row, column) entries of every (shape, unknown slot)
+block gives the CSC ``indptr`` and ``rowind`` and each block's CSC
+positions.  The Jacobian code instantiates each derivative through the
+shape's index table and writes it at those positions, and
+``JacobianAssembler`` validates the one matrix it refills.
 
 Entries whose derivative folds to zero keep their slot: the pattern is
 structural, so column pointers and row indices stay bit-identical across
@@ -17,7 +22,7 @@ reassembly and factorization symbolics can be reused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,18 +34,32 @@ from .linalg import SparseMatrix
 from .system import MethodResidual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparsityPattern:
-    """Per-row ascending column index lists (1-based), one list per residual
-    row, plus the residual's shape groups they were read from."""
+    """The Jacobian's support in CSC form, read off the residual's shape groups.
+
+    ``indptr`` and ``rowind`` (0-based, ascending within each column) are
+    the structure of every matrix assembled on this pattern.  ``blocks[j] =
+    (group, k, positions)``: the entry of member ``r`` of ``group`` in the
+    column named by its slot-``k`` unknown sits at CSC position
+    ``positions[r]``."""
 
     n: int
-    rows: Tuple[Tuple[int, ...], ...]
-    shapes: Tuple[ShapeGroup, ...] = field(default=(), compare=False, repr=False)
+    indptr: np.ndarray
+    rowind: np.ndarray
+    blocks: Tuple[Tuple[ShapeGroup, int, np.ndarray], ...]
 
     @property
     def nnz(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return int(self.indptr[-1])
+
+    @property
+    def rows(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per-row ascending column indices (1-based)."""
+        cols = np.repeat(np.arange(1, self.n + 1), np.diff(self.indptr))
+        cols = cols[np.lexsort((cols, self.rowind))].tolist()
+        ends = np.cumsum(np.bincount(self.rowind, minlength=self.n)).tolist()
+        return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
 
     def support(self) -> List[Tuple[int, int]]:
         """All (row, col) pairs, 1-based, row-major."""
@@ -51,13 +70,13 @@ class SparsityPattern:
 class SymbolicJacobian:
     """Analytic entries on the pattern support, one per (shape, unknown slot).
 
-    ``blocks[j] = (group, k, d)``: ``d`` is the derivative of ``group.expr``
-    with respect to its slot-``k`` unknown, and for member ``r`` of the group
-    it gives entry (``group.rows[r]``, ``group.index[r][k]``), 0-based, over
-    that member's leaves."""
+    ``blocks[j] = (group, d, positions)``: ``d`` is the derivative of
+    ``group.expr`` with respect to the unknown of the pattern's block ``j``,
+    and for member ``r`` of the group it gives CSC entry ``positions[r]``
+    over that member's leaves."""
 
     pattern: SparsityPattern
-    blocks: Tuple[Tuple[ShapeGroup, int, ex.Expr], ...]
+    blocks: Tuple[Tuple[ShapeGroup, ex.Expr, np.ndarray], ...]
 
 
 def param_layout(res: MethodResidual) -> ParamLayout:
@@ -67,64 +86,61 @@ def param_layout(res: MethodResidual) -> ParamLayout:
 
 def detect_pattern(res: MethodResidual,
                    shapes: Optional[Sequence[ShapeGroup]] = None) -> SparsityPattern:
-    """rows[i] = free_unknowns(residual row i), read off the shape groups
-    (``shapes`` when given, else grouped here).  Raises EmptyRow for a row
-    that references no unknown (structurally singular system)."""
+    """The support of row i is free_unknowns(residual row i), read off the
+    shape groups (``shapes`` when given, else grouped here) and put in CSC
+    order with one lexsort.  Raises EmptyRow for a row that references no
+    unknown (structurally singular system)."""
     if shapes is None:
         shapes = group_shapes(res.rows, param_layout(res))
-    rows = [()] * res.n
-    for g in shapes:
-        u = [k for k, name in enumerate(g.names) if name == "u"]
-        for i, idx in zip(g.rows, g.index):
-            rows[i] = tuple(sorted([idx[k] + 1 for k in u]))
-    if () in rows:
-        raise EmptyRow(rows.index(()) + 1)
-    return SparsityPattern(n=res.n, rows=tuple(rows), shapes=tuple(shapes))
+    slots = [(g, k) for g in shapes for k, name in enumerate(g.names) if name == "u"]
+    if not slots:
+        raise EmptyRow(1)
+    # entries block after block, one block per (shape, unknown slot)
+    rows = np.concatenate([g.rows for g, _ in slots])
+    cols = np.concatenate([g.index[:, k] for g, k in slots])
+    counts = np.bincount(rows, minlength=res.n)
+    if np.count_nonzero(counts) < res.n:
+        raise EmptyRow(int(counts.argmin()) + 1)
+    order = np.lexsort((rows, cols))
+    indptr = np.zeros(res.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=res.n), out=indptr[1:])
+    position = np.empty(len(order), dtype=np.int64)
+    position[order] = np.arange(len(order))
+    blocks, end = [], 0
+    for g, k in slots:
+        blocks.append((g, k, position[end:end + len(g.rows)]))
+        end += len(g.rows)
+    return SparsityPattern(n=res.n, indptr=indptr, rowind=rows[order], blocks=tuple(blocks))
 
 
 def differentiate(res: MethodResidual, pat: SparsityPattern) -> SymbolicJacobian:
     """Exact partials on the support, one ``diff`` per (shape, unknown
     slot).  Structurally-zero derivatives are kept in their slots."""
-    shapes = pat.shapes or group_shapes(res.rows, param_layout(res))
-    blocks = []
-    for g in shapes:
-        for k, name in enumerate(g.names):
-            if name == "u":
-                blocks.append((g, k, ex.diff(g.expr, g.index[0][k] + 1)))
-    return SymbolicJacobian(pattern=pat, blocks=tuple(blocks))
+    blocks = tuple((g, ex.diff(g.expr, int(g.index[0, k]) + 1), pos) for g, k, pos in pat.blocks)
+    return SymbolicJacobian(pattern=pat, blocks=blocks)
 
 
 class JacobianAssembler:
     """Compiled numeric assembly of a SymbolicJacobian into CSC values.
 
-    The structure arrays are built once; ``assemble`` only refreshes the
-    value vector, so re-assembly at a new (uu, h) leaves column pointers and
-    row indices bit-identical.
+    The matrix is built and validated once, on the pattern's structure;
+    ``assemble`` refills its values in place.
     """
 
     def __init__(self, jac: SymbolicJacobian, layout: ParamLayout):
-        self.jacobian = jac
-        self.layout = layout
-        self.n = n = jac.pattern.n
-        # entries of all blocks, block after block; entry j goes to CSC slot position[j]
-        rows = np.array([i for g, _, _ in jac.blocks for i in g.rows], dtype=np.int64)
-        cols = np.array([idx[k] for g, k, _ in jac.blocks for idx in g.index], dtype=np.int64)
-        order = np.lexsort((rows, cols))
-        self.nnz = len(order)
-        self.rowind = rows[order]
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
-        position = np.empty(self.nnz, dtype=np.int64)
-        position[order] = np.arange(self.nnz)
-        position = position.tolist()
-        blocks, end = [], 0
-        for g, _, d in jac.blocks:
-            blocks.append((g, d, position[end:end + len(g.rows)]))
-            end += len(g.rows)
-        self._fn = compile_groups(derived_groups(blocks, layout), self.nnz, layout, tag="jacobian")
+        pat = jac.pattern
+        self.nnz = pat.nnz
+        self.matrix = SparseMatrix(n=pat.n, indptr=pat.indptr, rowind=pat.rowind,
+                                   values=np.zeros(pat.nnz))
+        self.indptr = self.matrix.indptr
+        self.rowind = self.matrix.rowind
+        self._fn = compile_groups(derived_groups(jac.blocks, layout), self.nnz, layout, tag="jacobian")
 
     def assemble(self, uu: np.ndarray, b: np.ndarray, h: float, p: np.ndarray) -> SparseMatrix:
-        values = np.empty(self.nnz)
+        """Refill the one matrix this assembler owns with the Jacobian at
+        (uu, b, h, p) and return it; the previous values are overwritten, so
+        a caller that keeps them must copy (``factorize`` does)."""
+        values = self.matrix.values
         try:
             self._fn(uu, b, h, p, values)
         except (ZeroDivisionError, OverflowError, ValueError):
@@ -134,4 +150,4 @@ class JacobianAssembler:
             j = int(np.argmin(finite))
             col = int(np.searchsorted(self.indptr, j, side="right"))
             raise NonFiniteValue(f"non-finite Jacobian entry at row {self.rowind[j] + 1}, col {col}")
-        return SparseMatrix(n=self.n, indptr=self.indptr, rowind=self.rowind, values=values)
+        return self.matrix

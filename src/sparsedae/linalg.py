@@ -11,8 +11,8 @@ originating matrix freely afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, TextIO, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, TextIO, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -47,17 +47,18 @@ class SparseMatrix:
             raise ValueError("indptr must have n+1 entries")
         if self.indptr[0] != 0:
             raise ValueError("indptr must start at 0")
-        if np.any(np.diff(self.indptr) < 0):
+        counts = self.indptr[1:] - self.indptr[:-1]
+        if np.count_nonzero(counts < 0):
             raise ValueError("indptr must be nondecreasing")
         if self.indptr[-1] != len(self.rowind) or len(self.rowind) != len(self.values):
             raise ValueError("nnz mismatch between indptr, rowind, values")
         rows = self.rowind
-        cols = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        bad = np.flatnonzero((rows < 0) | (rows >= self.n))
+        cols = np.arange(self.n).repeat(counts)
+        bad = ((rows < 0) | (rows >= self.n)).nonzero()[0]
         if len(bad):
             raise ValueError(f"row index out of range in column {cols[bad[0]] + 1}")
         # neighbours in one column must ascend; a new column may start lower
-        bad = np.flatnonzero((np.diff(rows) <= 0) & (cols[1:] == cols[:-1]))
+        bad = ((rows[1:] <= rows[:-1]) & (cols[1:] == cols[:-1])).nonzero()[0]
         if len(bad):
             raise ValueError(f"row indices not strictly ascending in column {cols[bad[0]] + 1}")
 

@@ -20,24 +20,13 @@ Da*c_face*phi_face and the potential flux balances Da*phi_face.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from . import expr as ex
 from .errors import InvalidGrid, UnknownObservable
 from .system import DaeSystem
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform cell-centered grid; M/dy are unused for 1-D problems."""
-
-    n: int
-    m: int
-    dx: float
-    dy: float
 
 
 def example1() -> DaeSystem:
@@ -382,25 +371,26 @@ ORACLES: Dict[str, Callable[[float], np.ndarray]] = {
 BUILTIN_GRIDDED = {"ex4", "ex5", "ex6"}
 
 
+# builtin id -> constructor, called with every keyword of ``make_builtin``
+BUILTINS: Dict[str, Callable[..., DaeSystem]] = {
+    "ex1": lambda **_: example1(),
+    "ex1pw": lambda **_: example1_piecewise(),
+    "ex2": lambda **_: example2(),
+    "ex3": lambda **_: example3(),
+    "ex4": lambda n, **_: example4(n),
+    "ex5": lambda n, m, phi, c0, **_: example5(n, n if m is None else m, phi, c0),
+    "ex6": lambda n, m, dx_coeff, dy_coeff, da, delta, **_: example6(
+        n, m, dx_coeff, dy_coeff, da, delta),
+    "decay": lambda **_: decay(),
+}
+
+
 def make_builtin(name: str, n: int = 4, m: Optional[int] = None,
                  phi: float = 0.5, c0: float = 0.0,
                  dx_coeff: float = 1.0, dy_coeff: float = 1.0,
                  da: float = 1.0, delta: float = 1.0) -> DaeSystem:
     """CLI-facing constructor for the builtin problems."""
-    if name == "ex1":
-        return example1()
-    if name == "ex1pw":
-        return example1_piecewise()
-    if name == "ex2":
-        return example2()
-    if name == "ex3":
-        return example3()
-    if name == "decay":
-        return decay()
-    if name == "ex4":
-        return example4(n)
-    if name == "ex5":
-        return example5(n, m if m is not None else n, phi, c0)
-    if name == "ex6":
-        return example6(n, m, dx_coeff, dy_coeff, da, delta)
-    raise KeyError(f"unknown builtin problem {name!r}")
+    if name not in BUILTINS:
+        raise KeyError(f"unknown builtin problem {name!r}")
+    return BUILTINS[name](n=n, m=m, phi=phi, c0=c0, dx_coeff=dx_coeff,
+                          dy_coeff=dy_coeff, da=da, delta=delta)

@@ -63,10 +63,10 @@ class SolverOptions:
     err_denominator: str = "literal"   # "literal" or "standard"
 
     def __post_init__(self):
-        if self.tf <= 0:
-            raise ValueError("tf must be positive")
-        if self.atol <= 0:
-            raise ValueError("atol must be positive")
+        if not 0 < self.tf < math.inf:
+            raise ValueError("tf must be positive and finite")
+        if not 0 < self.atol < math.inf:
+            raise ValueError("atol must be positive and finite")
         if self.hinit is None:
             self.hinit = min(1e-6, self.tf * self.atol)
         if self.hmax is None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -55,7 +55,9 @@ class DaeSystem:
     ode_rhs[i] is f_i, alg_residual[j] is g_j (equation g_j = 0).  Both may
     reference any state index 1..N_t and declared parameter names.  y0z0
     holds initial values for ODE variables and initial *guesses* for
-    algebraic ones.
+    algebraic ones.  Parameter names may not be ``h`` or start with
+    ``Y0_``: the method residuals use those for the step size and the base
+    state.
     """
 
     ode_rhs: Tuple[ex.Expr, ...]
@@ -74,6 +76,10 @@ class DaeSystem:
             raise ValueError("variable names must be unique")
         if len(self.y0z0) != self.n_total:
             raise ValueError("y0z0 length must equal N_ode + N_ae")
+        reserved = sorted(n for n in self.params if n == "h" or n.startswith(BASE_PREFIX))
+        if reserved:
+            raise ValueError(f"parameter name {reserved[0]!r} is reserved for the "
+                             f"step size h or a base-state slot {BASE_PREFIX}k")
         declared = set(self.params)
         for eq in tuple(self.ode_rhs) + tuple(self.alg_residual):
             unknowns, params = ex.free_leaves(eq)
@@ -119,13 +125,6 @@ class MethodResidual:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    @property
-    def n_state(self) -> int:
-        return self.system.n_total
-
-    def base_param_names(self) -> List[str]:
-        return [f"{BASE_PREFIX}{k}" for k in range(1, self.n_state + 1)]
 
 
 def _base(k: int) -> ex.Expr:

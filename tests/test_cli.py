@@ -93,6 +93,17 @@ def test_exit_code_1_on_bad_input(capsys, tmp_path):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("name", ["h", "Y0_1"])
+def test_reserved_parameter_name_exits_1(capsys, tmp_path, name):
+    # a parameter h would silently be the step size, Y0_1 the base state
+    prob = tmp_path / "reserved.prob"
+    prob.write_text(f"[params]\n{name} = 2\n[odes]\nx' = -{name}*x\n[init]\nx = 1\n")
+    code, out, err = run(capsys, "solve", str(prob), "--tf", "1", "--stdout")
+    assert code == 1
+    assert out == ""
+    assert "reserved" in err
+
+
 def test_exit_code_2_on_early_stop(capsys, tmp_path):
     code, _, err = run(capsys, "solve", "ex2", "--tf", "2.0", "--atol", "1e-8",
                        "--ntot", "5", "--out", str(tmp_path / "p.csv"))

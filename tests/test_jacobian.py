@@ -10,7 +10,9 @@ from sparsedae.jacobian import (
     JacobianAssembler,
     detect_pattern,
     differentiate,
+    param_layout,
 )
+from sparsedae.linalg import SparseMatrix
 from sparsedae.problems import example1, example4
 from sparsedae.system import DaeSystem, MethodKind, build_residual
 
@@ -67,6 +69,10 @@ def test_empty_row_rejected():
     mr = build_residual(bad, MethodKind.EB)
     with pytest.raises(EmptyRow):
         detect_pattern(mr)
+    # no row touches an unknown
+    none = DaeSystem(ode_rhs=(), alg_residual=(ex.Const(1.0),), var_names=("a",), y0z0=(0.0,))
+    with pytest.raises(EmptyRow):
+        detect_pattern(build_residual(none, MethodKind.EB))
 
 
 def test_derivatives_match_finite_differences():
@@ -92,10 +98,25 @@ def test_derivatives_match_finite_differences():
 def test_assembler_reuses_structure_buffers():
     mr = build_residual(example1(), MethodKind.IMPTRAP)
     jac = differentiate(mr, detect_pattern(mr))
-    layout = ParamLayout(["h"] + mr.base_param_names())
-    asm = JacobianAssembler(jac, layout)
-    p = layout.vector({"h": 0.1, "Y0_1": 0.0, "Y0_2": 1.0})
-    m1 = asm.assemble(np.zeros(2), np.array([0.0, 1.0]), 0.1, p)
-    m2 = asm.assemble(np.zeros(2), np.array([0.0, 1.0]), 0.1, p)
-    assert m1.indptr is m2.indptr and m1.rowind is m2.rowind
-    assert m1.to_dense() == pytest.approx(m2.to_dense())
+    asm = JacobianAssembler(jac, param_layout(mr))
+    b = np.array([0.0, 1.0])
+    m1 = asm.assemble(np.zeros(2), b, 0.1, np.zeros(0))
+    indptr, rowind, values = m1.indptr.copy(), m1.rowind.copy(), m1.values.copy()
+    m2 = asm.assemble(np.zeros(2), b, 0.5, np.zeros(0))
+    assert m2 is m1
+    assert np.array_equal(m2.indptr, indptr) and np.array_equal(m2.rowind, rowind)
+    # row 1 is U(1) - h*(U(2)/2 + Y0_2), so its d/dU(2) entry follows h
+    fresh = JacobianAssembler(jac, param_layout(mr)).assemble(np.zeros(2), b, 0.5, np.zeros(0))
+    assert not np.array_equal(m2.values, values)
+    assert np.array_equal(m2.values, fresh.values)
+
+
+def test_structure_is_validated_once_per_assembler(monkeypatch):
+    checks = []
+    validate = SparseMatrix.__post_init__
+    monkeypatch.setattr(SparseMatrix, "__post_init__", lambda m: checks.append(m) or validate(m))
+    asm = ex1_eb_assembler()
+    assert len(checks) == 1
+    for h in (0.0, 0.1, 0.2):
+        asm.assemble(np.zeros(2), np.array([0.0, 1.0]), h, np.zeros(0))
+    assert len(checks) == 1

@@ -33,6 +33,19 @@ def ode_only():
     )
 
 
+@pytest.mark.parametrize("name", ["h", "Y0_1", "Y0_k"])
+def test_reserved_parameter_names_rejected(name):
+    # h is the step size and Y0_k the base-state slots of every method residual
+    with pytest.raises(ValueError, match="reserved"):
+        DaeSystem(
+            ode_rhs=(ex.neg(ex.Param(name) * ex.U(1)),),
+            alg_residual=(),
+            var_names=("x",),
+            y0z0=(1.0,),
+            params={name: 2.0},
+        )
+
+
 def eval_rows(mr: MethodResidual, uu, y0, h, extra=None):
     params = {f"Y0_{k + 1}": v for k, v in enumerate(y0)}
     params["h"] = h
