@@ -12,9 +12,15 @@ number.  Slots are numbered by first appearance, so the aliasing pattern is
 part of the shape: ``u_i*u_i`` and ``u_i*u_j`` never share one.
 ``group_shapes`` walks each expression once and groups them by shape into
 ``ShapeGroup``s, which hold every member's leaf indices as one row of an
-index table.  The Jacobian reuses the residual's groups: ``derived_groups``
+index table.  In the solve path only the source equations are walked, by
+``shape_table`` (the same grouping, with plain-list tables): the method
+residual is lowered once per source shape and its groups are built from
+the source tables (``system.build_residual``), so no lowered row is walked
+on its own.  The Jacobian reuses the residual's groups: ``derived_groups``
 takes expressions built from a group's first member (its derivatives) and
-instantiates each for every member by picking columns of that table.
+instantiates each for every member by picking columns of that table.  Both
+merge their blocks with ``merge_blocks``, and ``member_exprs`` turns a group
+back into per-row expressions for inspection.
 
 A group of at least ``_VECTOR_MIN_ROWS`` members becomes a single numpy
 statement ``out[R] = <shape over u[I0], b[I1], ...>`` whose index arrays are
@@ -118,6 +124,13 @@ def _shape(e: ex.Expr, layout: ParamLayout, slots: Dict[tuple, int], vec: bool) 
     raise TypeError(f"unhandled node {type(e).__name__}")
 
 
+def shape(e: ex.Expr, layout: ParamLayout) -> Tuple[str, List[tuple]]:
+    """The shape text of ``e`` and its leaves (array name, 0-based index) in
+    slot order."""
+    slots: Dict[tuple, int] = {}
+    return _shape(e, layout, slots, False), list(slots)
+
+
 class ShapeGroup(NamedTuple):
     """Expressions that share one shape.
 
@@ -136,17 +149,23 @@ class ShapeGroup(NamedTuple):
 
 def group_shapes(exprs: Sequence[ex.Expr], layout: ParamLayout) -> List[ShapeGroup]:
     """Walk each expression once; groups in order of first appearance."""
+    return [ShapeGroup(text, e, names, np.array(rows, dtype=np.int64), np.array(index, dtype=np.int64))
+            for text, e, names, rows, index in shape_table(exprs, layout)]
+
+
+def shape_table(exprs: Sequence[ex.Expr], layout: ParamLayout) -> List[tuple]:
+    """``group_shapes``'s groups as ``(text, expr, names, rows, index)`` with
+    ``rows`` a list and ``index`` a list of lists, for callers that work on
+    them in Python before any array is built."""
     groups: Dict[str, tuple] = {}
     for i, e in enumerate(exprs):
-        slots: Dict[tuple, int] = {}
-        text = _shape(e, layout, slots, False)
+        text, leaves = shape(e, layout)
         g = groups.get(text)
         if g is None:
-            groups[text] = g = (e, tuple([name for name, _ in slots]), [], [])
+            groups[text] = g = (e, tuple([name for name, _ in leaves]), [], [])
         g[2].append(i)
-        g[3].append([j for _, j in slots])
-    return [ShapeGroup(text, e, names, np.array(rows, dtype=np.int64), np.array(index, dtype=np.int64))
-            for text, (e, names, rows, index) in groups.items()]
+        g[3].append([j for _, j in leaves])
+    return [(text, e, names, rows, index) for text, (e, names, rows, index) in groups.items()]
 
 
 def derived_groups(blocks: Iterable[Tuple[ShapeGroup, ex.Expr, np.ndarray]],
@@ -155,30 +174,88 @@ def derived_groups(blocks: Iterable[Tuple[ShapeGroup, ex.Expr, np.ndarray]],
 
     Each block ``(source, d, rows)`` holds an expression ``d`` built from the
     leaves of ``source.expr``; member ``r`` of ``source`` gets ``d`` with
-    those leaves replaced by its own, at output position ``rows[r]``.  Blocks
-    with the same shape text merge.  Members are ordered by output position
-    and groups by their first one, as ``group_shapes`` would order them if
-    given the instantiated expressions in output order."""
-    groups: Dict[str, tuple] = {}
+    those leaves replaced by its own, at output position ``rows[r]``.  The
+    blocks are merged as ``merge_blocks`` does."""
+    out = []
     last = None
     for source, d, rows in blocks:
-        slots: Dict[tuple, int] = {}
-        text = _shape(d, layout, slots, False)
-        g = groups.get(text)
-        if g is None:
-            groups[text] = g = (d, tuple([name for name, _ in slots]), [], [])
+        text, leaves = shape(d, layout)
         if source is not last:
             # the source slot of each leaf, found on the first member
             last = source
             first = {key: k for k, key in enumerate(zip(source.names, source.index[0].tolist()))}
+        out.append((text, d, tuple([name for name, _ in leaves]), rows,
+                    source.index.take([first[leaf] for leaf in leaves], axis=1)))
+    return merge_blocks(out)
+
+
+def merge_blocks(blocks: List[Tuple[str, ex.Expr, Tuple[str, ...], np.ndarray, np.ndarray]]
+                 ) -> List[ShapeGroup]:
+    """Shape groups from blocks ``(text, expr, names, rows, index)``, each a
+    shape's ``expr`` with its output positions and index table.
+
+    Blocks with the same text merge.  Members are ordered by output position
+    and groups by their first one, as ``group_shapes`` would order them if
+    given every member's expression in output order.  A group's ``expr`` is
+    that of its block with the lowest first row, so it belongs to the group's
+    first member when each block's rows ascend."""
+    groups: Dict[str, list] = {}
+    for text, e, names, rows, index in blocks:
+        g = groups.get(text)
+        if g is None:
+            groups[text] = [e, names, [rows], [index], rows[0]]
+            continue
+        if rows[0] < g[4]:
+            g[0], g[4] = e, rows[0]
         g[2].append(rows)
-        g[3].append(source.index.take([first[key] for key in slots], axis=1))
+        g[3].append(index)
     out = []
-    for text, (d, names, rows, index) in groups.items():
-        rows = np.concatenate(rows)
-        order = rows.argsort()
-        out.append(ShapeGroup(text, d, names, rows.take(order), np.concatenate(index).take(order, axis=0)))
+    for text, (e, names, pieces, tables, _) in groups.items():
+        # one block needs no concatenation, and one member no sort
+        rows, index = pieces[0], tables[0]
+        if len(pieces) > 1:
+            rows, index = np.concatenate(pieces), np.concatenate(tables)
+        if len(rows) > 1:
+            order = rows.argsort()
+            rows, index = rows.take(order), index.take(order, axis=0)
+        out.append(ShapeGroup(text, e, names, rows, index))
     return sorted(out, key=lambda g: g.rows[0])
+
+
+def member_exprs(group: ShapeGroup) -> List[ex.Expr]:
+    """Every member of ``group`` as an expression: ``group.expr``, its first
+    member, with each leaf renamed to the member's own."""
+    keys = list(zip(group.names, group.index[0].tolist()))
+    return [_rename(group.expr, dict(zip(keys, idx))) for idx in group.index.tolist()]
+
+
+def _rename(e: ex.Expr, leaves: Dict[tuple, int]) -> ex.Expr:
+    """``e`` with each leaf (array name, 0-based index) replaced by the index
+    ``leaves`` maps it to; the tree is otherwise rebuilt as it is."""
+    t = type(e)
+    if t is ex.U:
+        return ex.U(leaves[("u", e.index - 1)] + 1)
+    if t is ex.Param:
+        if e.name.startswith(BASE_PREFIX):
+            return ex.Param(f"{BASE_PREFIX}{leaves[('b', int(e.name[len(BASE_PREFIX):]) - 1)] + 1}")
+        return e
+    if t is ex.Const:
+        return e
+    if t is ex.Add:
+        return ex.Add(tuple([_rename(a, leaves) for a in e.terms]))
+    if t is ex.Mul:
+        return ex.Mul(tuple([_rename(a, leaves) for a in e.factors]))
+    if t is ex.Div:
+        return ex.Div(_rename(e.num, leaves), _rename(e.den, leaves))
+    if t is ex.Pow:
+        return ex.Pow(_rename(e.base, leaves), e.exponent)
+    if t is ex.Neg or t is ex.ExpF or t is ex.LnF:
+        return t(_rename(e.arg, leaves))
+    if t is ex.Piecewise:
+        return ex.Piecewise(tuple([ex.Branch(_rename(b.test, leaves), b.op, b.threshold,
+                                             _rename(b.value, leaves)) for b in e.branches]),
+                            _rename(e.default, leaves))
+    raise TypeError(f"unhandled node {type(e).__name__}")
 
 
 def compile_groups(groups: Sequence[ShapeGroup], n_out: int, layout: ParamLayout,
@@ -214,18 +291,18 @@ def compile_groups(groups: Sequence[ShapeGroup], n_out: int, layout: ParamLayout
 
 
 class CompiledResidual:
-    """A method residual plus its numeric bindings, ready for Newton.
+    """A method residual's shape groups compiled into one function, plus its
+    numeric bindings, ready for Newton.
 
     ``set_base``/``set_h``/``set_params`` rebind values without touching the
     compiled structure.  ``evaluate`` raises NonFiniteResidual on any
     overflow, domain error, or non-finite output.
     """
 
-    def __init__(self, exprs: Sequence[ex.Expr], layout: ParamLayout):
-        self.n = len(exprs)
+    def __init__(self, groups: Sequence[ShapeGroup], n: int, layout: ParamLayout):
+        self.n = n
         self.layout = layout
-        self.shapes = group_shapes(exprs, layout)
-        self._fn = compile_groups(self.shapes, self.n, layout)
+        self._fn = compile_groups(groups, n, layout)
         self.b = np.zeros(0)
         self.h = 0.0
         self.p = np.zeros(len(layout.names))

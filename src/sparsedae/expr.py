@@ -473,25 +473,27 @@ def _collect(e: Expr, unknowns: set, params: set) -> None:
 
 def substitute(e: Expr, mapping: Mapping[int, Expr]) -> Expr:
     """Replace unknowns by expressions; rebuilds through the smart constructors."""
-    if isinstance(e, U):
+    # exact type tests, as in ``diff``
+    t = type(e)
+    if t is U:
         return mapping.get(e.index, e)
-    if isinstance(e, (Const, Param)):
+    if t is Const or t is Param:
         return e
-    if isinstance(e, Add):
-        return add(*(substitute(t, mapping) for t in e.terms))
-    if isinstance(e, Mul):
-        return mul(*(substitute(f, mapping) for f in e.factors))
-    if isinstance(e, Div):
+    if t is Add:
+        return add(*[substitute(a, mapping) for a in e.terms])
+    if t is Mul:
+        return mul(*[substitute(a, mapping) for a in e.factors])
+    if t is Div:
         return div(substitute(e.num, mapping), substitute(e.den, mapping))
-    if isinstance(e, Pow):
+    if t is Pow:
         return pow_(substitute(e.base, mapping), e.exponent)
-    if isinstance(e, Neg):
+    if t is Neg:
         return neg(substitute(e.arg, mapping))
-    if isinstance(e, ExpF):
+    if t is ExpF:
         return exp(substitute(e.arg, mapping))
-    if isinstance(e, LnF):
+    if t is LnF:
         return ln(substitute(e.arg, mapping))
-    if isinstance(e, Piecewise):
+    if t is Piecewise:
         return piecewise(
             tuple(
                 Branch(substitute(b.test, mapping), b.op, b.threshold, substitute(b.value, mapping))

@@ -1,6 +1,6 @@
 """Sparsity detection and analytic sparse Jacobian assembly.
 
-The residual rows are grouped by shape once (``codegen.group_shapes``), and
+The method residual comes grouped by shape (``MethodResidual.groups``), and
 everything here works per shape, not per row.  A row's support is the set of
 unknowns its slots name.  Derivatives are taken once per (shape, unknown
 slot), on the shape's first row: ``diff`` and the smart constructors depend
@@ -23,12 +23,12 @@ reassembly and factorization symbolics can be reused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from . import expr as ex
-from .codegen import ParamLayout, ShapeGroup, compile_groups, derived_groups, group_shapes
+from .codegen import ParamLayout, ShapeGroup, compile_groups, derived_groups
 from .errors import EmptyRow, NonFiniteValue
 from .linalg import SparseMatrix
 from .system import MethodResidual
@@ -79,20 +79,12 @@ class SymbolicJacobian:
     blocks: Tuple[Tuple[ShapeGroup, ex.Expr, np.ndarray], ...]
 
 
-def param_layout(res: MethodResidual) -> ParamLayout:
-    """The parameter slots of ``res``: the system's parameters, sorted."""
-    return ParamLayout(sorted(res.system.params))
-
-
-def detect_pattern(res: MethodResidual,
-                   shapes: Optional[Sequence[ShapeGroup]] = None) -> SparsityPattern:
+def detect_pattern(res: MethodResidual) -> SparsityPattern:
     """The support of row i is free_unknowns(residual row i), read off the
-    shape groups (``shapes`` when given, else grouped here) and put in CSC
-    order with one lexsort.  Raises EmptyRow for a row that references no
-    unknown (structurally singular system)."""
-    if shapes is None:
-        shapes = group_shapes(res.rows, param_layout(res))
-    slots = [(g, k) for g in shapes for k, name in enumerate(g.names) if name == "u"]
+    residual's shape groups and put in CSC order with one lexsort.  Raises
+    EmptyRow for a row that references no unknown (structurally singular
+    system)."""
+    slots = [(g, k) for g in res.groups for k, name in enumerate(g.names) if name == "u"]
     if not slots:
         raise EmptyRow(1)
     # entries block after block, one block per (shape, unknown slot)

@@ -132,7 +132,9 @@ def factorize(a: SparseMatrix) -> Factorization:
     if a.n <= _DENSE_MAX:
         dense = a.to_dense()
         col_mag = np.max(np.abs(dense), axis=0)
-        lu, piv = scipy.linalg.lu_factor(dense, check_finite=False)
+        # LAPACK getrf, as lu_factor calls it, without its warning on an
+        # exactly zero pivot: the pivot test below reports that one
+        lu, piv, _ = scipy.linalg.lapack.dgetrf(dense)
         diag = np.abs(np.diag(lu))
         bad = np.where(diag < _PIVOT_RTOL * np.maximum(col_mag, 1e-300))[0]
         if len(bad):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .codegen import CompiledResidual
 from .errors import InitializationFailed, NonFiniteResidual, NonFiniteValue
-from .jacobian import JacobianAssembler, detect_pattern, differentiate, param_layout
+from .jacobian import JacobianAssembler, detect_pattern, differentiate
 from .linalg import Factorization, factorize
 from .newton import default_ctol, newton_solve
 from .system import DaeSystem, MethodKind, MethodResidual, build_residual, state_update
@@ -198,12 +198,12 @@ class Stepper:
         self.options = options
         self.kind = options.method
         self.residual_sym: MethodResidual = build_residual(sys, self.kind)
-        layout = param_layout(self.residual_sym)
-        # the residual's shape groups are walked once and reused by the
-        # pattern, the derivatives and the Jacobian code
-        self.res = CompiledResidual(self.residual_sym.rows, layout)
+        # the residual's shape groups are compiled and reused by the pattern,
+        # the derivatives and the Jacobian code
+        layout = self.residual_sym.layout
+        self.res = CompiledResidual(self.residual_sym.groups, self.residual_sym.n, layout)
         self.res.set_params(sys.params)
-        self.pattern = detect_pattern(self.residual_sym, self.res.shapes)
+        self.pattern = detect_pattern(self.residual_sym)
         self.sym_jac = differentiate(self.residual_sym, self.pattern)
         self.assembler = JacobianAssembler(self.sym_jac, layout)
         self.n = self.residual_sym.n
@@ -340,7 +340,8 @@ class Stepper:
     @np.errstate(all="ignore")
     def integrate_fixed(self) -> Trajectory:
         """Fixed-step mode for order verification: every step accepted,
-        Jacobian refreshed every step, extrapolation per options."""
+        Jacobian refreshed every step, extrapolation per options.  Stops
+        with TOO_MANY_STEPS after ``ntot`` steps, as ``integrate`` does."""
         opt = self.options
         h = opt.fixed_h
         if h is None or h <= 0:
@@ -354,6 +355,9 @@ class Stepper:
         traj.record(0.0, state)
         p = self.kind.order
         for k in range(nsteps):
+            if traj.accepted >= opt.ntot:
+                traj.status = Status.TOO_MANY_STEPS
+                break
             t = k * h
             try:
                 frozen = self._factorize(state, h, traj)

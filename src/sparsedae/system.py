@@ -11,18 +11,29 @@ The base state enters those residuals as named parameter slots ``Y0_k``, so
 the symbolic structure is built once and only numeric bindings change from
 step to step.  The same residual with h = 0 performs consistent
 initialization of the algebraic components.
+
+Lowering runs once per source shape (``codegen.shape_table``, the grouping
+behind ``group_shapes``, over the f's and g's), not once per row.  Each
+method maps a leaf of the source equation to a fixed expression in that
+leaf's unknown and base-state slot, and adds the row's own unknown to an
+ODE row, so a lowered row's shape follows from its source shape, the
+method, and which slot, if any, names the row's own unknown.  Only the
+first row of each such part is lowered, and the others' index tables are
+picked from the source table by column.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import expr as ex
-from .codegen import BASE_PREFIX
+from .codegen import BASE_PREFIX, ParamLayout, ShapeGroup, member_exprs, merge_blocks, shape, shape_table
 from .errors import UnsupportedSystem
 
 
@@ -106,103 +117,126 @@ class DaeSystem:
         return np.array(self.y0z0, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MethodResidual:
-    """Symbolic residual rows of one method in the uu unknowns.
+    """Symbolic residual of one method in the uu unknowns, as shape groups.
 
-    Row count is stage_multiplier * N_t.  The step size appears as the
-    parameter ``h`` and the base state as parameters ``Y0_1..Y0_Nt``; the
-    sparsity structure is therefore independent of their numeric values.
+    There are ``n = stage_multiplier * N_t`` rows.  The step size appears as
+    the parameter ``h`` and the base state as parameters ``Y0_1..Y0_Nt``;
+    the sparsity structure is therefore independent of their numeric values.
     CN's explicit half f_i(base state) is part of its row, an expression over
     the ``Y0_k`` slots alone, so every row reads only uu, the base state, h
-    and the system parameters.
+    and the system parameters.  ``groups`` hold the rows by shape, their
+    text written with ``layout``'s parameter slots.
     """
 
     system: DaeSystem
     kind: MethodKind
-    rows: Tuple[ex.Expr, ...]
+    layout: ParamLayout
+    groups: Tuple[ShapeGroup, ...]
+    n: int
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
+    @cached_property
+    def rows(self) -> Tuple[ex.Expr, ...]:
+        """Every row as an expression, instantiated from the groups; for
+        tests and inspection, the solve path reads only the groups."""
+        rows: List[ex.Expr] = [None] * self.n
+        for g in self.groups:
+            for i, e in zip(g.rows.tolist(), member_exprs(g)):
+                rows[i] = e
+        return tuple(rows)
 
 
 def _base(k: int) -> ex.Expr:
     return ex.Param(f"{BASE_PREFIX}{k}")
 
 
-def _endpoint_sub(n_t: int, offset: int = 0) -> Dict[int, ex.Expr]:
-    # state_j -> uu_{j+offset} + Y0_j
-    return {j: ex.add(ex.U(j + offset), _base(j)) for j in range(1, n_t + 1)}
+def _lower(kind: MethodKind, e: ex.Expr, i: int, ode: bool, leaves: List[int],
+           n_t: int) -> List[ex.Expr]:
+    """The method's rows for equation ``e`` of row ``i`` (1-based) over the
+    unknowns ``leaves``: f_i's when ``ode``, else g's.  RAD's second row goes
+    in the interior-stage block."""
+    h = ex.Param("h")
 
+    def at(state):
+        # e with each state_j -> state(j) + Y0_j
+        return ex.substitute(e, {j: ex.add(state(j), _base(j)) for j in leaves})
 
-def _midpoint_sub(n_t: int) -> Dict[int, ex.Expr]:
-    # state_j -> uu_j/2 + Y0_j
-    return {j: ex.add(ex.mul(0.5, ex.U(j)), _base(j)) for j in range(1, n_t + 1)}
+    def interior(j):
+        return ex.U(j + n_t)
 
-
-def _check_endpoint_constraints(sys: DaeSystem, kind: MethodKind) -> None:
-    alg_indices = set(range(sys.n_ode + 1, sys.n_total + 1))
-    for j, g in enumerate(sys.alg_residual, start=1):
-        if not alg_indices.intersection(ex.free_unknowns(g)):
-            raise UnsupportedSystem(
-                f"algebraic equation {j} references no algebraic variable; "
-                f"{kind.value} cannot project it at the step endpoint"
-            )
+    if kind is MethodKind.RAD:
+        if not ode:
+            return [at(ex.U), at(interior)]
+        return [ex.mul(2.5, ex.U(i)) - ex.mul(4.5, ex.U(i + n_t)) - h * at(ex.U),
+                ex.mul(0.5, ex.U(i)) + ex.mul(1.5, ex.U(i + n_t)) - h * at(interior)]
+    if not ode:
+        return [at(ex.U)]
+    if kind is MethodKind.EB:
+        return [ex.U(i) - h * at(ex.U)]
+    if kind is MethodKind.CN:
+        # the explicit half f_i(Y0) reads no unknown, so its derivatives fold to zero
+        return [ex.U(i) - ex.mul(0.5, h) * at(ex.U)
+                - ex.mul(0.5, h) * ex.substitute(e, {j: _base(j) for j in leaves})]
+    # IMPTRAP: f at the midpoint, state_j -> uu_j/2 + Y0_j
+    return [ex.U(i) - h * at(lambda j: ex.mul(0.5, ex.U(j)))]
 
 
 def build_residual(sys: DaeSystem, kind: MethodKind) -> MethodResidual:
-    """Lower (f, g) into the method's residual rows in uu."""
-    n_t = sys.n_total
-    h = ex.Param("h")
-    end = _endpoint_sub(n_t)
-    rows: List[ex.Expr] = []
+    """Lower (f, g) into the method's residual rows in uu, once per source shape.
 
-    if kind is MethodKind.EB:
-        for i, f in enumerate(sys.ode_rhs, start=1):
-            rows.append(ex.U(i) - h * ex.substitute(f, end))
-        for g in sys.alg_residual:
-            rows.append(ex.substitute(g, end))
-
-    elif kind is MethodKind.CN:
-        _check_endpoint_constraints(sys, kind)
-        base = {j: _base(j) for j in range(1, n_t + 1)}
-        for i, f in enumerate(sys.ode_rhs, start=1):
-            # the explicit half f_i(Y0) reads no unknown, so its derivatives fold to zero
-            rows.append(ex.U(i) - ex.mul(0.5, h) * ex.substitute(f, end)
-                        - ex.mul(0.5, h) * ex.substitute(f, base))
-        for g in sys.alg_residual:
-            rows.append(ex.substitute(g, end))
-
-    elif kind is MethodKind.IMPTRAP:
-        _check_endpoint_constraints(sys, kind)
-        mid = _midpoint_sub(n_t)
-        for i, f in enumerate(sys.ode_rhs, start=1):
-            rows.append(ex.U(i) - h * ex.substitute(f, mid))
-        for g in sys.alg_residual:
-            rows.append(ex.substitute(g, end))
-
-    elif kind is MethodKind.RAD:
-        interior = _endpoint_sub(n_t, offset=n_t)
-        # endpoint block
-        for i, f in enumerate(sys.ode_rhs, start=1):
-            rows.append(
-                ex.mul(2.5, ex.U(i)) - ex.mul(4.5, ex.U(i + n_t)) - h * ex.substitute(f, end)
-            )
-        for g in sys.alg_residual:
-            rows.append(ex.substitute(g, end))
-        # interior-stage block
-        for i, f in enumerate(sys.ode_rhs, start=1):
-            rows.append(
-                ex.mul(0.5, ex.U(i)) + ex.mul(1.5, ex.U(i + n_t)) - h * ex.substitute(f, interior)
-            )
-        for g in sys.alg_residual:
-            rows.append(ex.substitute(g, interior))
-
-    else:  # pragma: no cover
-        raise ValueError(f"unknown method {kind}")
-
-    return MethodResidual(system=sys, kind=kind, rows=tuple(rows))
+    The equations are grouped by shape, and each group of f's is split by
+    which slot, if any, is the row's own unknown i.  Only the first member of
+    each part is lowered; the lowering maps leaves to leaves, so the lowered
+    shape's index table is a column map of the part's: a ``U(j)`` or
+    ``Y0_j`` leaf takes the source column of j, RAD's interior block adds
+    N_t to it, and the own-unknown term takes the row numbers.  CN and
+    IMPTRAP project every g at the step endpoint, so each g must name an
+    algebraic unknown; that is read off the same index tables."""
+    n_t, n_ode = sys.n_total, sys.n_ode
+    layout = ParamLayout(sorted(sys.params))
+    equations = sys.ode_rhs + sys.alg_residual
+    blocks, blind = [], []
+    # plain lists until each lowered table is converted once: most groups of
+    # a small system have one row, where every numpy call is fixed cost
+    for _, _, _, rows, table in shape_table(equations, layout):
+        width = len(table[0])
+        c = bisect.bisect_left(rows, n_ode)     # members [:c] are f's, [c:] g's
+        parts: Dict[Optional[int], List[int]] = {}
+        for r in range(c):
+            # the slot, if any, that names the row's own unknown
+            parts.setdefault(table[r].index(rows[r]) if rows[r] in table[r] else -1, []).append(r)
+        if c < len(rows):
+            parts[None] = list(range(c, len(rows)))
+            if kind in (MethodKind.CN, MethodKind.IMPTRAP):
+                # 0-based unknowns below n_ode are ODE variables
+                blind += [rows[r] for r in parts[None] if max(table[r], default=-1) < n_ode]
+        for t, i in zip(table, rows):
+            t.append(i)     # column ``width``: the row number, the own unknown's index
+        for slot, members in parts.items():
+            first = table[members[0]]
+            leaves, i = first[:width], first[width]
+            lowered = _lower(kind, equations[i], i + 1, slot is not None, [j + 1 for j in leaves], n_t)
+            for block, e in enumerate(lowered):
+                text, slots = shape(e, layout)
+                # the table column each slot reads, and its offset: an index
+                # past n_t is in RAD's interior block, and an unknown that is
+                # not a leaf of the source row is the row's own
+                picks = []
+                for _, j in slots:
+                    off = n_t if j >= n_t else 0
+                    picks.append((leaves.index(j - off) if j - off in leaves else width, off))
+                blocks.append((text, e, tuple([name for name, _ in slots]),
+                               np.array([rows[r] + block * n_t for r in members], dtype=np.int64),
+                               np.array([[table[r][col] + off for col, off in picks] for r in members],
+                                        dtype=np.int64)))
+    if blind:
+        raise UnsupportedSystem(
+            f"algebraic equation {min(blind) - n_ode + 1} references no algebraic variable; "
+            f"{kind.value} cannot project it at the step endpoint"
+        )
+    return MethodResidual(system=sys, kind=kind, layout=layout, groups=tuple(merge_blocks(blocks)),
+                          n=kind.stage_multiplier * n_t)
 
 
 def state_update(y0: np.ndarray, uu: np.ndarray, kind: MethodKind) -> np.ndarray:

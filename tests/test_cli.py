@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, config files."""
 
 import math
+import warnings
 
 import pytest
 
@@ -109,6 +110,27 @@ def test_exit_code_2_on_early_stop(capsys, tmp_path):
                        "--ntot", "5", "--out", str(tmp_path / "p.csv"))
     assert code == 2
     assert "TooManySteps" in err
+
+
+def test_fixed_step_stops_at_ntot(capsys):
+    code, out, err = run(capsys, "solve", "decay", "--tf", "1", "--fixed-h", "0.001",
+                         "--ntot", "5", "--stdout")
+    assert code == 2
+    assert out.splitlines()[-1].startswith("# accepted=5,")
+    assert "TooManySteps" in err
+
+
+def test_singular_dense_jacobian_exits_1_without_a_warning(capsys, tmp_path):
+    # the h=0 Jacobian of the circle constraint at (1, 0) has an exactly zero
+    # pivot; a warning on the way to SingularMatrix is a traceback under -W error
+    prob = tmp_path / "circle.prob"
+    prob.write_text("[odes]\nx' = y\n[algebraic]\n0 = x^2 + y^2 - 1\n[init]\nx = 1\ny = 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "solve", str(prob), "--tf", "1", "--stdout")
+    assert code == 1
+    assert out == ""
+    assert "singular" in err
 
 
 def test_converge_table(capsys):

@@ -43,11 +43,11 @@ def mostly(valid, invalid):
     return st.one_of(st.sampled_from(valid), st.sampled_from(valid), st.sampled_from(invalid))
 
 
-# fixed-step mode runs tf/fixed_h steps whatever --ntot says, so both stay
-# coarse: at most four steps
+# fixed-step mode stops at --ntot like the adaptive loop, so tf/fixed_h may
+# ask for many more steps than an example can afford
 FLAGS = st.fixed_dictionaries({}, optional={
-    "--tf": mostly(["1", "0.5"], ["0", "-1", "nan", "inf"]),
-    "--fixed-h": mostly(["0.5", "0.25", "1"], ["0", "0.3", "nan", "inf"]),
+    "--tf": mostly(["1", "0.5", "1000"], ["0", "-1", "nan", "inf"]),
+    "--fixed-h": mostly(["0.5", "0.25", "1", "0.001", "1e-6"], ["0", "0.3", "nan", "inf"]),
     "--atol": mostly(["1e-6", "1e-3", "1e-10"], ["0", "nan", "inf", "abc"]),
     "--hinit": mostly(["1e-3", "0.1"], ["0", "1", "nan", "inf"]),
     "--hmax": mostly(["0.1", "0.5"], ["1e-6", "0", "nan", "inf"]),

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from sparsedae import expr as ex
-from sparsedae.codegen import _VECTOR_MIN_ROWS, CompiledResidual, ParamLayout
+from sparsedae.codegen import _VECTOR_MIN_ROWS, CompiledResidual, ParamLayout, group_shapes
 from sparsedae.errors import NonFiniteResidual
-from sparsedae.jacobian import JacobianAssembler, detect_pattern, differentiate, param_layout
+from sparsedae.jacobian import JacobianAssembler, detect_pattern, differentiate
 from sparsedae.problems import example4, example5, example6, make_builtin
 from sparsedae.system import MethodKind, build_residual
 
@@ -19,8 +19,12 @@ def is_vectorized(fn) -> bool:
     return "errstate" in fn.__code__.co_names
 
 
+def compiled(exprs, layout):
+    return CompiledResidual(group_shapes(exprs, layout), len(exprs), layout)
+
+
 def run(exprs, u, params=None):
-    res = CompiledResidual(exprs, ParamLayout(sorted(params or {})))
+    res = compiled(exprs, ParamLayout(sorted(params or {})))
     res.set_params(params or {})
     return res._fn, res.evaluate(np.asarray(u, dtype=float))
 
@@ -61,7 +65,7 @@ def test_vectorized_piecewise_is_first_match_and_quiet():
 
 
 def test_vectorized_nonfinite_reaches_the_isfinite_check():
-    res = CompiledResidual([ex.ln(ex.U(i)) for i in range(1, N_ROWS + 1)], ParamLayout([]))
+    res = compiled([ex.ln(ex.U(i)) for i in range(1, N_ROWS + 1)], ParamLayout([]))
     u = np.ones(N_ROWS)
     assert res.evaluate(u).tolist() == [0.0] * N_ROWS
     u[3] = -1.0
@@ -76,8 +80,8 @@ def evaluate_against_oracle(sysn, kind, seed):
     The oracle differentiates every row on its own, per pattern entry."""
     rng = np.random.default_rng(seed)
     mr = build_residual(sysn, kind)
-    layout = param_layout(mr)
-    res = CompiledResidual(mr.rows, layout)
+    layout = mr.layout
+    res = CompiledResidual(mr.groups, mr.n, layout)
     res.set_params(sysn.params)
     base = np.asarray(sysn.y0z0) + 0.05 * rng.standard_normal(sysn.n_total)
     h = 0.01
@@ -125,8 +129,8 @@ def test_cn_explicit_half_vectorizes():
     shapes = {}
     for kind in (MethodKind.EB, MethodKind.CN):
         mr = build_residual(example5(8, 8), kind)
-        res = CompiledResidual(mr.rows, param_layout(mr))
-        shapes[kind] = [len(g.rows) for g in res.shapes]
+        res = CompiledResidual(mr.groups, mr.n, mr.layout)
+        shapes[kind] = [len(g.rows) for g in mr.groups]
     assert is_vectorized(res._fn)
     assert shapes[MethodKind.CN] == shapes[MethodKind.EB]
     assert min(shapes[MethodKind.CN]) >= _VECTOR_MIN_ROWS
@@ -142,7 +146,7 @@ def test_shape_pattern_and_csc_structure_match_the_rows(name, kind):
     mr = build_residual(make_builtin(name, **BUILTINS[name]), kind)
     pat = detect_pattern(mr)
     assert pat.rows == tuple(tuple(ex.free_unknowns(r)) for r in mr.rows)
-    asm = JacobianAssembler(differentiate(mr, pat), param_layout(mr))
+    asm = JacobianAssembler(differentiate(mr, pat), mr.layout)
     support = sorted((k - 1, i - 1) for i, k in pat.support())
     assert asm.rowind.tolist() == [row for _, row in support]
     counts = np.bincount([col for col, _ in support], minlength=mr.n)

@@ -10,7 +10,6 @@ from sparsedae.jacobian import (
     JacobianAssembler,
     detect_pattern,
     differentiate,
-    param_layout,
 )
 from sparsedae.linalg import SparseMatrix
 from sparsedae.problems import example1, example4
@@ -98,7 +97,7 @@ def test_derivatives_match_finite_differences():
 def test_assembler_reuses_structure_buffers():
     mr = build_residual(example1(), MethodKind.IMPTRAP)
     jac = differentiate(mr, detect_pattern(mr))
-    asm = JacobianAssembler(jac, param_layout(mr))
+    asm = JacobianAssembler(jac, mr.layout)
     b = np.array([0.0, 1.0])
     m1 = asm.assemble(np.zeros(2), b, 0.1, np.zeros(0))
     indptr, rowind, values = m1.indptr.copy(), m1.rowind.copy(), m1.values.copy()
@@ -106,7 +105,7 @@ def test_assembler_reuses_structure_buffers():
     assert m2 is m1
     assert np.array_equal(m2.indptr, indptr) and np.array_equal(m2.rowind, rowind)
     # row 1 is U(1) - h*(U(2)/2 + Y0_2), so its d/dU(2) entry follows h
-    fresh = JacobianAssembler(jac, param_layout(mr)).assemble(np.zeros(2), b, 0.5, np.zeros(0))
+    fresh = JacobianAssembler(jac, mr.layout).assemble(np.zeros(2), b, 0.5, np.zeros(0))
     assert not np.array_equal(m2.values, values)
     assert np.array_equal(m2.values, fresh.values)
 

@@ -5,7 +5,7 @@ import pytest
 
 from sparsedae import expr as ex
 from sparsedae import newton as newton_mod
-from sparsedae.codegen import CompiledResidual, ParamLayout
+from sparsedae.codegen import CompiledResidual, ParamLayout, group_shapes
 from sparsedae.errors import NonFiniteResidual
 from sparsedae.linalg import SparseMatrix, factorize, solve
 from sparsedae.newton import NewtonOutcome, default_ctol, newton_solve
@@ -13,7 +13,7 @@ from sparsedae.newton import NewtonOutcome, default_ctol, newton_solve
 
 def make_residual(exprs, params=None):
     layout = ParamLayout(sorted(params or {}))
-    res = CompiledResidual(exprs, layout)
+    res = CompiledResidual(group_shapes(exprs, layout), len(exprs), layout)
     res.set_params(params or {})
     return res
 
