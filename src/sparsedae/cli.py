@@ -79,8 +79,6 @@ def _build_problem(args, n=None):
         n = args.N if n is None else n
         if n is not None:
             kw["n"] = n
-        elif name in BUILTIN_GRIDDED:
-            kw["n"] = 4
         if args.M is not None:
             kw["m"] = args.M
         if args.phi is not None:

@@ -19,8 +19,7 @@ the source tables (``system.build_residual``), so no lowered row is walked
 on its own.  The Jacobian reuses the residual's groups: ``derived_groups``
 takes expressions built from a group's first member (its derivatives) and
 instantiates each for every member by picking columns of that table.  Both
-merge their blocks with ``merge_blocks``, and ``member_exprs`` turns a group
-back into per-row expressions for inspection.
+merge their blocks with ``merge_blocks``.
 
 A group of at least ``_VECTOR_MIN_ROWS`` members becomes a single numpy
 statement ``out[R] = <shape over u[I0], b[I1], ...>`` whose index arrays are
@@ -220,42 +219,6 @@ def merge_blocks(blocks: List[Tuple[str, ex.Expr, Tuple[str, ...], np.ndarray, n
             rows, index = rows.take(order), index.take(order, axis=0)
         out.append(ShapeGroup(text, e, names, rows, index))
     return sorted(out, key=lambda g: g.rows[0])
-
-
-def member_exprs(group: ShapeGroup) -> List[ex.Expr]:
-    """Every member of ``group`` as an expression: ``group.expr``, its first
-    member, with each leaf renamed to the member's own."""
-    keys = list(zip(group.names, group.index[0].tolist()))
-    return [_rename(group.expr, dict(zip(keys, idx))) for idx in group.index.tolist()]
-
-
-def _rename(e: ex.Expr, leaves: Dict[tuple, int]) -> ex.Expr:
-    """``e`` with each leaf (array name, 0-based index) replaced by the index
-    ``leaves`` maps it to; the tree is otherwise rebuilt as it is."""
-    t = type(e)
-    if t is ex.U:
-        return ex.U(leaves[("u", e.index - 1)] + 1)
-    if t is ex.Param:
-        if e.name.startswith(BASE_PREFIX):
-            return ex.Param(f"{BASE_PREFIX}{leaves[('b', int(e.name[len(BASE_PREFIX):]) - 1)] + 1}")
-        return e
-    if t is ex.Const:
-        return e
-    if t is ex.Add:
-        return ex.Add(tuple([_rename(a, leaves) for a in e.terms]))
-    if t is ex.Mul:
-        return ex.Mul(tuple([_rename(a, leaves) for a in e.factors]))
-    if t is ex.Div:
-        return ex.Div(_rename(e.num, leaves), _rename(e.den, leaves))
-    if t is ex.Pow:
-        return ex.Pow(_rename(e.base, leaves), e.exponent)
-    if t is ex.Neg or t is ex.ExpF or t is ex.LnF:
-        return t(_rename(e.arg, leaves))
-    if t is ex.Piecewise:
-        return ex.Piecewise(tuple([ex.Branch(_rename(b.test, leaves), b.op, b.threshold,
-                                             _rename(b.value, leaves)) for b in e.branches]),
-                            _rename(e.default, leaves))
-    raise TypeError(f"unhandled node {type(e).__name__}")
 
 
 def compile_groups(groups: Sequence[ShapeGroup], n_out: int, layout: ParamLayout,

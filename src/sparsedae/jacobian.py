@@ -23,7 +23,7 @@ reassembly and factorization symbolics can be reused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -60,10 +60,6 @@ class SparsityPattern:
         cols = cols[np.lexsort((cols, self.rowind))].tolist()
         ends = np.cumsum(np.bincount(self.rowind, minlength=self.n)).tolist()
         return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
-
-    def support(self) -> List[Tuple[int, int]]:
-        """All (row, col) pairs, 1-based, row-major."""
-        return [(i + 1, k) for i, cols in enumerate(self.rows) for k in cols]
 
 
 @dataclass(frozen=True)

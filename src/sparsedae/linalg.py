@@ -114,9 +114,6 @@ class Factorization:
     _splu: Optional[object] = None
     perturbed: bool = False
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return solve(self, b)
-
 
 def factorize(a: SparseMatrix) -> Factorization:
     """PA = LU with partial pivoting; SuperLU adds a fill-reducing column
@@ -164,7 +161,10 @@ def solve(f: Factorization, b: np.ndarray) -> np.ndarray:
     if b.shape != (f.n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({f.n},)")
     if f._dense is not None:
-        return scipy.linalg.lu_solve(f._dense, b, check_finite=False)
+        # LAPACK getrs, as lu_solve calls it, without lu_solve's per-call
+        # input checks: the shape is checked above and the factors are ours
+        x, _ = scipy.linalg.lapack.dgetrs(*f._dense, b)
+        return x
     return f._splu.solve(b)
 
 

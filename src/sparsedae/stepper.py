@@ -25,7 +25,7 @@ from .errors import InitializationFailed, NonFiniteResidual, NonFiniteValue
 from .jacobian import JacobianAssembler, detect_pattern, differentiate
 from .linalg import Factorization, factorize
 from .newton import default_ctol, newton_solve
-from .system import DaeSystem, MethodKind, MethodResidual, build_residual, state_update
+from .system import DaeSystem, MethodKind, build_residual, state_update
 
 _INIT_MAX_ITER = 100
 _MAX_CONSECUTIVE_REJECTS = 40
@@ -197,17 +197,15 @@ class Stepper:
         self.system = sys
         self.options = options
         self.kind = options.method
-        self.residual_sym: MethodResidual = build_residual(sys, self.kind)
+        residual = build_residual(sys, self.kind)
         # the residual's shape groups are compiled and reused by the pattern,
         # the derivatives and the Jacobian code
-        layout = self.residual_sym.layout
-        self.res = CompiledResidual(self.residual_sym.groups, self.residual_sym.n, layout)
+        layout = residual.layout
+        self.res = CompiledResidual(residual.groups, residual.n, layout)
         self.res.set_params(sys.params)
-        self.pattern = detect_pattern(self.residual_sym)
-        self.sym_jac = differentiate(self.residual_sym, self.pattern)
-        self.assembler = JacobianAssembler(self.sym_jac, layout)
-        self.n = self.residual_sym.n
-        self.n_t = sys.n_total
+        pattern = detect_pattern(residual)
+        self.assembler = JacobianAssembler(differentiate(residual, pattern), layout)
+        self.n = residual.n
         self._uu0 = np.zeros(self.n)
         self.ctol = default_ctol(options.atol)
 

@@ -27,13 +27,12 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import expr as ex
-from .codegen import BASE_PREFIX, ParamLayout, ShapeGroup, member_exprs, merge_blocks, shape, shape_table
+from .codegen import BASE_PREFIX, ParamLayout, ShapeGroup, merge_blocks, shape, shape_table
 from .errors import UnsupportedSystem
 
 
@@ -79,13 +78,14 @@ class DaeSystem:
     observables: Dict[str, Tuple[Tuple[int, float], ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n_total < 1:
+        n_t = self.n_total
+        if n_t < 1:
             raise ValueError("system must have at least one variable")
-        if len(self.var_names) != self.n_total:
+        if len(self.var_names) != n_t:
             raise ValueError("var_names length must equal N_ode + N_ae")
         if len(set(self.var_names)) != len(self.var_names):
             raise ValueError("variable names must be unique")
-        if len(self.y0z0) != self.n_total:
+        if len(self.y0z0) != n_t:
             raise ValueError("y0z0 length must equal N_ode + N_ae")
         reserved = sorted(n for n in self.params if n == "h" or n.startswith(BASE_PREFIX))
         if reserved:
@@ -94,9 +94,9 @@ class DaeSystem:
         declared = set(self.params)
         for eq in tuple(self.ode_rhs) + tuple(self.alg_residual):
             unknowns, params = ex.free_leaves(eq)
-            bad = sorted(k for k in unknowns if not 1 <= k <= self.n_total)
+            bad = sorted(k for k in unknowns if not 1 <= k <= n_t)
             if bad:
-                raise ValueError(f"equation references state index {bad[0]} outside 1..{self.n_total}")
+                raise ValueError(f"equation references state index {bad[0]} outside 1..{n_t}")
             undecl = params - declared
             if undecl:
                 raise ValueError(f"undeclared parameter(s): {sorted(undecl)}")
@@ -135,16 +135,6 @@ class MethodResidual:
     layout: ParamLayout
     groups: Tuple[ShapeGroup, ...]
     n: int
-
-    @cached_property
-    def rows(self) -> Tuple[ex.Expr, ...]:
-        """Every row as an expression, instantiated from the groups; for
-        tests and inspection, the solve path reads only the groups."""
-        rows: List[ex.Expr] = [None] * self.n
-        for g in self.groups:
-            for i, e in zip(g.rows.tolist(), member_exprs(g)):
-                rows[i] = e
-        return tuple(rows)
 
 
 def _base(k: int) -> ex.Expr:

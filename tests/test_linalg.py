@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sparsedae.errors import SingularMatrix
 from sparsedae.linalg import (
@@ -67,7 +68,26 @@ def test_dense_path_solve_matches_numpy():
         b = rng.standard_normal(n)
         f = factorize(SparseMatrix.from_dense(a))
         assert f._dense is not None  # small systems use the dense path
-        assert f.solve(b) == pytest.approx(np.linalg.solve(a, b), abs=1e-10)
+        assert solve(f, b) == pytest.approx(np.linalg.solve(a, b), abs=1e-10)
+
+
+def test_dense_solve_calls_lapack_without_the_scipy_wrapper(monkeypatch):
+    # the dense path calls getrs itself, bit for bit what lu_solve returns,
+    # and leaves the right-hand side as it was
+    rng = np.random.default_rng(7)
+    a = random_spd_like(rng, 9)
+    b = rng.standard_normal(9)
+    f = factorize(SparseMatrix.from_dense(a))
+    want = scipy.linalg.lu_solve(f._dense, b)
+    b0 = b.copy()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lu_solve called")
+
+    monkeypatch.setattr(scipy.linalg, "lu_solve", refuse)
+    got = solve(f, b)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(b, b0)
 
 
 def test_sparse_path_solve_matches_numpy():
@@ -77,14 +97,14 @@ def test_sparse_path_solve_matches_numpy():
     b = rng.standard_normal(n)
     f = factorize(SparseMatrix.from_dense(a))
     assert f._splu is not None
-    assert f.solve(b) == pytest.approx(np.linalg.solve(a, b), abs=1e-9)
+    assert solve(f, b) == pytest.approx(np.linalg.solve(a, b), abs=1e-9)
 
 
 def test_permuted_matrix_still_solves():
     # row pivoting must handle a zero on the diagonal
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     f = factorize(SparseMatrix.from_dense(a))
-    assert f.solve(np.array([3.0, 7.0])) == pytest.approx([7.0, 3.0])
+    assert solve(f, np.array([3.0, 7.0])) == pytest.approx([7.0, 3.0])
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -103,15 +123,14 @@ def test_large_singular_perturbation_fallback():
     a[0, 0] = a[-1, -1] = 1.0  # row sums all zero -> exactly singular
     f = factorize(SparseMatrix.from_dense(a))
     assert f.perturbed
-    assert f.solve(np.zeros(n)) == pytest.approx(np.zeros(n))
+    assert solve(f, np.zeros(n)) == pytest.approx(np.zeros(n))
 
 
 def test_solve_validates_rhs_shape():
     f = factorize(SparseMatrix.from_dense(np.eye(3)))
-    assert f.solve(np.ones(3)) == pytest.approx(np.ones(3))
-    assert solve(f, np.zeros(3)) == pytest.approx(np.zeros(3))
+    assert solve(f, np.ones(3)) == pytest.approx(np.ones(3))
     with pytest.raises(ValueError):
-        f.solve(np.ones(4))
+        solve(f, np.ones(4))
 
 
 def test_matrix_market_round_trip_values():
