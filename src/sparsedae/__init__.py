@@ -41,7 +41,6 @@ from .stepper import (
     SolverOptions,
     Status,
     Stepper,
-    StepTrial,
     Trajectory,
     error_norm,
     integrate,

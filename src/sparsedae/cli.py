@@ -150,11 +150,16 @@ def _write_trajectory(traj, sys_, observables: List[str], out: Optional[str], to
         emit(sys.stdout)
 
 
+def _integrate(sys_, options: SolverOptions):
+    """Fixed-step integration when ``--fixed-h`` is set, adaptive otherwise."""
+    return (integrate_fixed if options.fixed_h else integrate)(sys_, options)
+
+
 def cmd_solve(args) -> int:
     cfg = _read_config(args.config) if args.config else {}
     sys_ = _build_problem(args)
     options = _build_options(args, cfg)
-    traj = (integrate_fixed if options.fixed_h else integrate)(sys_, options)
+    traj = _integrate(sys_, options)
     out = args.out
     if out is None and not args.stdout:
         out = "solution.csv"
@@ -175,7 +180,7 @@ def cmd_converge(args) -> int:
         sys_ = _build_problem(args, n)
         if obs_names is None:
             obs_names = args.observable or sorted(sys_.observables)
-        traj = integrate(sys_, options)
+        traj = _integrate(sys_, options)
         if traj.status is not Status.SUCCESS:
             raise SparseDaeError(f"N={n}: integration stopped: {traj.message}")
         rows.append([n] + [probe(traj.final_state, sys_, o) for o in obs_names])

@@ -281,9 +281,8 @@ class CompiledResidual:
         for name, v in values.items():
             self.p[self.layout.slot[name]] = v
 
-    def evaluate(self, uu: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        if out is None:
-            out = self._out
+    def evaluate(self, uu: np.ndarray) -> np.ndarray:
+        out = self._out
         try:
             self._fn(uu, self.b, self.h, self.p, out)
         except (ZeroDivisionError, OverflowError, ValueError):

@@ -14,7 +14,8 @@ class NonFiniteValue(SparseDaeError):
 
 
 class NonFiniteResidual(SparseDaeError):
-    """A residual evaluation inside Newton went non-finite; the step must be rejected."""
+    """Generated residual or Jacobian code went non-finite (overflow, domain
+    error, or an inf/nan output); the step must be rejected."""
 
 
 class UnsupportedSystem(SparseDaeError):

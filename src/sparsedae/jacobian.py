@@ -29,7 +29,7 @@ import numpy as np
 
 from . import expr as ex
 from .codegen import ParamLayout, ShapeGroup, compile_groups, derived_groups
-from .errors import EmptyRow, NonFiniteValue
+from .errors import EmptyRow, NonFiniteResidual
 from .linalg import SparseMatrix
 from .system import MethodResidual
 
@@ -101,7 +101,7 @@ def detect_pattern(res: MethodResidual) -> SparsityPattern:
     return SparsityPattern(n=res.n, indptr=indptr, rowind=rows[order], blocks=tuple(blocks))
 
 
-def differentiate(res: MethodResidual, pat: SparsityPattern) -> SymbolicJacobian:
+def differentiate(pat: SparsityPattern) -> SymbolicJacobian:
     """Exact partials on the support, one ``diff`` per (shape, unknown
     slot).  Structurally-zero derivatives are kept in their slots."""
     blocks = tuple((g, ex.diff(g.expr, int(g.index[0, k]) + 1), pos) for g, k, pos in pat.blocks)
@@ -112,30 +112,29 @@ class JacobianAssembler:
     """Compiled numeric assembly of a SymbolicJacobian into CSC values.
 
     The matrix is built and validated once, on the pattern's structure;
-    ``assemble`` refills its values in place.
+    ``assemble`` refills its values in place and raises NonFiniteResidual
+    on any overflow, domain error, or non-finite entry, as
+    ``CompiledResidual.evaluate`` does.
     """
 
     def __init__(self, jac: SymbolicJacobian, layout: ParamLayout):
         pat = jac.pattern
-        self.nnz = pat.nnz
         self.matrix = SparseMatrix(n=pat.n, indptr=pat.indptr, rowind=pat.rowind,
                                    values=np.zeros(pat.nnz))
-        self.indptr = self.matrix.indptr
-        self.rowind = self.matrix.rowind
-        self._fn = compile_groups(derived_groups(jac.blocks, layout), self.nnz, layout, tag="jacobian")
+        self._fn = compile_groups(derived_groups(jac.blocks, layout), pat.nnz, layout, tag="jacobian")
 
     def assemble(self, uu: np.ndarray, b: np.ndarray, h: float, p: np.ndarray) -> SparseMatrix:
         """Refill the one matrix this assembler owns with the Jacobian at
         (uu, b, h, p) and return it; the previous values are overwritten, so
         a caller that keeps them must copy (``factorize`` does)."""
-        values = self.matrix.values
+        m = self.matrix
         try:
-            self._fn(uu, b, h, p, values)
+            self._fn(uu, b, h, p, m.values)
         except (ZeroDivisionError, OverflowError, ValueError):
-            raise NonFiniteValue("Jacobian entry evaluation left the domain")
-        finite = np.isfinite(values)
+            raise NonFiniteResidual("Jacobian entry evaluation left the domain")
+        finite = np.isfinite(m.values)
         if not finite.all():
             j = int(np.argmin(finite))
-            col = int(np.searchsorted(self.indptr, j, side="right"))
-            raise NonFiniteValue(f"non-finite Jacobian entry at row {self.rowind[j] + 1}, col {col}")
-        return self.matrix
+            col = int(np.searchsorted(m.indptr, j, side="right"))
+            raise NonFiniteResidual(f"non-finite Jacobian entry at row {m.rowind[j] + 1}, col {col}")
+        return m

@@ -20,7 +20,7 @@ Da*c_face*phi_face and the potential flux balances Da*phi_face.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -136,6 +136,47 @@ def example4(n: int) -> DaeSystem:
     )
 
 
+class _Grid:
+    """Unknowns of one field on an n x m cell grid with a ghost layer per side.
+
+    Cell (i, j), 1-based, is ``U(cell0 + (j-1)*n + i)``; the ghosts follow
+    ``ghost0`` in the order W_1..W_m, E_1..E_m, S_1..S_n, N_1..N_n."""
+
+    def __init__(self, n: int, m: int, cell0: int, ghost0: int):
+        self.n, self.m, self.cell0, self.ghost0 = n, m, cell0, ghost0
+
+    def cell(self, i: int, j: int) -> ex.Expr:
+        return ex.U(self.cell0 + (j - 1) * self.n + i)
+
+    def west(self, j: int) -> ex.Expr:
+        return ex.U(self.ghost0 + j)
+
+    def east(self, j: int) -> ex.Expr:
+        return ex.U(self.ghost0 + self.m + j)
+
+    def south(self, i: int) -> ex.Expr:
+        return ex.U(self.ghost0 + 2 * self.m + i)
+
+    def north(self, i: int) -> ex.Expr:
+        return ex.U(self.ghost0 + 2 * self.m + self.n + i)
+
+    def neighbors(self, i: int, j: int) -> Tuple[ex.Expr, ex.Expr, ex.Expr, ex.Expr]:
+        """West, east, south and north of cell (i, j), ghosts at the edges."""
+        n, m = self.n, self.m
+        return (self.west(j) if i == 1 else self.cell(i - 1, j),
+                self.east(j) if i == n else self.cell(i + 1, j),
+                self.south(i) if j == 1 else self.cell(i, j - 1),
+                self.north(i) if j == m else self.cell(i, j + 1))
+
+    def names(self, fld: str) -> Tuple[List[str], List[str]]:
+        """The cell names and the ghost names of field ``fld``."""
+        rows, cols = range(1, self.m + 1), range(1, self.n + 1)
+        cells = [f"{fld}_{i}_{j}" for j in rows for i in cols]
+        ghosts = ([f"{fld}W_{j}" for j in rows] + [f"{fld}E_{j}" for j in rows]
+                  + [f"{fld}S_{i}" for i in cols] + [f"{fld}N_{i}" for i in cols])
+        return cells, ghosts
+
+
 def example5(n: int, m: int, phi: float = 0.5, c0: float = 0.0) -> DaeSystem:
     """2-D diffusion-consumption on the unit square; n*m + 2n + 2m unknowns.
 
@@ -148,50 +189,30 @@ def example5(n: int, m: int, phi: float = 0.5, c0: float = 0.0) -> DaeSystem:
     dx, dy = 1.0 / n, 1.0 / m
     inv_dx2, inv_dy2 = 1.0 / (dx * dx), 1.0 / (dy * dy)
     nm = n * m
-
-    def cell(i, j):
-        return ex.U((j - 1) * n + i)
-
-    def gw(j):
-        return ex.U(nm + j)
-
-    def ge(j):
-        return ex.U(nm + m + j)
-
-    def gs(i):
-        return ex.U(nm + 2 * m + i)
-
-    def gn(i):
-        return ex.U(nm + 2 * m + n + i)
+    g = _Grid(n, m, 0, nm)
+    cell = g.cell
 
     p2 = ex.Param("phi") * ex.Param("phi")
     odes = []
     for j in range(1, m + 1):
         for i in range(1, n + 1):
             cc = cell(i, j)
-            cw = cell(i - 1, j) if i > 1 else gw(j)
-            ce = cell(i + 1, j) if i < n else ge(j)
-            cs = cell(i, j - 1) if j > 1 else gs(i)
-            cn = cell(i, j + 1) if j < m else gn(i)
+            cw, ce, cs, cn = g.neighbors(i, j)
             odes.append((ce - 2.0 * cc + cw) * inv_dx2
                         + (cn - 2.0 * cc + cs) * inv_dy2
                         - p2 * cc * cc)
 
     alg: List[ex.Expr] = []
     for j in range(1, m + 1):  # zero flux at x=0
-        alg.append((cell(1, j) - gw(j)) / dx)
+        alg.append((cell(1, j) - g.west(j)) / dx)
     for j in range(1, m + 1):  # Dirichlet c=1 at x=1
-        alg.append((cell(n, j) + ge(j)) * 0.5 - 1.0)
+        alg.append((cell(n, j) + g.east(j)) * 0.5 - 1.0)
     for i in range(1, n + 1):  # zero flux at y=0
-        alg.append((cell(i, 1) - gs(i)) / dy)
+        alg.append((cell(i, 1) - g.south(i)) / dy)
     for i in range(1, n + 1):  # Dirichlet c=1 at y=1
-        alg.append((cell(i, m) + gn(i)) * 0.5 - 1.0)
+        alg.append((cell(i, m) + g.north(i)) * 0.5 - 1.0)
 
-    names = [f"c_{i}_{j}" for j in range(1, m + 1) for i in range(1, n + 1)]
-    names += [f"cW_{j}" for j in range(1, m + 1)]
-    names += [f"cE_{j}" for j in range(1, m + 1)]
-    names += [f"cS_{i}" for i in range(1, n + 1)]
-    names += [f"cN_{i}" for i in range(1, n + 1)]
+    cells, ghosts = g.names("c")
     init = ([float(c0)] * nm + [float(c0)] * m + [2.0 - c0] * m
             + [float(c0)] * n + [2.0 - c0] * n)
 
@@ -203,7 +224,7 @@ def example5(n: int, m: int, phi: float = 0.5, c0: float = 0.0) -> DaeSystem:
     return DaeSystem(
         ode_rhs=tuple(odes),
         alg_residual=tuple(alg),
-        var_names=tuple(names),
+        var_names=tuple(cells + ghosts),
         y0z0=tuple(init),
         params={"phi": float(phi)},
         observables=observables,
@@ -230,53 +251,16 @@ def example6(n: int, m: Optional[int] = None, dx_coeff: float = 1.0,
     Dx, Dy = ex.Param("Dx"), ex.Param("Dy")
     Da, Delta = ex.Param("Da"), ex.Param("delta")
 
-    def c(i, j):
-        return ex.U((j - 1) * n + i)
-
-    def p(i, j):
-        return ex.U(nm + (j - 1) * n + i)
-
-    gc0 = 2 * nm
-
-    def cgw(j):
-        return ex.U(gc0 + j)
-
-    def cge(j):
-        return ex.U(gc0 + m + j)
-
-    def cgs(i):
-        return ex.U(gc0 + 2 * m + i)
-
-    def cgn(i):
-        return ex.U(gc0 + 2 * m + n + i)
-
-    gp0 = 2 * nm + 2 * m + 2 * n
-
-    def pgw(j):
-        return ex.U(gp0 + j)
-
-    def pge(j):
-        return ex.U(gp0 + m + j)
-
-    def pgs(i):
-        return ex.U(gp0 + 2 * m + i)
-
-    def pgn(i):
-        return ex.U(gp0 + 2 * m + n + i)
-
-    def neighbors(i, j, center, west, east, south, north):
-        cw = west(j) if i == 1 else center(i - 1, j)
-        ce_ = east(j) if i == n else center(i + 1, j)
-        cs = south(i) if j == 1 else center(i, j - 1)
-        cn = north(i) if j == m else center(i, j + 1)
-        return cw, ce_, cs, cn
+    gc0, gp0 = 2 * nm, 2 * nm + 2 * m + 2 * n
+    gc, gp = _Grid(n, m, 0, gc0), _Grid(n, m, nm, gp0)
+    c, p = gc.cell, gp.cell
 
     inv_dx2, inv_dy2 = 1.0 / (dx * dx), 1.0 / (dy * dy)
     odes = []
     for j in range(1, m + 1):
         for i in range(1, n + 1):
             cc = c(i, j)
-            cw, ce_, cs, cn = neighbors(i, j, c, cgw, cge, cgs, cgn)
+            cw, ce_, cs, cn = gc.neighbors(i, j)
             odes.append(Dx * ((ce_ - 2.0 * cc + cw) * inv_dx2)
                         + Dy * ((cn - 2.0 * cc + cs) * inv_dy2))
 
@@ -285,8 +269,8 @@ def example6(n: int, m: Optional[int] = None, dx_coeff: float = 1.0,
     for j in range(1, m + 1):
         for i in range(1, n + 1):
             cc, pc = c(i, j), p(i, j)
-            cw, ce_, cs, cn = neighbors(i, j, c, cgw, cge, cgs, cgn)
-            pw, pe, ps, pn = neighbors(i, j, p, pgw, pge, pgs, pgn)
+            cw, ce_, cs, cn = gc.neighbors(i, j)
+            pw, pe, ps, pn = gp.neighbors(i, j)
             flux_e = Dx * ((ce_ + cc) * 0.5) * ((pe - pc) / dx)
             flux_w = Dx * ((cc + cw) * 0.5) * ((pc - pw) / dx)
             flux_n = Dy * ((cc + cn) * 0.5) * ((pn - pc) / dy)
@@ -296,40 +280,33 @@ def example6(n: int, m: Optional[int] = None, dx_coeff: float = 1.0,
     # concentration ghosts
     for j in range(1, m + 1):  # x = 0: electrode kinetics / insulation
         if j <= half:
-            face_c = (cgw(j) + c(1, j)) * 0.5
-            face_p = (pgw(j) + p(1, j)) * 0.5
-            alg.append(Dx * (c(1, j) - cgw(j)) / dx - Da * face_c * face_p)
+            face_c = (gc.west(j) + c(1, j)) * 0.5
+            face_p = (gp.west(j) + p(1, j)) * 0.5
+            alg.append(Dx * (c(1, j) - gc.west(j)) / dx - Da * face_c * face_p)
         else:
-            alg.append((c(1, j) - cgw(j)) / dx)
+            alg.append((c(1, j) - gc.west(j)) / dx)
     for j in range(1, m + 1):  # x = L: applied flux
-        alg.append(Dx * (cge(j) - c(n, j)) / dx - Delta)
+        alg.append(Dx * (gc.east(j) - c(n, j)) / dx - Delta)
     for i in range(1, n + 1):  # y = 0: zero flux
-        alg.append((c(i, 1) - cgs(i)) / dy)
+        alg.append((c(i, 1) - gc.south(i)) / dy)
     for i in range(1, n + 1):  # y = H: zero flux
-        alg.append((cgn(i) - c(i, m)) / dy)
+        alg.append((gc.north(i) - c(i, m)) / dy)
 
     # potential ghosts
     for j in range(1, m + 1):  # x = 0
         if j <= half:
-            face_p = (pgw(j) + p(1, j)) * 0.5
-            alg.append(Dx * (p(1, j) - pgw(j)) / dx - Da * face_p)
+            face_p = (gp.west(j) + p(1, j)) * 0.5
+            alg.append(Dx * (p(1, j) - gp.west(j)) / dx - Da * face_p)
         else:
-            alg.append((p(1, j) - pgw(j)) / dx)
+            alg.append((p(1, j) - gp.west(j)) / dx)
     for j in range(1, m + 1):  # x = L: applied current
-        alg.append(Dx * ((cge(j) + c(n, j)) * 0.5) * ((pge(j) - p(n, j)) / dx) - Delta)
+        alg.append(Dx * ((gc.east(j) + c(n, j)) * 0.5) * ((gp.east(j) - p(n, j)) / dx) - Delta)
     for i in range(1, n + 1):  # y = 0
-        alg.append((p(i, 1) - pgs(i)) / dy)
+        alg.append((p(i, 1) - gp.south(i)) / dy)
     for i in range(1, n + 1):  # y = H
-        alg.append((pgn(i) - p(i, m)) / dy)
+        alg.append((gp.north(i) - p(i, m)) / dy)
 
-    names = [f"c_{i}_{j}" for j in range(1, m + 1) for i in range(1, n + 1)]
-    names += [f"phi_{i}_{j}" for j in range(1, m + 1) for i in range(1, n + 1)]
-    for fld in ("c", "phi"):
-        names += [f"{fld}W_{j}" for j in range(1, m + 1)]
-        names += [f"{fld}E_{j}" for j in range(1, m + 1)]
-        names += [f"{fld}S_{i}" for i in range(1, n + 1)]
-        names += [f"{fld}N_{i}" for i in range(1, n + 1)]
-
+    (c_cells, c_ghosts), (p_cells, p_ghosts) = gc.names("c"), gp.names("phi")
     init = [1.0] * nm + [0.0] * nm + [1.0] * (2 * m + 2 * n) + [0.0] * (2 * m + 2 * n)
 
     i0, j0 = max(1, n // 2), half
@@ -342,7 +319,7 @@ def example6(n: int, m: Optional[int] = None, dx_coeff: float = 1.0,
     return DaeSystem(
         ode_rhs=tuple(odes),
         alg_residual=tuple(alg),
-        var_names=tuple(names),
+        var_names=tuple(c_cells + p_cells + c_ghosts + p_ghosts),
         y0z0=tuple(init),
         params={"Dx": float(dx_coeff), "Dy": float(dy_coeff),
                 "Da": float(da), "delta": float(delta)},

@@ -6,9 +6,14 @@ results give the local error estimate; accepted steps are advanced with
 Richardson extrapolation.  The Jacobian is refactorized only when flagged:
 at the start, after any step whose error estimate exceeds 0.1, and after
 every rejection (a rejection also divides h by 4).  A non-finite residual,
-or a refreshed Jacobian that is not finite, rejects the step.  Both
-integration loops run under ``np.errstate(all="ignore")``, so a domain error
-in generated code shows up as a non-finite value, never as a warning.
+or a refreshed Jacobian that is not finite, rejects the step; both come up
+as ``NonFiniteResidual``.  Both integration loops run under
+``np.errstate(all="ignore")``, so a domain error in generated code shows up
+as a non-finite value, never as a warning.
+
+The adaptive and the fixed-step driver share one refresh (``_refresh``),
+the one place where Jacobian refreshes and LUs are counted, and one step
+(``attempt_step``).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import List, Optional, TextIO, Tuple
 import numpy as np
 
 from .codegen import CompiledResidual
-from .errors import InitializationFailed, NonFiniteResidual, NonFiniteValue
+from .errors import InitializationFailed, NonFiniteResidual
 from .jacobian import JacobianAssembler, detect_pattern, differentiate
 from .linalg import Factorization, factorize
 from .newton import default_ctol, newton_solve
@@ -84,18 +89,6 @@ class SolverOptions:
 
 
 @dataclass
-class StepTrial:
-    """One attempted step: full-step and two-half-steps results plus the
-    componentwise and scalar error estimates."""
-
-    y_h: Optional[np.ndarray]
-    y_h2: Optional[np.ndarray]
-    y_err: Optional[np.ndarray]
-    err: float
-    h: float
-
-
-@dataclass
 class Trajectory:
     """Accepted-step records plus step/rejection/factorization counters.
 
@@ -115,11 +108,14 @@ class Trajectory:
     lu_count: int = 0
     init_lu: int = 0
     status: Status = Status.SUCCESS
-    message: str = ""
 
     def record(self, t: float, state: np.ndarray) -> None:
         self.times.append(float(t))
         self.states.append(np.array(state))
+
+    @property
+    def message(self) -> str:
+        return f"integration {self.status.value}; number of failed steps={self.rejected}"
 
     @property
     def final_time(self) -> float:
@@ -204,7 +200,7 @@ class Stepper:
         self.res = CompiledResidual(residual.groups, residual.n, layout)
         self.res.set_params(sys.params)
         pattern = detect_pattern(residual)
-        self.assembler = JacobianAssembler(differentiate(residual, pattern), layout)
+        self.assembler = JacobianAssembler(differentiate(pattern), layout)
         self.n = residual.n
         self._uu0 = np.zeros(self.n)
         self.ctol = default_ctol(options.atol)
@@ -215,16 +211,21 @@ class Stepper:
         self.res.set_base(base)
         self.res.set_h(h)
 
-    def _factorize(self, base: np.ndarray, h: float,
-                   traj: Optional[Trajectory] = None) -> Factorization:
-        """Assemble and factorize the Jacobian at (base, h); with ``traj``,
-        count the factorization in its ``lu_count`` (two when the pivot
-        perturbation retry ran)."""
+    def _factorize(self, base: np.ndarray, h: float) -> Factorization:
+        """Assemble and factorize the Jacobian at (base, h)."""
         self._bind(base, h)
-        a = self.assembler.assemble(self._uu0, self.res.b, h, self.res.p)
-        f = factorize(a)
-        if traj is not None:
-            traj.lu_count += 1 + f.perturbed
+        return factorize(self.assembler.assemble(self._uu0, self.res.b, h, self.res.p))
+
+    def _refresh(self, base: np.ndarray, h: float, traj: Trajectory) -> Optional[Factorization]:
+        """``_factorize``, counted in ``traj``: one Jacobian update and one LU
+        (two when the pivot perturbation retry ran).  None, counting nothing,
+        when the Jacobian is not finite."""
+        try:
+            f = self._factorize(base, h)
+        except NonFiniteResidual:
+            return None
+        traj.jac_updates += 1
+        traj.lu_count += 1 + f.perturbed
         return f
 
     def _solve_once(self, base: np.ndarray, h: float, f: Factorization) -> np.ndarray:
@@ -248,42 +249,41 @@ class Stepper:
             )
         return state_update(state0, out.uu, self.kind), f
 
-    def attempt_step(self, state: np.ndarray, t: float, h: float,
-                     f: Factorization) -> StepTrial:
-        """One full step and two half steps from (t, state), all against the
-        frozen factorization ``f``.  A non-finite residual comes back as an
-        err = +inf trial."""
+    def attempt_step(self, state: np.ndarray, h: float,
+                     f: Factorization) -> Tuple[Optional[np.ndarray], float]:
+        """One full step and two half steps from ``state``, all against the
+        frozen factorization ``f``.  Returns the new state, Richardson-combined
+        per ``options.extrapolate``, and the scalar error estimate; (None, inf)
+        on a non-finite residual."""
         opt = self.options
         try:
             y_h = self._solve_once(state, h, f)
             mid = self._solve_once(state, 0.5 * h, f)
             y_h2 = self._solve_once(mid, 0.5 * h, f)
         except NonFiniteResidual:
-            return StepTrial(y_h=None, y_h2=None, y_err=None, err=math.inf, h=h)
+            return None, math.inf
         p = self.kind.order
         y_err = (y_h2 - y_h) / (2 ** p - 1)
         err = error_norm(y_err, y_h2, opt.atol, opt.rtol, opt.norm, opt.err_denominator)
-        return StepTrial(y_h=y_h, y_h2=y_h2, y_err=y_err, err=err, h=h)
+        return richardson(y_h, y_h2, p, opt.extrapolate), err
+
+    def _start(self) -> Tuple[np.ndarray, Trajectory]:
+        """The consistent initial state and a Trajectory holding it at t=0."""
+        state, _ = self.initialize()
+        traj = Trajectory(var_names=self.system.var_names, init_lu=1)
+        traj.record(0.0, state)
+        return state, traj
 
     # -- drivers ------------------------------------------------------------
 
     @np.errstate(all="ignore")
     def integrate(self) -> Trajectory:
         opt = self.options
-        traj = Trajectory(var_names=self.system.var_names)
-        state, _ = self.initialize()
-        traj.init_lu = 1
-        traj.record(0.0, state)
-
+        state, traj = self._start()
         p = self.kind.order
-        t = 0.0
-        h = opt.hinit
-        landing = False
-        if h >= opt.tf - t:
-            h = opt.tf - t
-            landing = True
-        refresh = True
-        frozen: Optional[Factorization] = None
+        t, h = 0.0, min(opt.hinit, opt.tf)
+        landing = h >= opt.tf
+        frozen: Optional[Factorization] = None   # None: refresh before the next attempt
         h_floor = max(1e-14 * opt.tf, 1e-3 * opt.hinit)
         consecutive_rejects = 0
 
@@ -297,17 +297,10 @@ class Stepper:
             if h < h_floor:
                 traj.status = Status.STEP_UNDERFLOW
                 break
-            if refresh:
-                try:
-                    frozen = self._factorize(state, h, traj)
-                    traj.jac_updates += 1
-                    refresh = False
-                except (NonFiniteResidual, NonFiniteValue):
-                    # rejected below, as a non-finite residual would be
-                    frozen = None
-
-            trial = self.attempt_step(state, t, h, frozen) if frozen is not None else None
-            if trial is None or trial.err > 1.0:
+            if frozen is None:
+                frozen = self._refresh(state, h, traj)
+            new, err = (None, math.inf) if frozen is None else self.attempt_step(state, h, frozen)
+            if err > 1.0:
                 traj.rejected += 1
                 consecutive_rejects += 1
                 if consecutive_rejects > _MAX_CONSECUTIVE_REJECTS:
@@ -315,24 +308,19 @@ class Stepper:
                     break
                 h = h / _REJECT_DIVISOR
                 landing = False
-                refresh = True
+                frozen = None
                 continue
 
             consecutive_rejects = 0
-            state = richardson(trial.y_h, trial.y_h2, p, opt.extrapolate)
+            state = new
             t = opt.tf if landing else t + h
             traj.accepted += 1
             traj.record(t, state)
-            if trial.err > _JAC_REFRESH_ERR:
-                refresh = True
-            hn = next_h(h, trial.err, p, opt.hmax)
-            if hn >= opt.tf - t:
-                hn = opt.tf - t
-                landing = True
-            h = hn
-
-        traj.message = (f"integration {traj.status.value}; "
-                        f"number of failed steps={traj.rejected}")
+            if err > _JAC_REFRESH_ERR:
+                frozen = None
+            h = next_h(h, err, p, opt.hmax)
+            landing = h >= opt.tf - t
+            h = min(h, opt.tf - t)
         return traj
 
     @np.errstate(all="ignore")
@@ -347,28 +335,17 @@ class Stepper:
         nsteps = round(opt.tf / h)
         if nsteps < 1 or abs(nsteps * h - opt.tf) > 1e-12 * opt.tf:
             raise ValueError("fixed_h must divide tf")
-        traj = Trajectory(var_names=self.system.var_names)
-        state, _ = self.initialize()
-        traj.init_lu = 1
-        traj.record(0.0, state)
-        p = self.kind.order
+        state, traj = self._start()
         for k in range(nsteps):
             if traj.accepted >= opt.ntot:
                 traj.status = Status.TOO_MANY_STEPS
                 break
-            t = k * h
-            try:
-                frozen = self._factorize(state, h, traj)
-            except NonFiniteValue:
-                raise NonFiniteResidual(f"fixed step at t={t} left the domain")
-            traj.jac_updates += 1
-            trial = self.attempt_step(state, t, h, frozen)
-            if trial.y_h is None:
-                raise NonFiniteResidual(f"fixed step at t={t} left the domain")
-            state = richardson(trial.y_h, trial.y_h2, p, opt.extrapolate)
+            f = self._refresh(state, h, traj)
+            state = None if f is None else self.attempt_step(state, h, f)[0]
+            if state is None:
+                raise NonFiniteResidual(f"fixed step at t={k * h} left the domain")
             traj.accepted += 1
             traj.record(opt.tf if k == nsteps - 1 else (k + 1) * h, state)
-        traj.message = f"integration {traj.status.value}; number of failed steps=0"
         return traj
 
 

@@ -131,7 +131,6 @@ class MethodResidual:
     """
 
     system: DaeSystem
-    kind: MethodKind
     layout: ParamLayout
     groups: Tuple[ShapeGroup, ...]
     n: int
@@ -225,7 +224,7 @@ def build_residual(sys: DaeSystem, kind: MethodKind) -> MethodResidual:
             f"algebraic equation {min(blind) - n_ode + 1} references no algebraic variable; "
             f"{kind.value} cannot project it at the step endpoint"
         )
-    return MethodResidual(system=sys, kind=kind, layout=layout, groups=tuple(merge_blocks(blocks)),
+    return MethodResidual(system=sys, layout=layout, groups=tuple(merge_blocks(blocks)),
                           n=kind.stage_multiplier * n_t)
 
 

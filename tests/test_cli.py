@@ -144,6 +144,19 @@ def test_converge_table(capsys):
     assert lines[3].startswith("# monotone=")
 
 
+def test_converge_honours_fixed_h(capsys):
+    # converge and solve share one dispatch: with --fixed-h both run the
+    # fixed-step driver and report the same observable
+    common = ("--tf", "0.5", "--atol", "1e-6", "--fixed-h", "0.1", "--observable", "c_x0")
+    code, out, _ = run(capsys, "converge", "ex4", "--n-list", "4", *common)
+    assert code == 0
+    converged = out.splitlines()[1]
+    code, out, _ = run(capsys, "solve", "ex4", "--N", "4", *common, "--stdout")
+    assert code == 0
+    solved = float(out.strip().splitlines()[-1].rsplit(":", 1)[1])
+    assert converged == f"4,{solved:.15g}"
+
+
 def test_orders_reports_slopes(capsys):
     code, out, _ = run(capsys, "orders", "decay", "--tf", "1.0",
                        "--method", "eb", "--h-list", "0.1,0.05,0.025",

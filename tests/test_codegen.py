@@ -94,7 +94,7 @@ def evaluate_against_oracle(sysn, kind, seed):
     bindings.update({f"Y0_{k}": v for k, v in enumerate(base, start=1)})
 
     pat = detect_pattern(mr)
-    asm = JacobianAssembler(differentiate(mr, pat), layout)
+    asm = JacobianAssembler(differentiate(pat), layout)
     a = asm.assemble(uu, res.b, h, res.p).to_dense()
     assert is_vectorized(asm._fn) and is_vectorized(res._fn)
 
@@ -150,8 +150,8 @@ def test_shape_pattern_and_csc_structure_match_the_rows(name, kind):
     mr = build_residual(sysn, kind)
     pat = detect_pattern(mr)
     assert pat.rows == tuple(tuple(ex.free_unknowns(r)) for r in reference_rows(sysn, kind))
-    asm = JacobianAssembler(differentiate(mr, pat), mr.layout)
+    asm = JacobianAssembler(differentiate(pat), mr.layout)
     support = sorted((k - 1, i) for i, cols in enumerate(pat.rows) for k in cols)
-    assert asm.rowind.tolist() == [row for _, row in support]
+    assert asm.matrix.rowind.tolist() == [row for _, row in support]
     counts = np.bincount([col for col, _ in support], minlength=mr.n)
-    assert asm.indptr.tolist() == [0] + np.cumsum(counts).tolist()
+    assert asm.matrix.indptr.tolist() == [0] + np.cumsum(counts).tolist()

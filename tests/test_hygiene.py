@@ -1,7 +1,8 @@
-"""Source hygiene: no library module imports a name it never reads.
+"""Source hygiene: no library module imports a name it never reads, and no
+library function takes a parameter it never reads.
 
-``__init__.py`` is left out, because its imports are the package's
-re-exports.
+``__init__.py`` is left out of the import scan, because its imports are the
+package's re-exports.
 """
 
 import ast
@@ -11,7 +12,8 @@ import pytest
 
 import sparsedae
 
-MODULES = sorted(p for p in Path(sparsedae.__file__).parent.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(Path(sparsedae.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str):
@@ -38,3 +40,33 @@ def test_the_scan_finds_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_parameters(source: str):
+    """(line, function, parameter) for every parameter a function or lambda
+    never reads in its body; ``self``, ``cls`` and ``_``-prefixed names are
+    exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        found += [(node.lineno, name, p) for p in params
+                  if p not in read and p not in ("self", "cls") and not p.startswith("_")]
+    return sorted(found)
+
+
+def test_the_scan_finds_an_unused_parameter():
+    src = ("class A:\n    def f(self, a, b, _c, *args, d=1, **kw):\n        return a + d + len(kw)\n"
+           "g = lambda x, y: x\n")
+    assert unused_parameters(src) == [(2, "f", "args"), (2, "f", "b"), (4, "<lambda>", "y")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_function_reads_every_parameter(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []

@@ -5,7 +5,7 @@ import pytest
 
 from sparsedae import expr as ex
 from sparsedae.codegen import ParamLayout
-from sparsedae.errors import EmptyRow
+from sparsedae.errors import EmptyRow, NonFiniteResidual
 from sparsedae.jacobian import (
     JacobianAssembler,
     detect_pattern,
@@ -26,7 +26,7 @@ def test_pattern_simple_dae_backward_euler():
 
 def ex1_eb_assembler():
     mr = build_residual(example1(), MethodKind.EB)
-    jac = differentiate(mr, detect_pattern(mr))
+    jac = differentiate(detect_pattern(mr))
     return JacobianAssembler(jac, ParamLayout([]))
 
 
@@ -96,7 +96,7 @@ def test_derivatives_match_finite_differences():
 
 def test_assembler_reuses_structure_buffers():
     mr = build_residual(example1(), MethodKind.IMPTRAP)
-    jac = differentiate(mr, detect_pattern(mr))
+    jac = differentiate(detect_pattern(mr))
     asm = JacobianAssembler(jac, mr.layout)
     b = np.array([0.0, 1.0])
     m1 = asm.assemble(np.zeros(2), b, 0.1, np.zeros(0))
@@ -108,6 +108,15 @@ def test_assembler_reuses_structure_buffers():
     fresh = JacobianAssembler(jac, mr.layout).assemble(np.zeros(2), b, 0.5, np.zeros(0))
     assert not np.array_equal(m2.values, values)
     assert np.array_equal(m2.values, fresh.values)
+
+
+def test_nonfinite_jacobian_raises_nonfinite_residual():
+    # d/dy of ln(y) is 1/y: at y = 0 the EB entry 1 - h/y is not finite
+    sysd = DaeSystem(ode_rhs=(ex.ln(ex.U(1)),), alg_residual=(), var_names=("y",), y0z0=(0.0,))
+    mr = build_residual(sysd, MethodKind.EB)
+    asm = JacobianAssembler(differentiate(detect_pattern(mr)), mr.layout)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteResidual, match="row 1, col 1"):
+        asm.assemble(np.zeros(1), np.zeros(1), 0.1, np.zeros(0))
 
 
 def test_structure_is_validated_once_per_assembler(monkeypatch):

@@ -31,7 +31,7 @@ def compiled(mr: MethodResidual, monkeypatch, rng):
 
     monkeypatch.setattr(codegen, "compile", recording_compile, raising=False)
     res = CompiledResidual(mr.groups, mr.n, mr.layout)
-    asm = JacobianAssembler(differentiate(mr, detect_pattern(mr)), mr.layout)
+    asm = JacobianAssembler(differentiate(detect_pattern(mr)), mr.layout)
     monkeypatch.undo()
     sysn = mr.system
     res.set_params(sysn.params)
@@ -40,7 +40,7 @@ def compiled(mr: MethodResidual, monkeypatch, rng):
     uu = 0.05 * rng.standard_normal(mr.n)
     r = res.evaluate(uu).copy()
     values = asm.assemble(uu, res.b, res.h, res.p).values.copy()
-    return sources, asm.indptr, asm.rowind, r, values
+    return sources, asm.matrix.indptr, asm.matrix.rowind, r, values
 
 
 def two_odes(f1, f2):
@@ -64,7 +64,7 @@ def test_lowering_per_shape_matches_the_per_row_reference(name, kind, monkeypatc
     sysn = SYSTEMS[name]()
     mr = build_residual(sysn, kind)
     ref_rows = reference_rows(sysn, kind)
-    ref = MethodResidual(system=sysn, kind=kind, layout=mr.layout,
+    ref = MethodResidual(system=sysn, layout=mr.layout,
                          groups=tuple(group_shapes(ref_rows, mr.layout)), n=len(ref_rows))
     for got, want in zip(mr.groups, ref.groups):
         assert (got.text, got.expr, got.names) == (want.text, want.expr, want.names)

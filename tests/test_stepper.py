@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sparsedae import expr as ex
-from sparsedae.errors import NonFiniteResidual, NonFiniteValue
+from sparsedae.errors import NonFiniteResidual
 from sparsedae.problemfile import parse_problem_text
 from sparsedae.problems import example1
 from sparsedae.stepper import (
@@ -65,17 +65,19 @@ def test_richardson_combinations():
 
 
 def test_backward_euler_single_step_closed_form():
-    # y' = -y: one EB step gives y0/(1+h); two half steps give y0/(1+h/2)^2
-    h = 0.1
-    st = Stepper(decay(), SolverOptions(tf=1.0, atol=1e-13, method=MethodKind.EB,
-                                        iter=40))
-    state, _ = st.initialize()
-    assert state == pytest.approx([1.0])
-    f = st._factorize(state, h)
-    trial = st.attempt_step(state, 0.0, h, f)
-    assert trial.y_h == pytest.approx([1.0 / 1.1], abs=1e-12)
-    assert trial.y_h2 == pytest.approx([1.0 / 1.05 ** 2], abs=1e-12)
-    assert trial.y_err == pytest.approx(trial.y_h2 - trial.y_h, abs=1e-15)
+    # y' = -y: one EB step gives y0/(1+h); two half steps give y0/(1+h/2)^2;
+    # the estimate is their difference, extrapolation adds it to the latter
+    h, atol = 0.1, 1e-13
+    y_h, y_h2 = 1.0 / 1.1, 1.0 / 1.05 ** 2
+    a = abs(y_h2 - y_h)
+    for extrapolate, want in ((False, y_h2), (True, 2 * y_h2 - y_h)):
+        st = Stepper(decay(), SolverOptions(tf=1.0, atol=atol, method=MethodKind.EB,
+                                            iter=40, extrapolate=extrapolate))
+        state, _ = st.initialize()
+        assert state == pytest.approx([1.0])
+        y, err = st.attempt_step(state, h, st._factorize(state, h))
+        assert y == pytest.approx([want], abs=1e-12)
+        assert err == pytest.approx(a / (atol + a * 10 * atol), rel=1e-8)
 
 
 def test_nonfinite_step_reports_infinite_error():
@@ -85,8 +87,8 @@ def test_nonfinite_step_reports_infinite_error():
                                      hinit=1e-3, iter=50))
     state, f = st.initialize()
     # a huge step drives the iterate negative and ln out of its domain
-    trial = st.attempt_step(np.array([0.5]), 0.0, 1.0, f)
-    assert trial.err == math.inf and trial.y_h is None
+    y, err = st.attempt_step(np.array([0.5]), 1.0, f)
+    assert err == math.inf and y is None
 
 
 SQRT_DECAY = """
@@ -119,7 +121,7 @@ def test_nonfinite_jacobian_in_fixed_step_mode_raises(monkeypatch):
     def second_fails(*args):
         calls.append(args)
         if len(calls) == 2:   # the first refresh after initialization
-            raise NonFiniteValue("non-finite Jacobian entry at row 1, col 1")
+            raise NonFiniteResidual("non-finite Jacobian entry at row 1, col 1")
         return assemble(*args)
 
     monkeypatch.setattr(st.assembler, "assemble", second_fails)
@@ -169,7 +171,7 @@ def test_fixed_step_driver():
     opt = SolverOptions(tf=1.0, atol=1e-10, method=MethodKind.CN,
                         fixed_h=0.05, iter=10, hinit=0.05, hmax=0.05)
     traj = integrate_fixed(decay(), opt)
-    assert traj.accepted == 20
+    assert traj.accepted == traj.jac_updates == traj.lu_count == 20
     assert traj.final_time == 1.0
     assert traj.final_state[0] == pytest.approx(math.exp(-1.0), abs=1e-7)
     with pytest.raises(ValueError):
