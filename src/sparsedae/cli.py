@@ -8,8 +8,11 @@ Subcommands::
     pattern   dump a method's Jacobian sparsity pattern as Matrix Market
 
 Exit codes: 0 success, 1 configuration/parse errors, 2 integration stopped
-early (TooManySteps / StepUnderflow; partial CSV still written).  Diagnostics
-go to stderr; data goes to stdout only with --stdout.
+early (TooManySteps / StepUnderflow, also a fixed step that leaves the
+domain; partial CSV still written).  A config key that is not a solver-option
+name, a key or problem-file name given twice, and a problem flag the problem
+does not take (--phi for ex2, --N for a problem file) are errors, exit 1.
+Diagnostics go to stderr; data goes to stdout only with --stdout.
 """
 
 from __future__ import annotations
@@ -17,43 +20,53 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, TextIO
 
 import numpy as np
 
 from .errors import SparseDaeError
 from .jacobian import detect_pattern
 from .linalg import SparseMatrix, write_matrix_market
-from .problemfile import load_problem
-from .problems import BUILTIN_GRIDDED, BUILTINS, ORACLES, make_builtin, probe
+from .problemfile import load_problem, numbered_lines, read_assignments
+from .problems import BUILTINS, ORACLES, builtin_keywords, make_builtin, probe
 from .stepper import SolverOptions, Status, integrate, integrate_fixed
 from .system import MethodKind, build_residual
 
 
-def _read_config(path: str) -> Dict[str, str]:
-    cfg = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise SparseDaeError(f"{path}:{no}: expected key=value")
-            cfg[key.strip().replace("-", "_")] = value.strip()
-    return cfg
+# problem flag -> (keyword of the builtin constructors, type, help)
+PROBLEM_FLAGS = {
+    "--N": ("n", int, "grid cells in x (PDE problems)"),
+    "--M": ("m", int, "grid cells in y (2-D problems)"),
+    "--phi": ("phi", float, "ex5 reaction modulus"),
+    "--c0": ("c0", float, "ex5 interior initial value"),
+    "--Dx": ("dx_coeff", float, "ex6 x-diffusivity"),
+    "--Dy": ("dy_coeff", float, "ex6 y-diffusivity"),
+    "--Da": ("da", float, "ex6 Damkohler number"),
+    "--delta": ("delta", float, "ex6 applied current"),
+}
+
+
+def _yes_no(value) -> bool:
+    """0/1, false/true or no/yes, in any case."""
+    text = str(value).lower()
+    if text not in ("0", "1", "false", "true", "no", "yes"):
+        raise ValueError(f"expected 0/1, false/true or no/yes, not {value!r}")
+    return text in ("1", "true", "yes")
+
+
+# SolverOptions field -> cast of its flag or config value; each field is the
+# dest of one flag and the name of one config key (rtol has neither)
+SOLVER_OPTIONS: Dict[str, Callable] = {
+    "tf": float, "atol": float, "hinit": float, "hmax": float, "ntot": int,
+    "iter": int, "fixed_h": float, "method": MethodKind, "norm": str,
+    "err_denominator": str, "extrapolate": _yes_no,
+}
 
 
 def _add_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("problem", help="builtin id (%s) or a problem-file path" % ", ".join(BUILTINS))
-    p.add_argument("--N", type=int, default=None, help="grid cells in x (PDE problems)")
-    p.add_argument("--M", type=int, default=None, help="grid cells in y (2-D problems)")
-    p.add_argument("--phi", type=float, default=None, help="ex5 reaction modulus (default 0.5)")
-    p.add_argument("--c0", type=float, default=None, help="ex5 interior initial value (default 0)")
-    p.add_argument("--Dx", type=float, default=None, help="ex6 x-diffusivity (default 1)")
-    p.add_argument("--Dy", type=float, default=None, help="ex6 y-diffusivity (default 1)")
-    p.add_argument("--Da", type=float, default=None, help="ex6 Damkohler number (default 1)")
-    p.add_argument("--delta", type=float, default=None, help="ex6 applied current (default 1)")
+    for flag, (dest, type_, help_) in PROBLEM_FLAGS.items():
+        p.add_argument(flag, dest=dest, metavar=flag[2:].upper(), type=type_, help=help_)
 
 
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
@@ -64,90 +77,56 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hinit", type=float, default=None)
     p.add_argument("--hmax", type=float, default=None)
     p.add_argument("--ntot", type=int, default=None)
-    p.add_argument("--iter", type=int, default=None, dest="iter_")
+    p.add_argument("--iter", type=int, default=None)
     p.add_argument("--fixed-h", type=float, default=None)
-    p.add_argument("--no-extrapolate", action="store_true")
+    p.add_argument("--no-extrapolate", dest="extrapolate", action="store_const", const=False)
     p.add_argument("--norm", default=None, choices=["inf", "rms"])
     p.add_argument("--err-denominator", default=None, choices=["literal", "standard"])
 
 
-def _build_problem(args, n=None):
-    """The system ``args`` names; ``n``, when given, replaces ``--N``."""
+def _build_problem(args, **override):
+    """The system ``args`` names; keywords in ``override`` replace their flags."""
     name = args.problem
-    if name in BUILTINS:
-        kw = {}
-        n = args.N if n is None else n
-        if n is not None:
-            kw["n"] = n
-        if args.M is not None:
-            kw["m"] = args.M
-        if args.phi is not None:
-            kw["phi"] = args.phi
-        if args.c0 is not None:
-            kw["c0"] = args.c0
-        if args.Dx is not None:
-            kw["dx_coeff"] = args.Dx
-        if args.Dy is not None:
-            kw["dy_coeff"] = args.Dy
-        if args.Da is not None:
-            kw["da"] = args.Da
-        if args.delta is not None:
-            kw["delta"] = args.delta
-        return make_builtin(name, **kw)
-    if not os.path.exists(name):
+    kw = {dest: getattr(args, dest) for dest, _, _ in PROBLEM_FLAGS.values()
+          if getattr(args, dest) is not None}
+    kw.update(override)
+    if name not in BUILTINS and not os.path.exists(name):
         raise SparseDaeError(f"no builtin problem and no file named {name!r}")
-    return load_problem(name)
+    takes = builtin_keywords(name) if name in BUILTINS else ()
+    stray = [flag for flag, (dest, _, _) in PROBLEM_FLAGS.items() if dest in kw and dest not in takes]
+    if stray:
+        raise SparseDaeError(f"problem {name!r} does not take {', '.join(stray)}")
+    return make_builtin(name, **kw) if name in BUILTINS else load_problem(name)
 
 
-def _build_options(args, cfg: Dict[str, str]) -> SolverOptions:
-    def pick(flag_value, key, cast):
-        if flag_value is not None:
-            return flag_value
-        if key in cfg:
-            return cast(cfg[key])
-        return None
-
-    tf = pick(args.tf, "tf", float)
-    if tf is None:
+def _build_options(args) -> SolverOptions:
+    """The solver options of the flags, and of the --config file for the
+    fields no flag sets; config keys may spell ``_`` as ``-``."""
+    kw = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            kw = read_assignments(numbered_lines(fh), lambda key, text: SOLVER_OPTIONS[key](text),
+                                  args.config, key=lambda key: key.replace("-", "_"))
+    for field, cast in SOLVER_OPTIONS.items():
+        if getattr(args, field) is not None:
+            kw[field] = cast(getattr(args, field))
+    if "tf" not in kw:
         raise SparseDaeError("--tf is required (or set tf= in the config file)")
-    kw = dict(tf=tf)
-    atol = pick(args.atol, "atol", float)
-    if atol is not None:
-        kw["atol"] = atol
-    for name, key, cast in (
-        ("hinit", "hinit", float), ("hmax", "hmax", float),
-        ("fixed_h", "fixed_h", float), ("norm", "norm", str),
-        ("err_denominator", "err_denominator", str),
-    ):
-        v = pick(getattr(args, name), key, cast)
-        if v is not None:
-            kw[name] = v
-    ntot = pick(args.ntot, "ntot", int)
-    if ntot is not None:
-        kw["ntot"] = ntot
-    it = pick(args.iter_, "iter", int)
-    if it is not None:
-        kw["iter"] = it
-    method = pick(args.method, "method", str)
-    if method is not None:
-        kw["method"] = MethodKind(method)
-    if args.no_extrapolate or cfg.get("extrapolate", "").lower() in ("0", "false", "no"):
-        kw["extrapolate"] = False
     return SolverOptions(**kw)
 
 
-def _write_trajectory(traj, sys_, observables: List[str], out: Optional[str], to_stdout: bool):
-    def emit(fh):
-        traj.write_csv(fh)
-        for name in observables:
-            value = probe(traj.final_state, sys_, name)
-            fh.write(f"# observable {name} at t={traj.final_time:.17g}: {value:.17g}\n")
-
+def _write_output(args, write: Callable[[TextIO], None], default_out: Optional[str] = None) -> bool:
+    """``write`` to --out, or to ``default_out`` when neither --out nor
+    --stdout is given, and to stdout with --stdout or when no file is
+    written.  True when stdout was written."""
+    out = args.out or (None if args.stdout else default_out)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            emit(fh)
-    if to_stdout:
-        emit(sys.stdout)
+            write(fh)
+    if args.stdout or not out:
+        write(sys.stdout)
+        return True
+    return False
 
 
 def _integrate(sys_, options: SolverOptions):
@@ -156,28 +135,29 @@ def _integrate(sys_, options: SolverOptions):
 
 
 def cmd_solve(args) -> int:
-    cfg = _read_config(args.config) if args.config else {}
     sys_ = _build_problem(args)
-    options = _build_options(args, cfg)
-    traj = _integrate(sys_, options)
-    out = args.out
-    if out is None and not args.stdout:
-        out = "solution.csv"
-    _write_trajectory(traj, sys_, args.observable or [], out, args.stdout)
+    traj = _integrate(sys_, _build_options(args))
+
+    def write(fh):
+        traj.write_csv(fh)
+        for name in args.observable or []:
+            value = probe(traj.final_state, sys_, name)
+            fh.write(f"# observable {name} at t={traj.final_time:.17g}: {value:.17g}\n")
+
+    _write_output(args, write, default_out="solution.csv")
     print(traj.message, file=sys.stderr)
     return 0 if traj.status is Status.SUCCESS else 2
 
 
 def cmd_converge(args) -> int:
-    cfg = _read_config(args.config) if args.config else {}
-    if args.problem not in BUILTIN_GRIDDED:
-        raise SparseDaeError("converge needs a builtin PDE problem (ex4, ex5, ex6)")
-    options = _build_options(args, cfg)
-    n_list = [int(s) for s in args.n_list.split(",")]
+    if args.problem not in BUILTINS or "n" not in builtin_keywords(args.problem):
+        gridded = ", ".join(k for k in BUILTINS if "n" in builtin_keywords(k))
+        raise SparseDaeError(f"converge needs a builtin PDE problem ({gridded})")
+    options = _build_options(args)
     rows = []
     obs_names = None
-    for n in n_list:
-        sys_ = _build_problem(args, n)
+    for n in [int(s) for s in args.n_list.split(",")]:
+        sys_ = _build_problem(args, n=n)
         if obs_names is None:
             obs_names = args.observable or sorted(sys_.observables)
         traj = _integrate(sys_, options)
@@ -185,20 +165,14 @@ def cmd_converge(args) -> int:
             raise SparseDaeError(f"N={n}: integration stopped: {traj.message}")
         rows.append([n] + [probe(traj.final_state, sys_, o) for o in obs_names])
 
-    monotone = all(
-        all(np.diff([r[k] for r in rows]) > 0) or all(np.diff([r[k] for r in rows]) < 0)
-        for k in range(1, len(obs_names) + 1)
-    ) if len(rows) > 1 else True
+    monotone = all(all(np.diff(col) > 0) or all(np.diff(col) < 0)
+                   for col in zip(*(r[1:] for r in rows)))
 
     lines = ["N," + ",".join(obs_names)]
     lines += [",".join([str(r[0])] + [f"{v:.15g}" for v in r[1:]]) for r in rows]
     lines.append(f"# monotone={'true' if monotone else 'false'}")
     text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    if args.stdout or not args.out:
-        sys.stdout.write(text)
+    if _write_output(args, lambda fh: fh.write(text)):
         # companion markdown table
         md = ["| N | " + " | ".join(obs_names) + " |",
               "|" + "---|" * (len(obs_names) + 1)]
@@ -208,15 +182,14 @@ def cmd_converge(args) -> int:
 
 
 def cmd_orders(args) -> int:
-    cfg = _read_config(args.config) if args.config else {}
     if args.problem not in ORACLES:
         raise SparseDaeError(f"orders needs a problem with an exact-solution oracle: {sorted(ORACLES)}")
     oracle = ORACLES[args.problem]
     sys_ = _build_problem(args)
-    options = _build_options(args, cfg)
+    options = _build_options(args)
     h_list = [float(s) for s in args.h_list.split(",")]
     out_lines = ["method,extrapolated,h,endpoint_error"]
-    report = []
+    slopes = []
     for method in ([MethodKind(args.method)] if args.method else list(MethodKind)):
         for extrapolate in (False, True):
             errs = []
@@ -231,21 +204,17 @@ def cmd_orders(args) -> int:
                     extrapolate=extrapolate, fixed_h=h,
                 )
                 traj = integrate_fixed(sys_, opt)
+                if traj.status is not Status.SUCCESS:
+                    raise SparseDaeError(f"{method.value} h={h:g}: integration stopped: {traj.message}")
                 exact = oracle(options.tf)
                 err = float(np.max(np.abs(traj.final_state[: len(exact)] - exact)))
                 errs.append(err)
                 out_lines.append(f"{method.value},{extrapolate},{h:.17g},{err:.17g}")
             slope = float(np.polyfit(np.log(h_list), np.log(errs), 1)[0])
-            report.append((method.value, extrapolate, slope))
-    for name, extrapolate, slope in report:
-        tag = "extrapolated" if extrapolate else "raw"
-        out_lines.append(f"# slope {name} {tag} = {slope:.3f}")
-    text = "\n".join(out_lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    if args.stdout or not args.out:
-        sys.stdout.write(text)
+            tag = "extrapolated" if extrapolate else "raw"
+            slopes.append(f"# slope {method.value} {tag} = {slope:.3f}")
+    text = "\n".join(out_lines + slopes) + "\n"
+    _write_output(args, lambda fh: fh.write(text))
     return 0
 
 
@@ -254,11 +223,7 @@ def cmd_pattern(args) -> int:
     method = MethodKind(args.method or "imptrap")
     pat = detect_pattern(build_residual(sys_, method))
     mat = SparseMatrix(pat.n, pat.indptr, pat.rowind, np.ones(pat.nnz))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_matrix_market(mat, fh, pattern_only=True)
-    else:
-        write_matrix_market(mat, sys.stdout, pattern_only=True)
+    _write_output(args, lambda fh: write_matrix_market(mat, fh, pattern_only=True))
     return 0
 
 
@@ -297,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_args(p)
     p.add_argument("--method", default=None, choices=[k.value for k in MethodKind])
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_pattern)
+    p.set_defaults(fn=cmd_pattern, stdout=False)
     return ap
 
 

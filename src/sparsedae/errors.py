@@ -57,8 +57,9 @@ class UnknownObservable(SparseDaeError):
 
 
 class ProblemFileError(SparseDaeError):
-    """Problem-file parse error, with a line number."""
+    """Problem-file or config-file parse error, with a line number and, when
+    known, the file's path."""
 
-    def __init__(self, line_no: int, message: str):
+    def __init__(self, line_no: int, message: str, path: str = ""):
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(f"{path}:{line_no}: {message}" if path else f"line {line_no}: {message}")

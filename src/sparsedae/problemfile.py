@@ -9,12 +9,13 @@ Sections::
                                      for algebraic variables)
 
 Variable order follows the file: ODE variables in [odes] order, then the
-remaining [init] names in their order (the algebraic variables).
+remaining [init] names in their order (the algebraic variables).  Names in
+[params], and in [init], must be unique.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from .errors import ProblemFileError
 from .grammar import ExprSyntaxError, parse_expr
@@ -23,13 +24,45 @@ from .system import DaeSystem
 _SECTIONS = ("params", "odes", "algebraic", "init")
 
 
+def numbered_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
+    """(line number, text) of each line left non-blank by cutting its ``#`` comment."""
+    for no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield no, line
+
+
+def read_assignments(lines: Iterable[Tuple[int, str]],
+                     cast: Callable[[str, str], object] = lambda _name, text: float(text),
+                     path: str = "", key: Callable[[str], str] = str) -> Dict[str, object]:
+    """``{name: cast(name, value)}`` from numbered ``name = value`` lines, in
+    file order, each name stripped and then mapped through ``key``.  Parses
+    [params], [init] and the CLI's config files.
+
+    A line without ``=``, a name seen before, or a value that ``cast``
+    rejects (ValueError, or KeyError for a name it does not know) raises
+    ProblemFileError with the line number and ``path``."""
+    out: Dict[str, object] = {}
+    for no, line in lines:
+        name, sep, text = line.partition("=")
+        name, text = key(name.strip()), text.strip()
+        if not sep:
+            raise ProblemFileError(no, "expected 'name = value'", path)
+        if name in out:
+            raise ProblemFileError(no, f"{name!r} is set twice", path)
+        try:
+            out[name] = cast(name, text)
+        except KeyError:
+            raise ProblemFileError(no, f"unknown name {name!r}", path)
+        except ValueError:
+            raise ProblemFileError(no, f"bad value {text!r} for {name!r}", path)
+    return out
+
+
 def _split_sections(lines):
     section = None
     out = {s: [] for s in _SECTIONS}
-    for no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for no, line in numbered_lines(lines):
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
             if name not in _SECTIONS:
@@ -41,18 +74,10 @@ def _split_sections(lines):
         out[section].append((no, line))
     return out
 
+
 def parse_problem_text(text: str) -> DaeSystem:
     sections = _split_sections(text.splitlines())
-
-    params: Dict[str, float] = {}
-    for no, line in sections["params"]:
-        name, _, value = line.partition("=")
-        if not _:
-            raise ProblemFileError(no, "expected 'name = value'")
-        try:
-            params[name.strip()] = float(value)
-        except ValueError:
-            raise ProblemFileError(no, f"bad numeric value {value.strip()!r}")
+    params = read_assignments(sections["params"])
 
     ode_defs: List[Tuple[int, str, str]] = []
     for no, line in sections["odes"]:
@@ -64,26 +89,13 @@ def parse_problem_text(text: str) -> DaeSystem:
             raise ProblemFileError(no, "ODE left-hand side must end with '")
         ode_defs.append((no, lhs[:-1].strip(), rhs.strip()))
 
-    init: Dict[str, float] = {}
-    init_order: List[str] = []
-    for no, line in sections["init"]:
-        name, _, value = line.partition("=")
-        if not _:
-            raise ProblemFileError(no, "expected 'name = value'")
-        name = name.strip()
-        if name in init:
-            raise ProblemFileError(no, f"duplicate initial value for {name!r}")
-        try:
-            init[name] = float(value)
-        except ValueError:
-            raise ProblemFileError(no, f"bad numeric value {value.strip()!r}")
-        init_order.append(name)
+    init = read_assignments(sections["init"])
 
     ode_names = [name for _, name, _ in ode_defs]
     for no, name, _ in ode_defs:
         if name not in init:
             raise ProblemFileError(no, f"ODE variable {name!r} has no [init] entry")
-    alg_names = [n for n in init_order if n not in set(ode_names)]
+    alg_names = [n for n in init if n not in set(ode_names)]
     var_names = ode_names + alg_names
 
     def parse_rhs(no: int, text_: str):
@@ -96,12 +108,10 @@ def parse_problem_text(text: str) -> DaeSystem:
 
     alg: List = []
     for no, line in sections["algebraic"]:
-        lhs, _, rhs = line.partition("=")
-        if not _:
+        lhs, sep, rhs = line.partition("=")
+        if not sep:
             raise ProblemFileError(no, "expected 'expr = 0'")
-        left = parse_rhs(no, lhs.strip())
-        right = parse_rhs(no, rhs.strip())
-        alg.append(left - right)
+        alg.append(parse_rhs(no, lhs.strip()) - parse_rhs(no, rhs.strip()))
 
     if len(alg) != len(alg_names):
         raise ProblemFileError(

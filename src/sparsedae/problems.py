@@ -11,21 +11,23 @@ The PDE problems make every ghost node a first-class algebraic unknown whose
 defining equation is the boundary condition; that is what produces system
 sizes 2N+4, NM+2N+2M, and 2NM+4N+4M.
 
-ex6's physical parameters are not calibrated against published data; the
-defaults Dx=Dy=Da=delta=1 are placeholders and all four are settable.  The
+ex6's physical parameters are not calibrated against published data; their
+defaults are placeholders and all four are settable.  The
 electrode rows at x=0 use face averages: the concentration flux balances
 Da*c_face*phi_face and the potential flux balances Da*phi_face.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import expr as ex
-from .errors import InvalidGrid, UnknownObservable
+from .errors import InvalidGrid, SparseDaeError, UnknownObservable
 from .system import DaeSystem
 
 
@@ -41,14 +43,9 @@ def example1() -> DaeSystem:
 
 def example1_piecewise() -> DaeSystem:
     """ex1 with a piecewise right-hand side: y' = z * (1 if z >= 0.7 else 1/2)."""
-    y, z = ex.U(1), ex.U(2)
+    z = ex.U(2)
     gain = ex.piecewise((ex.Branch(z, ">=", 0.7, ex.Const(1.0)),), ex.Const(0.5))
-    return DaeSystem(
-        ode_rhs=(z * gain,),
-        alg_residual=(y * y + z * z - 1.0,),
-        var_names=("y", "z"),
-        y0z0=(0.0, 0.95),
-    )
+    return replace(example1(), ode_rhs=(z * gain,))
 
 
 def example2() -> DaeSystem:
@@ -83,7 +80,7 @@ def decay() -> DaeSystem:
     )
 
 
-def example4(n: int) -> DaeSystem:
+def example4(n: int = 4) -> DaeSystem:
     """1-D PDE pair with ghost nodes; 2n+4 unknowns.
 
     Layout: c_1..c_n (ODE), then z_1..z_n, c_0, c_{n+1}, z_0, z_{n+1}."""
@@ -92,32 +89,22 @@ def example4(n: int) -> DaeSystem:
     dx = 1.0 / n
     inv_dx2 = 1.0 / (dx * dx)
 
-    def c(i):  # 0..n+1 with ghosts
-        if i == 0:
-            return ex.U(2 * n + 1)
-        if i == n + 1:
-            return ex.U(2 * n + 2)
-        return ex.U(i)
-
-    def z(i):
-        if i == 0:
-            return ex.U(2 * n + 3)
-        if i == n + 1:
-            return ex.U(2 * n + 4)
-        return ex.U(n + i)
+    # c[i] and z[i] for i = 0..n+1, ghosts at both ends
+    c = [ex.U(k) for k in (2 * n + 1, *range(1, n + 1), 2 * n + 2)]
+    z = [ex.U(k) for k in (2 * n + 3, *range(n + 1, 2 * n + 1), 2 * n + 4)]
 
     odes = tuple(
-        (c(i + 1) - 2.0 * c(i) + c(i - 1)) * inv_dx2 - c(i) * (1.0 + z(i))
+        (c[i + 1] - 2.0 * c[i] + c[i - 1]) * inv_dx2 - c[i] * (1.0 + z[i])
         for i in range(1, n + 1)
     )
     alg: List[ex.Expr] = [
-        (z(i + 1) - 2.0 * z(i) + z(i - 1)) * inv_dx2 - (1.0 - c(i) * c(i)) * ex.exp(-z(i))
+        (z[i + 1] - 2.0 * z[i] + z[i - 1]) * inv_dx2 - (1.0 - c[i] * c[i]) * ex.exp(-z[i])
         for i in range(1, n + 1)
     ]
-    alg.append((c(1) - c(0)) / dx)
-    alg.append((c(n) + c(n + 1)) * 0.5 - 1.0)
-    alg.append((z(1) - z(0)) / dx)
-    alg.append((z(n) + z(n + 1)) * 0.5)
+    alg.append((c[1] - c[0]) / dx)
+    alg.append((c[n] + c[n + 1]) * 0.5 - 1.0)
+    alg.append((z[1] - z[0]) / dx)
+    alg.append((z[n] + z[n + 1]) * 0.5)
 
     names = ([f"c_{i}" for i in range(1, n + 1)]
              + [f"z_{i}" for i in range(1, n + 1)]
@@ -177,13 +164,17 @@ class _Grid:
         return cells, ghosts
 
 
-def example5(n: int, m: int, phi: float = 0.5, c0: float = 0.0) -> DaeSystem:
-    """2-D diffusion-consumption on the unit square; n*m + 2n + 2m unknowns.
+def example5(n: int = 4, m: Optional[int] = None, phi: float = 0.5,
+             c0: float = 0.0) -> DaeSystem:
+    """2-D diffusion-consumption on the unit square; n*m + 2n + 2m unknowns,
+    M defaults to N.
 
     Interior cells are ODE variables; the four ghost layers are algebraic
     (no corner ghosts: the five-point stencil never touches them).  ``c0``
     sets the interior initial value; with the walls held at 1, c0=0 starts
     a sharp boundary layer while c0=1 starts from wall equilibrium."""
+    if m is None:
+        m = n
     if n < 2 or m < 2:
         raise InvalidGrid("example5 needs N, M >= 2")
     dx, dy = 1.0 / n, 1.0 / m
@@ -231,7 +222,7 @@ def example5(n: int, m: int, phi: float = 0.5, c0: float = 0.0) -> DaeSystem:
     )
 
 
-def example6(n: int, m: Optional[int] = None, dx_coeff: float = 1.0,
+def example6(n: int = 4, m: Optional[int] = None, dx_coeff: float = 1.0,
              dy_coeff: float = 1.0, da: float = 1.0, delta: float = 1.0) -> DaeSystem:
     """2-D electrolyte model; 2nm + 4n + 4m unknowns, M defaults to 2N.
 
@@ -345,29 +336,23 @@ ORACLES: Dict[str, Callable[[float], np.ndarray]] = {
 }
 
 
-BUILTIN_GRIDDED = {"ex4", "ex5", "ex6"}
-
-
-# builtin id -> constructor, called with every keyword of ``make_builtin``
+# builtin id -> constructor, whose signature holds the builtin's keywords
+# and their defaults
 BUILTINS: Dict[str, Callable[..., DaeSystem]] = {
-    "ex1": lambda **_: example1(),
-    "ex1pw": lambda **_: example1_piecewise(),
-    "ex2": lambda **_: example2(),
-    "ex3": lambda **_: example3(),
-    "ex4": lambda n, **_: example4(n),
-    "ex5": lambda n, m, phi, c0, **_: example5(n, n if m is None else m, phi, c0),
-    "ex6": lambda n, m, dx_coeff, dy_coeff, da, delta, **_: example6(
-        n, m, dx_coeff, dy_coeff, da, delta),
-    "decay": lambda **_: decay(),
+    "ex1": example1, "ex1pw": example1_piecewise, "ex2": example2, "ex3": example3,
+    "ex4": example4, "ex5": example5, "ex6": example6, "decay": decay,
 }
 
 
-def make_builtin(name: str, n: int = 4, m: Optional[int] = None,
-                 phi: float = 0.5, c0: float = 0.0,
-                 dx_coeff: float = 1.0, dy_coeff: float = 1.0,
-                 da: float = 1.0, delta: float = 1.0) -> DaeSystem:
-    """CLI-facing constructor for the builtin problems."""
-    if name not in BUILTINS:
-        raise KeyError(f"unknown builtin problem {name!r}")
-    return BUILTINS[name](n=n, m=m, phi=phi, c0=c0, dx_coeff=dx_coeff,
-                          dy_coeff=dy_coeff, da=da, delta=delta)
+def builtin_keywords(name: str) -> Tuple[str, ...]:
+    """The keywords that builtin ``name``'s constructor takes."""
+    return tuple(inspect.signature(BUILTINS[name]).parameters)
+
+
+def make_builtin(name: str, **kw) -> DaeSystem:
+    """The builtin problem ``name`` built with keywords ``kw``; KeyError for an
+    unknown id, SparseDaeError for a keyword its constructor does not take."""
+    stray = [k for k in kw if k not in builtin_keywords(name)]
+    if stray:
+        raise SparseDaeError(f"builtin {name} takes no keyword {stray[0]!r}")
+    return BUILTINS[name](**kw)

@@ -325,9 +325,10 @@ class Stepper:
 
     @np.errstate(all="ignore")
     def integrate_fixed(self) -> Trajectory:
-        """Fixed-step mode for order verification: every step accepted,
-        Jacobian refreshed every step, extrapolation per options.  Stops
-        with TOO_MANY_STEPS after ``ntot`` steps, as ``integrate`` does."""
+        """Fixed-step mode for order verification: Jacobian refreshed every
+        step, extrapolation per options.  Stops with TOO_MANY_STEPS after
+        ``ntot`` steps, as ``integrate`` does, and with STEP_UNDERFLOW, one
+        step rejected, when a step leaves the domain, since h cannot shrink."""
         opt = self.options
         h = opt.fixed_h
         if h is None or h <= 0:
@@ -341,9 +342,12 @@ class Stepper:
                 traj.status = Status.TOO_MANY_STEPS
                 break
             f = self._refresh(state, h, traj)
-            state = None if f is None else self.attempt_step(state, h, f)[0]
-            if state is None:
-                raise NonFiniteResidual(f"fixed step at t={k * h} left the domain")
+            new = None if f is None else self.attempt_step(state, h, f)[0]
+            if new is None:
+                traj.rejected += 1
+                traj.status = Status.STEP_UNDERFLOW
+                break
+            state = new
             traj.accepted += 1
             traj.record(opt.tf if k == nsteps - 1 else (k + 1) * h, state)
         return traj

@@ -130,7 +130,6 @@ class MethodResidual:
     text written with ``layout``'s parameter slots.
     """
 
-    system: DaeSystem
     layout: ParamLayout
     groups: Tuple[ShapeGroup, ...]
     n: int
@@ -224,7 +223,7 @@ def build_residual(sys: DaeSystem, kind: MethodKind) -> MethodResidual:
             f"algebraic equation {min(blind) - n_ode + 1} references no algebraic variable; "
             f"{kind.value} cannot project it at the step endpoint"
         )
-    return MethodResidual(system=sys, layout=layout, groups=tuple(merge_blocks(blocks)),
+    return MethodResidual(layout=layout, groups=tuple(merge_blocks(blocks)),
                           n=kind.stage_multiplier * n_t)
 
 

@@ -5,7 +5,8 @@ import warnings
 
 import pytest
 
-from sparsedae.cli import main
+from sparsedae.cli import PROBLEM_FLAGS, main
+from sparsedae.problems import BUILTINS, builtin_keywords
 
 VDP = """\
 [params]
@@ -118,6 +119,76 @@ def test_fixed_step_stops_at_ntot(capsys):
     assert code == 2
     assert out.splitlines()[-1].startswith("# accepted=5,")
     assert "TooManySteps" in err
+
+
+def test_fixed_step_run_that_leaves_the_domain_exits_2_with_the_partial_csv(capsys, tmp_path):
+    prob = tmp_path / "sqrt.prob"
+    prob.write_text("[odes]\nx' = -x^0.5 - 1\n[init]\nx = 1.0\n")
+    code, out, err = run(capsys, "solve", str(prob), "--tf", "3", "--fixed-h", "0.1", "--stdout")
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0] == "t,x"
+    assert len(lines) == 1 + 7 + 1   # header, t = 0 .. 0.6, summary
+    assert lines[-1].startswith("# accepted=6, rejected=1,")
+    assert "StepUnderflow" in err
+
+
+def test_config_keys_are_solver_option_names(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tf = 1.0\natoll = 1e-12\n")
+    code, out, err = run(capsys, "solve", "ex1", "--config", str(cfg), "--stdout")
+    assert (code, out) == (1, "")
+    assert "atoll" in err and f"{cfg}:2:" in err
+    cfg.write_text("tf = 1.0\nmethd = rad\n")
+    assert run(capsys, "solve", "ex1", "--config", str(cfg), "--stdout")[0] == 1
+
+
+def test_repeated_config_key_exits_1(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tf = 1.0\natol = 1e-6\n# again\natol = 1e-8\n")
+    code, out, err = run(capsys, "solve", "ex1", "--config", str(cfg), "--stdout")
+    assert (code, out) == (1, "")
+    assert f"{cfg}:4:" in err and "atol" in err
+
+
+def test_config_extrapolate_takes_yes_no_values(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    outs = {}
+    for value in ("no", "False", "0", "yes", "1"):
+        cfg.write_text(f"tf = 1.0\nextrapolate = {value}\n")
+        code, outs[value], _ = run(capsys, "solve", "decay", "--config", str(cfg), "--stdout")
+        assert code == 0
+    assert outs["no"] == outs["False"] == outs["0"]
+    assert outs["yes"] == outs["1"] != outs["no"]
+    # the flag gives what the config's "no" gives
+    assert run(capsys, "solve", "decay", "--tf", "1.0", "--no-extrapolate", "--stdout")[1] == outs["no"]
+    cfg.write_text("tf = 1.0\nextrapolate = maybe\n")
+    code, _, err = run(capsys, "solve", "decay", "--config", str(cfg), "--stdout")
+    assert code == 1 and "maybe" in err
+
+
+def test_repeated_parameter_in_problem_file_exits_1(capsys, tmp_path):
+    prob = tmp_path / "vdp.prob"
+    prob.write_text(VDP.replace("mu = 2.0\n", "mu = 2.0\nmu = 3.0\n"))
+    code, out, err = run(capsys, "solve", str(prob), "--tf", "0.5", "--stdout")
+    assert (code, out) == (1, "")
+    assert "line 3" in err and "mu" in err
+
+
+def test_problem_flag_the_problem_does_not_take_exits_1(capsys, tmp_path):
+    code, out, err = run(capsys, "solve", "ex2", "--tf", "1", "--phi", "9", "--stdout")
+    assert (code, out) == (1, "")
+    assert "--phi" in err
+    prob = tmp_path / "vdp.prob"
+    prob.write_text(VDP)
+    code, out, err = run(capsys, "solve", str(prob), "--tf", "1", "--N", "5", "--stdout")
+    assert (code, out) == (1, "")
+    assert "--N" in err
+
+
+def test_problem_flags_are_the_builtin_constructor_keywords():
+    dests = {dest for dest, _, _ in PROBLEM_FLAGS.values()}
+    assert dests == set().union(*(builtin_keywords(name) for name in BUILTINS))
 
 
 def test_singular_dense_jacobian_exits_1_without_a_warning(capsys, tmp_path):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from sparsedae.cli import main
 
 # a two-variable system: x is an ODE variable, y an ODE or algebraic one;
-# the pools mix well-posed, stiff, singular, non-finite and reserved-name lines
+# the pools mix well-posed, stiff, singular, non-finite and reserved-name lines,
+# and the junk pool a repeated parameter
 X_ODES = ["x' = -k*x", "x' = y", "x' = -k*x + y", "x' = -x^0.5 - 1", "x' = ln(x)",
           "x' = exp(1000) * x", "x' = piecewise(x < 0.5, -x, x >= 2, 1, 2*x)",
           "x' = -x / y", "x' = 1 / (x - x)", "x' = -h*x", "x' = -Y0_1*x"]
@@ -19,7 +20,8 @@ Y_ODES = ["y' = x", "y' = -k*y", "y' = k*(1 - x^2)*y - x"]
 Y_ALGS = ["0 = x^2 + y^2 - 1", "y = k*x", "y^2 = x + 1", "0 = ln(y) + x", "0 = x", "0 = 1"]
 PARAMS = ["h = 2", "Y0_1 = 5", "Y0_x = 1", "k2 = 3", "k = 4"]
 NUMBERS = ["1", "0.5", "2", "0", "-1", "1e300", "nan", "inf"]
-JUNK = st.one_of(st.sampled_from(["[grid]", "= 3", "# comment", "x' = 1", "z = 1", "k = abc", "[init]"]),
+JUNK = st.one_of(st.sampled_from(["[grid]", "= 3", "# comment", "x' = 1", "z = 1", "k = abc", "[init]",
+                                  "k = 4"]),
                  st.text("xyk'=+-*/^()[]<>,.019e ", max_size=12))
 
 
@@ -58,6 +60,9 @@ FLAGS = st.fixed_dictionaries({}, optional={
     "--err-denominator": mostly(["literal", "standard"], ["x"]),
     "--observable": st.sampled_from(["x", "nope"]),
     "--no-extrapolate": st.just(None),
+    # builtin problem flags: a problem file takes none of them
+    "--N": st.sampled_from(["4", "0", "x"]),
+    "--phi": st.sampled_from(["2", "nan"]),
 })
 
 

@@ -20,7 +20,7 @@ from sparsedae.system import DaeSystem, MethodKind, MethodResidual, build_residu
 from lowering_reference import reference_rows
 
 
-def compiled(mr: MethodResidual, monkeypatch, rng):
+def compiled(sysn: DaeSystem, mr: MethodResidual, monkeypatch, rng):
     """The generated residual and Jacobian source, the CSC structure, and
     the residual and Jacobian values at a random point."""
     sources = []
@@ -33,7 +33,6 @@ def compiled(mr: MethodResidual, monkeypatch, rng):
     res = CompiledResidual(mr.groups, mr.n, mr.layout)
     asm = JacobianAssembler(differentiate(detect_pattern(mr)), mr.layout)
     monkeypatch.undo()
-    sysn = mr.system
     res.set_params(sysn.params)
     res.set_base(np.asarray(sysn.y0z0) + 0.05 * rng.standard_normal(sysn.n_total))
     res.set_h(0.01)
@@ -64,15 +63,15 @@ def test_lowering_per_shape_matches_the_per_row_reference(name, kind, monkeypatc
     sysn = SYSTEMS[name]()
     mr = build_residual(sysn, kind)
     ref_rows = reference_rows(sysn, kind)
-    ref = MethodResidual(system=sysn, layout=mr.layout,
+    ref = MethodResidual(layout=mr.layout,
                          groups=tuple(group_shapes(ref_rows, mr.layout)), n=len(ref_rows))
     for got, want in zip(mr.groups, ref.groups):
         assert (got.text, got.expr, got.names) == (want.text, want.expr, want.names)
         assert np.array_equal(got.rows, want.rows) and np.array_equal(got.index, want.index)
     assert len(mr.groups) == len(ref.groups)
 
-    got = compiled(mr, monkeypatch, np.random.default_rng(3))
-    want = compiled(ref, monkeypatch, np.random.default_rng(3))
+    got = compiled(sysn, mr, monkeypatch, np.random.default_rng(3))
+    want = compiled(sysn, ref, monkeypatch, np.random.default_rng(3))
     assert got[0] == want[0] and len(got[0]) == 2
     for a, b in zip(got[1:], want[1:]):
         assert a.dtype == b.dtype and np.array_equal(a, b)

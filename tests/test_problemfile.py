@@ -81,6 +81,8 @@ def test_load_problem_from_file(tmp_path):
     ("[odes]\nx' = +\n[init]\nx = 0\n", 2),            # syntax error in rhs
     ("[params]\nmu = abc\n", 2),                       # bad number
     ("[odes]\nx' = 1\n[init]\nx = 0\nx = 1\n", 5),     # duplicate init
+    ("[params]\nk = 1\n\nk = 2\n", 4),                # repeated parameter
+    ("[params]\nk 1\n", 2),                           # missing '='
     ("[odes]\nx' = 1\n", 2),                           # missing init entry
 ])
 def test_errors_carry_line_numbers(text, line):

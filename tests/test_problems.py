@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsedae.errors import InvalidGrid, UnknownObservable
+from sparsedae.errors import InvalidGrid, SparseDaeError, UnknownObservable
 from sparsedae.problems import (
     ORACLES,
     decay,
@@ -153,6 +153,16 @@ def test_make_builtin_dispatch():
     assert make_builtin("ex5", n=4, c0=1.0).y0z0[0] == 1.0
     with pytest.raises(KeyError):
         make_builtin("ex99")
+
+
+def test_make_builtin_rejects_a_keyword_its_constructor_does_not_take():
+    # the constructor signature is the only list of a builtin's keywords
+    with pytest.raises(SparseDaeError, match="'phi'"):
+        make_builtin("ex2", phi=9.0)
+    with pytest.raises(SparseDaeError, match="'n'"):
+        make_builtin("decay", n=4)
+    with pytest.raises(SparseDaeError, match="'dx_coeff'"):
+        make_builtin("ex5", n=4, dx_coeff=2.0)
 
 
 def test_piecewise_variant_integrates():

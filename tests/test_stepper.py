@@ -113,20 +113,25 @@ def test_nonfinite_jacobian_at_refresh_rejects_the_step():
     assert traj.final_time < 0.7
 
 
-def test_nonfinite_jacobian_in_fixed_step_mode_raises(monkeypatch):
-    st = Stepper(decay(), SolverOptions(tf=1.0, atol=1e-6, fixed_h=0.5, hinit=0.5, hmax=0.5))
+def test_nonfinite_jacobian_in_fixed_step_mode_stops_the_run(monkeypatch):
+    # a fixed step cannot shrink, so a step that leaves the domain ends the
+    # run as StepUnderflow with the records accepted so far
+    st = Stepper(decay(), SolverOptions(tf=1.5, atol=1e-6, fixed_h=0.5, hinit=0.5, hmax=0.5))
     assemble = st.assembler.assemble
     calls = []
 
-    def second_fails(*args):
+    def third_fails(*args):
         calls.append(args)
-        if len(calls) == 2:   # the first refresh after initialization
+        if len(calls) == 3:   # the refresh of the second step
             raise NonFiniteResidual("non-finite Jacobian entry at row 1, col 1")
         return assemble(*args)
 
-    monkeypatch.setattr(st.assembler, "assemble", second_fails)
-    with pytest.raises(NonFiniteResidual, match="t=0.0"):
-        st.integrate_fixed()
+    monkeypatch.setattr(st.assembler, "assemble", third_fails)
+    traj = st.integrate_fixed()
+    assert traj.status is Status.STEP_UNDERFLOW
+    assert (traj.accepted, traj.rejected, traj.jac_updates) == (1, 1, 1)
+    assert traj.times == [0.0, 0.5]
+    assert traj.final_state[0] == pytest.approx(math.exp(-0.5), abs=1e-2)
 
 
 def test_adaptive_run_hits_tf_exactly():
