@@ -99,8 +99,8 @@ def _build_problem(args, **override):
     return make_builtin(name, **kw) if name in BUILTINS else load_problem(name)
 
 
-def _build_options(args) -> SolverOptions:
-    """The solver options of the flags, and of the --config file for the
+def _option_values(args) -> Dict[str, object]:
+    """The solver-option fields the flags set, and the --config file for the
     fields no flag sets; config keys may spell ``_`` as ``-``."""
     kw = {}
     if args.config:
@@ -112,7 +112,14 @@ def _build_options(args) -> SolverOptions:
             kw[field] = cast(getattr(args, field))
     if "tf" not in kw:
         raise SparseDaeError("--tf is required (or set tf= in the config file)")
-    return SolverOptions(**kw)
+    return kw
+
+
+def _check_observables(sys_, names: List[str]) -> None:
+    """Raise UnknownObservable for a name ``sys_`` does not define, before
+    any integration writes output."""
+    for name in names:
+        probe(sys_.initial_state(), sys_, name)
 
 
 def _write_output(args, write: Callable[[TextIO], None], default_out: Optional[str] = None) -> bool:
@@ -136,7 +143,9 @@ def _integrate(sys_, options: SolverOptions):
 
 def cmd_solve(args) -> int:
     sys_ = _build_problem(args)
-    traj = _integrate(sys_, _build_options(args))
+    options = SolverOptions(**_option_values(args))
+    _check_observables(sys_, args.observable or [])
+    traj = _integrate(sys_, options)
 
     def write(fh):
         traj.write_csv(fh)
@@ -153,13 +162,14 @@ def cmd_converge(args) -> int:
     if args.problem not in BUILTINS or "n" not in builtin_keywords(args.problem):
         gridded = ", ".join(k for k in BUILTINS if "n" in builtin_keywords(k))
         raise SparseDaeError(f"converge needs a builtin PDE problem ({gridded})")
-    options = _build_options(args)
+    options = SolverOptions(**_option_values(args))
     rows = []
     obs_names = None
     for n in [int(s) for s in args.n_list.split(",")]:
         sys_ = _build_problem(args, n=n)
         if obs_names is None:
             obs_names = args.observable or sorted(sys_.observables)
+        _check_observables(sys_, obs_names)
         traj = _integrate(sys_, options)
         if traj.status is not Status.SUCCESS:
             raise SparseDaeError(f"N={n}: integration stopped: {traj.message}")
@@ -186,11 +196,12 @@ def cmd_orders(args) -> int:
         raise SparseDaeError(f"orders needs a problem with an exact-solution oracle: {sorted(ORACLES)}")
     oracle = ORACLES[args.problem]
     sys_ = _build_problem(args)
-    options = _build_options(args)
+    values = _option_values(args)
+    options = SolverOptions(**values)
     h_list = [float(s) for s in args.h_list.split(",")]
     out_lines = ["method,extrapolated,h,endpoint_error"]
     slopes = []
-    for method in ([MethodKind(args.method)] if args.method else list(MethodKind)):
+    for method in ([options.method] if "method" in values else list(MethodKind)):
         for extrapolate in (False, True):
             errs = []
             for h in h_list:

@@ -12,14 +12,13 @@ number.  Slots are numbered by first appearance, so the aliasing pattern is
 part of the shape: ``u_i*u_i`` and ``u_i*u_j`` never share one.
 ``group_shapes`` walks each expression once and groups them by shape into
 ``ShapeGroup``s, which hold every member's leaf indices as one row of an
-index table.  In the solve path only the source equations are walked, by
-``shape_table`` (the same grouping, with plain-list tables): the method
-residual is lowered once per source shape and its groups are built from
-the source tables (``system.build_residual``), so no lowered row is walked
-on its own.  The Jacobian reuses the residual's groups: ``derived_groups``
-takes expressions built from a group's first member (its derivatives) and
-instantiates each for every member by picking columns of that table.  Both
-merge their blocks with ``merge_blocks``.
+index table.  In the solve path only the source equations are walked:
+``derived_groups`` takes expressions built from a group's first member and
+instantiates each for every member by picking columns of that table.
+Lowering and differentiation share it: the method residual is lowered once
+per source shape and instantiated from the source table
+(``system.build_residual``), so no lowered row is walked on its own, and
+the Jacobian's derivatives are instantiated from the residual's groups.
 
 A group of at least ``_VECTOR_MIN_ROWS`` members becomes a single numpy
 statement ``out[R] = <shape over u[I0], b[I1], ...>`` whose index arrays are
@@ -148,14 +147,6 @@ class ShapeGroup(NamedTuple):
 
 def group_shapes(exprs: Sequence[ex.Expr], layout: ParamLayout) -> List[ShapeGroup]:
     """Walk each expression once; groups in order of first appearance."""
-    return [ShapeGroup(text, e, names, np.array(rows, dtype=np.int64), np.array(index, dtype=np.int64))
-            for text, e, names, rows, index in shape_table(exprs, layout)]
-
-
-def shape_table(exprs: Sequence[ex.Expr], layout: ParamLayout) -> List[tuple]:
-    """``group_shapes``'s groups as ``(text, expr, names, rows, index)`` with
-    ``rows`` a list and ``index`` a list of lists, for callers that work on
-    them in Python before any array is built."""
     groups: Dict[str, tuple] = {}
     for i, e in enumerate(exprs):
         text, leaves = shape(e, layout)
@@ -164,7 +155,8 @@ def shape_table(exprs: Sequence[ex.Expr], layout: ParamLayout) -> List[tuple]:
             groups[text] = g = (e, tuple([name for name, _ in leaves]), [], [])
         g[2].append(i)
         g[3].append([j for _, j in leaves])
-    return [(text, e, names, rows, index) for text, (e, names, rows, index) in groups.items()]
+    return [ShapeGroup(text, e, names, np.array(rows, dtype=np.int64), np.array(index, dtype=np.int64))
+            for text, (e, names, rows, index) in groups.items()]
 
 
 def derived_groups(blocks: Iterable[Tuple[ShapeGroup, ex.Expr, np.ndarray]],
@@ -172,26 +164,11 @@ def derived_groups(blocks: Iterable[Tuple[ShapeGroup, ex.Expr, np.ndarray]],
     """Group expressions instantiated over the members of source groups.
 
     Each block ``(source, d, rows)`` holds an expression ``d`` built from the
-    leaves of ``source.expr``; member ``r`` of ``source`` gets ``d`` with
-    those leaves replaced by its own, at output position ``rows[r]``.  The
-    blocks are merged as ``merge_blocks`` does."""
-    out = []
-    last = None
-    for source, d, rows in blocks:
-        text, leaves = shape(d, layout)
-        if source is not last:
-            # the source slot of each leaf, found on the first member
-            last = source
-            first = {key: k for k, key in enumerate(zip(source.names, source.index[0].tolist()))}
-        out.append((text, d, tuple([name for name, _ in leaves]), rows,
-                    source.index.take([first[leaf] for leaf in leaves], axis=1)))
-    return merge_blocks(out)
-
-
-def merge_blocks(blocks: List[Tuple[str, ex.Expr, Tuple[str, ...], np.ndarray, np.ndarray]]
-                 ) -> List[ShapeGroup]:
-    """Shape groups from blocks ``(text, expr, names, rows, index)``, each a
-    shape's ``expr`` with its output positions and index table.
+    leaves of ``source``'s first member; member ``r`` of ``source`` gets ``d``
+    with those leaves replaced by its own, at output position ``rows[r]``.  A
+    leaf of ``d`` reads the first column of ``source.index`` that names it on
+    the first member, so where two columns name the same leaf the earlier one
+    wins.
 
     Blocks with the same text merge.  Members are ordered by output position
     and groups by their first one, as ``group_shapes`` would order them if
@@ -199,13 +176,21 @@ def merge_blocks(blocks: List[Tuple[str, ex.Expr, Tuple[str, ...], np.ndarray, n
     that of its block with the lowest first row, so it belongs to the group's
     first member when each block's rows ascend."""
     groups: Dict[str, list] = {}
-    for text, e, names, rows, index in blocks:
+    last = None
+    for source, d, rows in blocks:
+        text, leaves = shape(d, layout)
+        if source is not last:
+            # the column of each leaf, found on the first member
+            last, first = source, {}
+            for k, key in enumerate(zip(source.names, source.index[0].tolist())):
+                first.setdefault(key, k)
+        index = source.index.take([first[leaf] for leaf in leaves], axis=1)
         g = groups.get(text)
         if g is None:
-            groups[text] = [e, names, [rows], [index], rows[0]]
+            groups[text] = [d, tuple([name for name, _ in leaves]), [rows], [index], rows[0]]
             continue
         if rows[0] < g[4]:
-            g[0], g[4] = e, rows[0]
+            g[0], g[4] = d, rows[0]
         g[2].append(rows)
         g[3].append(index)
     out = []

@@ -12,27 +12,27 @@ the symbolic structure is built once and only numeric bindings change from
 step to step.  The same residual with h = 0 performs consistent
 initialization of the algebraic components.
 
-Lowering runs once per source shape (``codegen.shape_table``, the grouping
-behind ``group_shapes``, over the f's and g's), not once per row.  Each
-method maps a leaf of the source equation to a fixed expression in that
-leaf's unknown and base-state slot, and adds the row's own unknown to an
-ODE row, so a lowered row's shape follows from its source shape, the
-method, and which slot, if any, names the row's own unknown.  Only the
-first row of each such part is lowered, and the others' index tables are
-picked from the source table by column.
+Lowering runs once per source shape (``codegen.group_shapes`` over the f's
+and g's), not once per row.  Each method maps a leaf of the source equation
+to a fixed expression in that leaf's unknown and base-state slot, and adds
+the row's own unknown to an ODE row, so a lowered row's shape follows from
+its source shape, the method, and which slot, if any, names the row's own
+unknown.  Only the first row of each such part is lowered;
+``codegen.derived_groups`` instantiates it for the others by picking
+columns of the source table, the same path that instantiates the
+Jacobian's derivatives.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from . import expr as ex
-from .codegen import BASE_PREFIX, ParamLayout, ShapeGroup, merge_blocks, shape, shape_table
+from .codegen import BASE_PREFIX, ParamLayout, ShapeGroup, derived_groups, group_shapes
 from .errors import UnsupportedSystem
 
 
@@ -175,55 +175,46 @@ def build_residual(sys: DaeSystem, kind: MethodKind) -> MethodResidual:
 
     The equations are grouped by shape, and each group of f's is split by
     which slot, if any, is the row's own unknown i.  Only the first member of
-    each part is lowered; the lowering maps leaves to leaves, so the lowered
-    shape's index table is a column map of the part's: a ``U(j)`` or
-    ``Y0_j`` leaf takes the source column of j, RAD's interior block adds
-    N_t to it, and the own-unknown term takes the row numbers.  CN and
-    IMPTRAP project every g at the step endpoint, so each g must name an
-    algebraic unknown; that is read off the same index tables."""
+    each part is lowered, and ``derived_groups`` instantiates it for the
+    others, as it does the Jacobian's derivatives.  The lowering maps leaves
+    to leaves, so each index table is widened with every column a lowered
+    row can name: each leaf's unknown, base-state slot and interior-stage
+    unknown, then the row's own unknown in both blocks.  The leaves come
+    first, so a leaf that is also the row's own unknown reads its leaf
+    column.  CN and IMPTRAP project every g at the step endpoint, so each g
+    must name an algebraic unknown; that is read off the same index tables."""
     n_t, n_ode = sys.n_total, sys.n_ode
     layout = ParamLayout(sorted(sys.params))
     equations = sys.ode_rhs + sys.alg_residual
     blocks, blind = [], []
-    # plain lists until each lowered table is converted once: most groups of
-    # a small system have one row, where every numpy call is fixed cost
-    for _, _, _, rows, table in shape_table(equations, layout):
-        width = len(table[0])
-        c = bisect.bisect_left(rows, n_ode)     # members [:c] are f's, [c:] g's
-        parts: Dict[Optional[int], List[int]] = {}
-        for r in range(c):
-            # the slot, if any, that names the row's own unknown
-            parts.setdefault(table[r].index(rows[r]) if rows[r] in table[r] else -1, []).append(r)
-        if c < len(rows):
-            parts[None] = list(range(c, len(rows)))
-            if kind in (MethodKind.CN, MethodKind.IMPTRAP):
-                # 0-based unknowns below n_ode are ODE variables
-                blind += [rows[r] for r in parts[None] if max(table[r], default=-1) < n_ode]
-        for t, i in zip(table, rows):
-            t.append(i)     # column ``width``: the row number, the own unknown's index
-        for slot, members in parts.items():
-            first = table[members[0]]
-            leaves, i = first[:width], first[width]
-            lowered = _lower(kind, equations[i], i + 1, slot is not None, [j + 1 for j in leaves], n_t)
-            for block, e in enumerate(lowered):
-                text, slots = shape(e, layout)
-                # the table column each slot reads, and its offset: an index
-                # past n_t is in RAD's interior block, and an unknown that is
-                # not a leaf of the source row is the row's own
-                picks = []
-                for _, j in slots:
-                    off = n_t if j >= n_t else 0
-                    picks.append((leaves.index(j - off) if j - off in leaves else width, off))
-                blocks.append((text, e, tuple([name for name, _ in slots]),
-                               np.array([rows[r] + block * n_t for r in members], dtype=np.int64),
-                               np.array([[table[r][col] + off for col, off in picks] for r in members],
-                                        dtype=np.int64)))
+    for g in group_shapes(equations, layout):
+        rows, index, width = g.rows, g.index, len(g.names)
+        own = rows[:, None]
+        names = g.names + ("b",) * width + ("u",) * (width + 2)
+        table = np.concatenate([index, index, index + n_t, own, own + n_t], axis=1)
+        c = int(rows.searchsorted(n_ode))      # members [:c] are f's, [c:] g's
+        if c < len(rows) and kind in (MethodKind.CN, MethodKind.IMPTRAP):
+            # 0-based unknowns below n_ode are ODE variables
+            blind += rows[c:][index[c:].max(axis=1, initial=-1) < n_ode].tolist()
+        # an f's part is its first column equal to its own unknown: the slot
+        # of the leaf that names it, or else the own-unknown column; the g's
+        # form one part, keyed -1
+        slot = (table == own).argmax(axis=1)
+        slot[c:] = -1
+        for s in dict.fromkeys(slot.tolist()):
+            members = slot == s
+            part_rows = rows[members]
+            i = int(part_rows[0])
+            part = ShapeGroup(g.text, equations[i], names, part_rows, table[members])
+            leaves = [j + 1 for j in part.index[0, :width].tolist()]
+            lowered = _lower(kind, equations[i], i + 1, s >= 0, leaves, n_t)
+            blocks += [(part, e, part_rows + block * n_t) for block, e in enumerate(lowered)]
     if blind:
         raise UnsupportedSystem(
             f"algebraic equation {min(blind) - n_ode + 1} references no algebraic variable; "
             f"{kind.value} cannot project it at the step endpoint"
         )
-    return MethodResidual(layout=layout, groups=tuple(merge_blocks(blocks)),
+    return MethodResidual(layout=layout, groups=tuple(derived_groups(blocks, layout)),
                           n=kind.stage_multiplier * n_t)
 
 

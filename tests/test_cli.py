@@ -241,6 +241,31 @@ def test_orders_reports_slopes(capsys):
     assert extr == pytest.approx(2.0, abs=0.2)
 
 
+def test_orders_honours_the_config_method(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tf = 1.0\nmethod = eb\n")
+    code, out, _ = run(capsys, "orders", "decay", "--config", str(cfg),
+                       "--h-list", "0.1,0.05", "--stdout")
+    assert code == 0
+    lines = out.splitlines()
+    slopes = [l.split(" = ")[0] for l in lines if l.startswith("# slope")]
+    assert slopes == ["# slope eb raw", "# slope eb extrapolated"]
+    assert {l.split(",")[0] for l in lines[1:] if not l.startswith("#")} == {"eb"}
+
+
+def test_unknown_observable_exits_1_before_writing_output(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "solve", "ex1", "--tf", "1", "--observable", "nope")
+    assert (code, out) == (1, "")
+    assert "nope" in err
+    assert not (tmp_path / "solution.csv").exists()
+    code, out, err = run(capsys, "converge", "ex4", "--tf", "0.2", "--n-list", "4,8",
+                         "--observable", "nope", "--out", "table.csv")
+    assert (code, out) == (1, "")
+    assert "nope" in err
+    assert not (tmp_path / "table.csv").exists()
+
+
 def test_pattern_matrix_market(capsys):
     code, out, _ = run(capsys, "pattern", "ex1", "--method", "eb")
     assert code == 0

@@ -1,8 +1,9 @@
-"""Source hygiene: no library module imports a name it never reads, and no
-library function takes a parameter it never reads.
+"""Source hygiene: no library module imports a name it never reads, no
+library function takes a parameter it never reads, and no library function,
+class or method is left that nothing reads.
 
-``__init__.py`` is left out of the import scan, because its imports are the
-package's re-exports.
+``__init__.py`` is left out of the import scan, and is no reader in the
+definition scan, because its imports are the package's re-exports.
 """
 
 import ast
@@ -14,6 +15,7 @@ import sparsedae
 
 SOURCES = sorted(Path(sparsedae.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -70,3 +72,37 @@ def test_the_scan_finds_an_unused_parameter():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_function_reads_every_parameter(path):
     assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def unread_definitions(sources, readers):
+    """(file name, line, name) for every function, class or non-dunder method
+    of ``sources`` (file name -> text) whose name no text of ``readers``
+    reads, as a name or as an attribute."""
+    read = set()
+    for text in readers:
+        for n in ast.walk(ast.parse(text)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+    found = []
+    for name, text in sources.items():
+        for n in ast.walk(ast.parse(text)):
+            if (isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (n.name.startswith("__") and n.name.endswith("__"))
+                    and n.name not in read):
+                found.append((name, n.lineno, n.name))
+    return sorted(found)
+
+
+def test_the_scan_finds_an_unread_definition():
+    src = ("def used(): pass\ndef unused(): pass\n"
+           "class C:\n    def __init__(self): pass\n    def m(self): pass\n    def n(self): pass\n")
+    assert unread_definitions({"m.py": src}, [src, "used(); C().n()\n"]) == [
+        ("m.py", 2, "unused"), ("m.py", 5, "m")]
+
+
+def test_every_library_definition_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
+    readers = [p.read_text(encoding="utf-8") for p in MODULES + TESTS]
+    assert unread_definitions(sources, readers) == []

@@ -55,6 +55,10 @@ SYSTEMS["ex6-6x12"] = lambda: example6(6, 12)
 SYSTEMS["own-slot-differs"] = lambda: two_odes(ex.U(1) * ex.U(2), ex.U(1) * ex.U(2))
 # rows that do not read their own unknown
 SYSTEMS["no-own-slot"] = lambda: two_odes(ex.U(2), ex.U(1))
+# one algebraic shape, over x, y, z: row 2 reads its own index y, row 3 not z
+SYSTEMS["alg-own-index"] = lambda: DaeSystem(
+    ode_rhs=(-ex.U(1),), alg_residual=(ex.U(2) * ex.U(3) - 1, ex.U(1) * ex.U(2) - 1),
+    var_names=("x", "y", "z"), y0z0=(1.0, 1.0, 1.0))
 
 
 @pytest.mark.parametrize("kind", list(MethodKind), ids=lambda k: k.value)
