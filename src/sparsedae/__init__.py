@@ -18,7 +18,7 @@ from .errors import (
     UnknownObservable,
     UnsupportedSystem,
 )
-from .expr import Branch, Const, Expr, Param, Piecewise, U, diff, eval_expr, exp, free_unknowns, ln, piecewise, substitute
+from .expr import Branch, Const, Expr, Param, Piecewise, U, diff, exp, free_unknowns, ln, piecewise, substitute
 from .grammar import format_expr, parse_expr
 from .jacobian import JacobianAssembler, SparsityPattern, SymbolicJacobian, detect_pattern, differentiate
 from .linalg import Factorization, SparseMatrix, factorize, read_matrix_market, solve, write_matrix_market

@@ -18,6 +18,7 @@ Diagnostics go to stderr; data goes to stdout only with --stdout.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Callable, Dict, List, Optional, TextIO
@@ -195,10 +196,12 @@ def cmd_orders(args) -> int:
     if args.problem not in ORACLES:
         raise SparseDaeError(f"orders needs a problem with an exact-solution oracle: {sorted(ORACLES)}")
     oracle = ORACLES[args.problem]
+    h_list = [float(s) for s in args.h_list.split(",")]
+    if len(set(h_list)) < 2 or min(h_list) <= 0:
+        raise SparseDaeError("--h-list needs at least two distinct positive step sizes to fit a slope")
     sys_ = _build_problem(args)
     values = _option_values(args)
     options = SolverOptions(**values)
-    h_list = [float(s) for s in args.h_list.split(",")]
     out_lines = ["method,extrapolated,h,endpoint_error"]
     slopes = []
     for method in ([options.method] if "method" in values else list(MethodKind)):
@@ -221,7 +224,8 @@ def cmd_orders(args) -> int:
                 err = float(np.max(np.abs(traj.final_state[: len(exact)] - exact)))
                 errs.append(err)
                 out_lines.append(f"{method.value},{extrapolate},{h:.17g},{err:.17g}")
-            slope = float(np.polyfit(np.log(h_list), np.log(errs), 1)[0])
+            # a zero endpoint error has no logarithm, so the fit has no slope
+            slope = float(np.polyfit(np.log(h_list), np.log(errs), 1)[0]) if min(errs) > 0 else math.nan
             tag = "extrapolated" if extrapolate else "raw"
             slopes.append(f"# slope {method.value} {tag} = {slope:.3f}")
     text = "\n".join(out_lines + slopes) + "\n"

@@ -12,9 +12,10 @@ number.  Slots are numbered by first appearance, so the aliasing pattern is
 part of the shape: ``u_i*u_i`` and ``u_i*u_j`` never share one.
 ``group_shapes`` walks each expression once and groups them by shape into
 ``ShapeGroup``s, which hold every member's leaf indices as one row of an
-index table.  In the solve path only the source equations are walked:
-``derived_groups`` takes expressions built from a group's first member and
-instantiates each for every member by picking columns of that table.
+index table.  In the solve path only the source equations are walked, once
+per system, when ``system.DaeSystem`` is built; ``derived_groups`` takes
+expressions built from a group's first member and instantiates each for
+every member by picking columns of that table.
 Lowering and differentiation share it: the method residual is lowered once
 per source shape and instantiated from the source table
 (``system.build_residual``), so no lowered row is walked on its own, and
@@ -88,7 +89,7 @@ def _shape(e: ex.Expr, layout: ParamLayout, slots: Dict[tuple, int], vec: bool) 
     if t is ex.Param:
         if e.name == "h":
             return "h"
-        if e.name.startswith(BASE_PREFIX):
+        if e.name.startswith(BASE_PREFIX) and e.name[len(BASE_PREFIX):].isdecimal():
             k = slots.setdefault(("b", int(e.name[len(BASE_PREFIX):]) - 1), len(slots))
             return "{%d}" % k if vec else "b[{%d}]" % k
         return f"p[{layout.slot[e.name]}]"

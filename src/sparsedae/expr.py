@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .errors import NonFiniteValue, UnboundSymbol
+from .errors import NonFiniteValue
 
 Number = Union[int, float]
 
@@ -296,75 +296,6 @@ def piecewise(branches: Sequence[Branch], default) -> Expr:
     return Piecewise(branches, default)
 
 
-# --- evaluation ---------------------------------------------------------
-
-
-def eval_expr(e: Expr, uu: Sequence[float], params: Mapping[str, float]) -> float:
-    """Numeric value of ``e`` at the 1-based unknown vector ``uu``.
-
-    Raises UnboundSymbol for a missing unknown index or parameter name and
-    NonFiniteValue for overflow, ln of a non-positive argument, or division
-    by zero.  Deterministic and side-effect free.
-    """
-    try:
-        v = _eval(e, uu, params)
-    except (ZeroDivisionError, OverflowError):
-        raise NonFiniteValue("evaluation overflowed or divided by zero")
-    except ValueError:
-        raise NonFiniteValue("ln of a non-positive argument")
-    if not math.isfinite(v):
-        raise NonFiniteValue("evaluation produced a non-finite value")
-    return v
-
-
-def _eval(e: Expr, uu, params) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, U):
-        if not 1 <= e.index <= len(uu):
-            raise UnboundSymbol(f"unknown index {e.index} outside 1..{len(uu)}")
-        return float(uu[e.index - 1])
-    if isinstance(e, Param):
-        try:
-            return float(params[e.name])
-        except KeyError:
-            raise UnboundSymbol(f"parameter {e.name!r} is not bound")
-    if isinstance(e, Add):
-        return sum(_eval(t, uu, params) for t in e.terms)
-    if isinstance(e, Mul):
-        v = 1.0
-        for f in e.factors:
-            v *= _eval(f, uu, params)
-        return v
-    if isinstance(e, Div):
-        return _eval(e.num, uu, params) / _eval(e.den, uu, params)
-    if isinstance(e, Pow):
-        return _eval(e.base, uu, params) ** e.exponent
-    if isinstance(e, Neg):
-        return -_eval(e.arg, uu, params)
-    if isinstance(e, ExpF):
-        return math.exp(_eval(e.arg, uu, params))
-    if isinstance(e, LnF):
-        return math.log(_eval(e.arg, uu, params))
-    if isinstance(e, Piecewise):
-        for b in e.branches:
-            t = _eval(b.test, uu, params)
-            if _compare(t, b.op, b.threshold):
-                return _eval(b.value, uu, params)
-        return _eval(e.default, uu, params)
-    raise TypeError(f"unhandled node {type(e).__name__}")
-
-
-def _compare(lhs: float, op: str, rhs: float) -> bool:
-    if op == "<":
-        return lhs < rhs
-    if op == "<=":
-        return lhs <= rhs
-    if op == ">":
-        return lhs > rhs
-    return lhs >= rhs
-
-
 # --- differentiation ----------------------------------------------------
 
 
@@ -428,20 +359,16 @@ def diff(e: Expr, k: int) -> Expr:
 
 def free_unknowns(e: Expr) -> list:
     """Sorted, duplicate-free list of unknown indices appearing in ``e``."""
-    return sorted(free_leaves(e)[0])
+    unknowns: set = set()
+    _collect(e, unknowns, set())
+    return sorted(unknowns)
 
 
 def free_params(e: Expr) -> set:
     """Set of parameter names appearing in ``e``."""
-    return free_leaves(e)[1]
-
-
-def free_leaves(e: Expr) -> tuple:
-    """The unknown indices and the parameter names appearing in ``e``, as two
-    sets, from one walk."""
-    unknowns, params = set(), set()
-    _collect(e, unknowns, params)
-    return unknowns, params
+    params: set = set()
+    _collect(e, set(), params)
+    return params
 
 
 def _collect(e: Expr, unknowns: set, params: set) -> None:

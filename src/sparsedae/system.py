@@ -12,8 +12,9 @@ the symbolic structure is built once and only numeric bindings change from
 step to step.  The same residual with h = 0 performs consistent
 initialization of the algebraic components.
 
-Lowering runs once per source shape (``codegen.group_shapes`` over the f's
-and g's), not once per row.  Each method maps a leaf of the source equation
+The f's and g's are grouped by shape (``codegen.group_shapes``) once, when
+the system is constructed and validated; lowering runs once per source
+shape, not once per row.  Each method maps a leaf of the source equation
 to a fixed expression in that leaf's unknown and base-state slot, and adds
 the row's own unknown to an ODE row, so a lowered row's shape follows from
 its source shape, the method, and which slot, if any, names the row's own
@@ -67,7 +68,9 @@ class DaeSystem:
     holds initial values for ODE variables and initial *guesses* for
     algebraic ones.  Parameter names may not be ``h`` or start with
     ``Y0_``: the method residuals use those for the step size and the base
-    state.
+    state.  Construction groups the equations by shape once, into ``groups``
+    over ``layout``'s parameter slots, and validates their parameters and
+    unknown indices from that walk; every method residual reads them.
     """
 
     ode_rhs: Tuple[ex.Expr, ...]
@@ -76,6 +79,8 @@ class DaeSystem:
     y0z0: Tuple[float, ...]
     params: Dict[str, float] = field(default_factory=dict)
     observables: Dict[str, Tuple[Tuple[int, float], ...]] = field(default_factory=dict)
+    layout: ParamLayout = field(init=False, repr=False, compare=False)
+    groups: Tuple[ShapeGroup, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n_t = self.n_total
@@ -91,15 +96,21 @@ class DaeSystem:
         if reserved:
             raise ValueError(f"parameter name {reserved[0]!r} is reserved for the "
                              f"step size h or a base-state slot {BASE_PREFIX}k")
-        declared = set(self.params)
-        for eq in tuple(self.ode_rhs) + tuple(self.alg_residual):
-            unknowns, params = ex.free_leaves(eq)
-            bad = sorted(k for k in unknowns if not 1 <= k <= n_t)
-            if bad:
-                raise ValueError(f"equation references state index {bad[0]} outside 1..{n_t}")
-            undecl = params - declared
-            if undecl:
-                raise ValueError(f"undeclared parameter(s): {sorted(undecl)}")
+        layout = ParamLayout(sorted(self.params))
+        try:
+            groups = tuple(group_shapes(tuple(self.ode_rhs) + tuple(self.alg_residual), layout))
+        except KeyError as e:
+            raise ValueError(f"undeclared parameter {e.args[0]!r}") from None
+        for g in groups:
+            # h and Y0_k skip the layout lookup; no other scalar token holds an h
+            if "h" in g.text or "b" in g.names:
+                name = "h" if "h" in g.text else f"{BASE_PREFIX}{g.index[0, g.names.index('b')] + 1}"
+                raise ValueError(f"undeclared parameter {name!r}")
+            bad = g.index[(g.index < 0) | (g.index >= n_t)]
+            if bad.size:
+                raise ValueError(f"equation references state index {bad[0] + 1} outside 1..{n_t}")
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "groups", groups)
 
     @property
     def n_ode(self) -> int:
@@ -173,7 +184,7 @@ def _lower(kind: MethodKind, e: ex.Expr, i: int, ode: bool, leaves: List[int],
 def build_residual(sys: DaeSystem, kind: MethodKind) -> MethodResidual:
     """Lower (f, g) into the method's residual rows in uu, once per source shape.
 
-    The equations are grouped by shape, and each group of f's is split by
+    Each of the system's shape groups of f's is split by
     which slot, if any, is the row's own unknown i.  Only the first member of
     each part is lowered, and ``derived_groups`` instantiates it for the
     others, as it does the Jacobian's derivatives.  The lowering maps leaves
@@ -184,10 +195,9 @@ def build_residual(sys: DaeSystem, kind: MethodKind) -> MethodResidual:
     column.  CN and IMPTRAP project every g at the step endpoint, so each g
     must name an algebraic unknown; that is read off the same index tables."""
     n_t, n_ode = sys.n_total, sys.n_ode
-    layout = ParamLayout(sorted(sys.params))
     equations = sys.ode_rhs + sys.alg_residual
     blocks, blind = [], []
-    for g in group_shapes(equations, layout):
+    for g in sys.groups:
         rows, index, width = g.rows, g.index, len(g.names)
         own = rows[:, None]
         names = g.names + ("b",) * width + ("u",) * (width + 2)
@@ -214,7 +224,7 @@ def build_residual(sys: DaeSystem, kind: MethodKind) -> MethodResidual:
             f"algebraic equation {min(blind) - n_ode + 1} references no algebraic variable; "
             f"{kind.value} cannot project it at the step endpoint"
         )
-    return MethodResidual(layout=layout, groups=tuple(derived_groups(blocks, layout)),
+    return MethodResidual(layout=sys.layout, groups=tuple(derived_groups(blocks, sys.layout)),
                           n=kind.stage_multiplier * n_t)
 
 

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from sparsedae import cli
 from sparsedae.cli import PROBLEM_FLAGS, main
 from sparsedae.problems import BUILTINS, builtin_keywords
 
@@ -104,6 +105,15 @@ def test_reserved_parameter_name_exits_1(capsys, tmp_path, name):
     assert code == 1
     assert out == ""
     assert "reserved" in err
+
+
+def test_undeclared_step_size_in_a_problem_file_exits_1(capsys, tmp_path):
+    # an exit 0 would mean h silently became the step size
+    prob = tmp_path / "h.prob"
+    prob.write_text("[odes]\nx' = -h*x\n[init]\nx = 1\n")
+    code, out, err = run(capsys, "solve", str(prob), "--tf", "1", "--stdout")
+    assert (code, out) == (1, "")
+    assert "'h'" in err
 
 
 def test_exit_code_2_on_early_stop(capsys, tmp_path):
@@ -251,6 +261,29 @@ def test_orders_honours_the_config_method(capsys, tmp_path):
     slopes = [l.split(" = ")[0] for l in lines if l.startswith("# slope")]
     assert slopes == ["# slope eb raw", "# slope eb extrapolated"]
     assert {l.split(",")[0] for l in lines[1:] if not l.startswith("#")} == {"eb"}
+
+
+@pytest.mark.parametrize("h_list", ["0.5", "0.5,0.5", "0,0.5"])
+def test_orders_needs_two_distinct_positive_step_sizes(capsys, monkeypatch, h_list):
+    def no_integration(*_):
+        raise AssertionError("integrated")
+
+    monkeypatch.setattr(cli, "integrate_fixed", no_integration)
+    code, out, err = run(capsys, "orders", "decay", "--tf", "1", "--method", "eb",
+                         "--h-list", h_list, "--stdout")
+    assert (code, out) == (1, "")
+    assert "two distinct" in err
+
+
+def test_orders_exact_endpoint_prints_nan_slope_without_a_warning(capsys):
+    # at h = 1e-9 the endpoint error is exactly 0, which has no logarithm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "orders", "ex1", "--tf", "1e-8", "--method", "eb",
+                           "--h-list", "1e-9,2e-9", "--stdout")
+    assert code == 0
+    assert "eb,False,1.0000000000000001e-09,0\n" in out
+    assert "# slope eb raw = nan\n" in out
 
 
 def test_unknown_observable_exits_1_before_writing_output(capsys, tmp_path, monkeypatch):

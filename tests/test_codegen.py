@@ -12,6 +12,7 @@ from sparsedae.jacobian import JacobianAssembler, detect_pattern, differentiate
 from sparsedae.problems import example4, example5, example6, make_builtin
 from sparsedae.system import MethodKind, build_residual
 
+from expr_reference import eval_expr
 from lowering_reference import reference_rows
 
 N_ROWS = _VECTOR_MIN_ROWS + 2
@@ -62,7 +63,7 @@ def test_vectorized_piecewise_is_first_match_and_quiet():
         warnings.simplefilter("error")
         fn, out = run(rows, u, {"k": 3.0})
     assert is_vectorized(fn)
-    expected = [ex.eval_expr(r, u, {"k": 3.0}) for r in rows]
+    expected = [eval_expr(r, u, {"k": 3.0}) for r in rows]
     assert out.tolist() == expected
 
 
@@ -100,10 +101,10 @@ def evaluate_against_oracle(sysn, kind, seed):
 
     rows = reference_rows(sysn, kind)
     got_r = res.evaluate(uu).copy()
-    want_r = np.array([ex.eval_expr(r, uu, bindings) for r in rows])
+    want_r = np.array([eval_expr(r, uu, bindings) for r in rows])
     cells = [(i, k) for i, cols in enumerate(pat.rows, start=1) for k in cols]
     got_j = np.array([a[i - 1, k - 1] for i, k in cells])
-    want_j = np.array([ex.eval_expr(ex.diff(rows[i - 1], k), uu, bindings) for i, k in cells])
+    want_j = np.array([eval_expr(ex.diff(rows[i - 1], k), uu, bindings) for i, k in cells])
     return got_r, want_r, got_j, want_j
 
 

@@ -8,12 +8,14 @@ import pytest
 from sparsedae import expr as ex
 from sparsedae.grammar import ExprSyntaxError, format_expr, parse_expr
 
+from expr_reference import eval_expr
+
 
 VARS = ["x", "y", "z"]
 
 
 def ev(text, u, params=None):
-    return ex.eval_expr(parse_expr(text, VARS), u, params or {})
+    return eval_expr(parse_expr(text, VARS), u, params or {})
 
 
 def test_precedence_and_associativity():
@@ -28,7 +30,7 @@ def test_variables_vs_parameters():
     e = parse_expr("mu * x + y", VARS)
     assert ex.free_unknowns(e) == [1, 2]
     assert ex.free_params(e) == {"mu"}
-    assert ex.eval_expr(e, [2.0, 1.0, 0.0], {"mu": 3.0}) == 7.0
+    assert eval_expr(e, [2.0, 1.0, 0.0], {"mu": 3.0}) == 7.0
 
 
 def test_functions():
@@ -38,15 +40,15 @@ def test_functions():
 
 def test_piecewise_syntax():
     e = parse_expr("piecewise(x < 0, -x, x*x)", VARS)
-    assert ex.eval_expr(e, [-3.0, 0, 0], {}) == 3.0
-    assert ex.eval_expr(e, [2.0, 0, 0], {}) == 4.0
+    assert eval_expr(e, [-3.0, 0, 0], {}) == 3.0
+    assert eval_expr(e, [2.0, 0, 0], {}) == 4.0
 
 
 def test_piecewise_multiple_branches():
     e = parse_expr("piecewise(x < 0, 0, x >= 1, 1, x)", VARS)
-    assert ex.eval_expr(e, [-5.0, 0, 0], {}) == 0.0
-    assert ex.eval_expr(e, [0.5, 0, 0], {}) == 0.5
-    assert ex.eval_expr(e, [2.0, 0, 0], {}) == 1.0
+    assert eval_expr(e, [-5.0, 0, 0], {}) == 0.0
+    assert eval_expr(e, [0.5, 0, 0], {}) == 0.5
+    assert eval_expr(e, [2.0, 0, 0], {}) == 1.0
 
 
 def test_syntax_errors():
@@ -83,8 +85,8 @@ def test_format_round_trip_random_corpus():
         text = format_expr(e, VARS)
         back = parse_expr(text, VARS)
         u = rng.uniform(0.5, 1.5, size=3)
-        v1 = ex.eval_expr(e, u, {"k": 1.3})
-        v2 = ex.eval_expr(back, u, {"k": 1.3})
+        v1 = eval_expr(e, u, {"k": 1.3})
+        v2 = eval_expr(back, u, {"k": 1.3})
         assert v1 == pytest.approx(v2, rel=1e-13), text
 
 
@@ -92,5 +94,5 @@ def test_format_piecewise_round_trip():
     e = parse_expr("piecewise(z >= 0.7, x, 0.5*x)", VARS)
     back = parse_expr(format_expr(e, VARS), VARS)
     for zz in (0.2, 0.7, 0.9):
-        assert (ex.eval_expr(e, [2.0, 0, zz], {})
-                == ex.eval_expr(back, [2.0, 0, zz], {}))
+        assert (eval_expr(e, [2.0, 0, zz], {})
+                == eval_expr(back, [2.0, 0, zz], {}))

@@ -1,11 +1,15 @@
 """Method residual construction and the increment formulation."""
 
+import re
+
 import numpy as np
 import pytest
 
 from sparsedae import expr as ex
-from sparsedae.codegen import CompiledResidual
+from sparsedae import system
+from sparsedae.codegen import CompiledResidual, group_shapes
 from sparsedae.errors import UnsupportedSystem
+from sparsedae.stepper import SolverOptions, Stepper
 from sparsedae.system import (
     DaeSystem,
     MethodKind,
@@ -149,3 +153,26 @@ def test_system_validation():
     with pytest.raises(ValueError):
         DaeSystem(ode_rhs=(ex.Param("k") * ex.U(1),), alg_residual=(),
                   var_names=("x",), y0z0=(0.0,))  # undeclared parameter
+    # h would silently be the step size, Y0_1 the base state, and U(0) would
+    # read the last unknown
+    for leaf, named in [(ex.Param("h"), "'h'"), (ex.Param("Y0_1"), "'Y0_1'"),
+                        (ex.Param("Y0_x"), "'Y0_x'"), (ex.U(0), "index 0"), (ex.U(3), "index 3")]:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            DaeSystem(ode_rhs=(ex.neg(ex.U(1)),), alg_residual=(ex.U(2) - leaf,),
+                      var_names=("x", "z"), y0z0=(1.0, 0.0))
+
+
+def test_each_system_is_grouped_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return group_shapes(*args)
+
+    monkeypatch.setattr(system, "group_shapes", counted)
+    sysd = simple_dae()
+    assert len(calls) == 1
+    for kind in MethodKind:
+        build_residual(sysd, kind)
+    Stepper(sysd, SolverOptions(tf=1.0))
+    assert len(calls) == 1
