@@ -1,15 +1,22 @@
 """Modified Newton iteration with a frozen LU factorization.
 
 The iteration never refactorizes: every correction is a triangular solve
-against the Factorization handed in, however stale it may be.  Running out
-of the iteration budget is not an error (the step-doubling error estimator
-is the safety net); a non-finite residual evaluation is the only hard
-failure and is reported to the caller for step rejection.
+against the Factorization handed in, however stale it may be.  It stops when
+the correction's infinity norm drops to ``ctol``.  Given a rate tolerance,
+it also stops on the contraction rate theta_k = |d_k| / |d_k-1| (Hairer &
+Wanner, Solving ODEs II, IV.8): as converged once theta/(1-theta)*|d_k|,
+an estimate of the remaining error, drops to it, and as diverged once
+theta >= 1.  An unconverged outcome is returned, not raised: the adaptive
+driver acts on it (``Stepper.integrate``), while the fixed-step driver and
+consistent initialization, which pass no rate tolerance, read it as before.
+A non-finite residual evaluation is the only hard failure and is reported
+to the caller for step rejection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -24,6 +31,7 @@ class NewtonOutcome:
     iterations: int
     correction_norm: float
     converged: bool
+    theta: float = 0.0   # the largest contraction rate seen, given a rate tolerance
 
 
 def default_ctol(atol: float) -> float:
@@ -39,22 +47,33 @@ def newton_solve(
     uu0: np.ndarray,
     max_iter: int,
     ctol: float,
+    rate_tol: Optional[float] = None,
 ) -> NewtonOutcome:
     """Iterate uu <- uu - F^-1 R(uu) up to ``max_iter`` times, declaring
     convergence early once the infinity norm of the correction drops to
-    ``ctol``.  ``res`` must already be bound to (h, Y0, params); ``f`` may be
-    a stale assembly of its Jacobian."""
+    ``ctol``, or, when ``rate_tol`` is given, once the rate-based error
+    estimate drops to ``rate_tol``; a rate of 1 or more then stops it
+    unconverged.  ``res`` must already be bound to (h, Y0, params); ``f``
+    may be a stale assembly of its Jacobian."""
     uu = np.array(uu0, dtype=float)
     if len(uu) != res.n:
         raise ValueError(f"uu0 length {len(uu)} != residual size {res.n}")
     corr_norm = np.inf
+    theta_max = 0.0
     for it in range(1, max_iter + 1):
         r = res.evaluate(uu)  # raises NonFiniteResidual
         delta = solve(f, r)
         uu -= delta
-        corr_norm = float(np.max(np.abs(delta))) if len(delta) else 0.0
+        prev, corr_norm = corr_norm, float(np.max(np.abs(delta))) if len(delta) else 0.0
         if not np.isfinite(corr_norm):
             raise NonFiniteResidual("Newton correction went non-finite")
         if corr_norm <= ctol:
-            return NewtonOutcome(uu=uu, iterations=it, correction_norm=corr_norm, converged=True)
-    return NewtonOutcome(uu=uu, iterations=max_iter, correction_norm=corr_norm, converged=False)
+            return NewtonOutcome(uu, it, corr_norm, True, theta_max)
+        if rate_tol is not None and it > 1:
+            theta = corr_norm / prev
+            theta_max = max(theta_max, theta)
+            if theta >= 1.0:
+                return NewtonOutcome(uu, it, corr_norm, False, theta_max)
+            if theta / (1.0 - theta) * corr_norm <= rate_tol:
+                return NewtonOutcome(uu, it, corr_norm, True, theta_max)
+    return NewtonOutcome(uu, max_iter, corr_norm, False, theta_max)

@@ -3,16 +3,26 @@
 Each step solves the method residual once with step h and twice with h/2,
 all three Newton solves sharing one frozen LU factorization.  The two
 results give the local error estimate; accepted steps are advanced with
-Richardson extrapolation.  The Jacobian is refactorized only when flagged:
-at the start, after any step whose error estimate exceeds 0.1, and after
-every rejection (a rejection also divides h by 4).  A non-finite residual,
-or a refreshed Jacobian that is not finite, rejects the step; both come up
-as ``NonFiniteResidual``.  Both integration loops run under
-``np.errstate(all="ignore")``, so a domain error in generated code shows up
-as a non-finite value, never as a warning.
+Richardson extrapolation.
 
-The adaptive and the fixed-step driver share one refresh (``_refresh``),
-the one place where Jacobian refreshes and LUs are counted, and one step
+In the adaptive driver Newton stops on its contraction rate theta as well
+as on the absolute correction test (``newton.newton_solve``), and an
+attempt stops at its first unconverged solve.  Against a stale LU such a
+failure refactorizes at the same (state, h) and retries the step, with no
+rejection counted; against a fresh LU it rejects the step, as the error
+test does.  Every rejection divides h by 4 and refactorizes.  After an
+accepted step the LU is kept unless the step's largest theta exceeded 0.3
+or the next h is outside [0.5, 2] times the h it was factorized at
+(Hairer & Wanner, Solving ODEs II, IV.8; SUNDIALS IDA's retry on a stale
+Jacobian).  A non-finite residual, or a refreshed Jacobian that is not
+finite, rejects the step; both come up as ``NonFiniteResidual``.  Both
+integration loops run under ``np.errstate(all="ignore")``, so a domain
+error in generated code shows up as a non-finite value, never as a warning.
+
+The fixed-step driver refactorizes every step and keeps Newton's absolute
+test alone, because order verification needs Newton's error far below the
+Richardson error.  Both drivers share one refresh (``_refresh``), the one
+place where Jacobian refreshes and LUs are counted, and one step
 (``attempt_step``).
 """
 
@@ -34,13 +44,19 @@ from .system import DaeSystem, MethodKind, build_residual, state_update
 
 _INIT_MAX_ITER = 100
 _MAX_CONSECUTIVE_REJECTS = 40
-# step-size controller: next_h's growth cap and safety factor, the divisor of
-# h on a rejection, and the error above which an accepted step refreshes the
-# Jacobian
+# step-size controller: next_h's growth cap and safety factor, and the
+# divisor of h on a rejection
 _GROWTH = 3.0
 _SAFETY = 0.9
 _REJECT_DIVISOR = 4.0
-_JAC_REFRESH_ERR = 0.1
+# adaptive Newton: the rate tolerance as a multiple of atol, and the largest
+# contraction rate and the range of h / h_LU under which an accepted step
+# keeps its LU.  At 0.3*atol backward Euler's Newton bias adds up over ex2's
+# ~3700 steps to 5.7e-4 off the reference; at 0.03*atol Newton solves on
+# ex6 64x128 run out of iterations against fresh LUs and reject steps.
+_RATE_TOL = 0.1
+_THETA_REFRESH = 0.3
+_H_RATIO_MIN, _H_RATIO_MAX = 0.5, 2.0
 
 
 class Status(enum.Enum):
@@ -96,7 +112,9 @@ class Trajectory:
     consistent initialization is reported separately in ``init_lu``.
     ``lu_count`` counts LU factorizations actually computed, so a refresh
     whose Jacobian is not finite adds none and a perturbed-pivot retry adds
-    a second one.
+    a second one.  ``conv_fails`` counts attempts abandoned on an
+    unconverged Newton solve, retried or rejected, and ``err_fails`` the
+    rejections by the error test (SUNDIALS IDA's ncfn and netf).
     """
 
     var_names: Tuple[str, ...]
@@ -107,6 +125,8 @@ class Trajectory:
     jac_updates: int = 0
     lu_count: int = 0
     init_lu: int = 0
+    conv_fails: int = 0
+    err_fails: int = 0
     status: Status = Status.SUCCESS
 
     def record(self, t: float, state: np.ndarray) -> None:
@@ -135,6 +155,22 @@ class Trajectory:
         for t, s in zip(self.times, self.states):
             fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in s) + "\n")
         fh.write(self.summary() + "\n")
+
+
+@dataclass
+class Attempt:
+    """What one step attempt gave.  ``state`` is None when it failed: on a
+    non-finite value, or on an unconverged Newton solve (``unconverged``).
+    ``theta`` is the largest Newton contraction rate of the step."""
+
+    state: Optional[np.ndarray] = None
+    err: float = math.inf
+    theta: float = 0.0
+    unconverged: bool = False
+
+
+class _Unconverged(Exception):
+    """A Newton solve of a step attempt stopped unconverged."""
 
 
 # --- the three controller formulas ---------------------------------------
@@ -228,10 +264,16 @@ class Stepper:
         traj.lu_count += 1 + f.perturbed
         return f
 
-    def _solve_once(self, base: np.ndarray, h: float, f: Factorization) -> np.ndarray:
+    def _solve_once(self, base: np.ndarray, h: float, f: Factorization,
+                    rate_tol: Optional[float]) -> Tuple[np.ndarray, float]:
+        """The state one Newton solve reaches from ``base``, and the solve's
+        largest contraction rate.  Given ``rate_tol``, raises _Unconverged
+        when the solve does not converge."""
         self._bind(base, h)
-        out = newton_solve(self.res, f, self._uu0, self.options.iter, self.ctol)
-        return state_update(base, out.uu, self.kind)
+        out = newton_solve(self.res, f, self._uu0, self.options.iter, self.ctol, rate_tol)
+        if rate_tol is not None and not out.converged:
+            raise _Unconverged
+        return state_update(base, out.uu, self.kind), out.theta
 
     # -- initialization and stepping ----------------------------------------
 
@@ -249,23 +291,28 @@ class Stepper:
             )
         return state_update(state0, out.uu, self.kind), f
 
-    def attempt_step(self, state: np.ndarray, h: float,
-                     f: Factorization) -> Tuple[Optional[np.ndarray], float]:
+    def attempt_step(self, state: np.ndarray, h: float, f: Factorization,
+                     rate_tol: Optional[float] = None) -> Attempt:
         """One full step and two half steps from ``state``, all against the
-        frozen factorization ``f``.  Returns the new state, Richardson-combined
-        per ``options.extrapolate``, and the scalar error estimate; (None, inf)
-        on a non-finite residual."""
+        frozen factorization ``f``.  Gives the new state, Richardson-combined
+        per ``options.extrapolate``, the scalar error estimate and the largest
+        contraction rate; no state on a non-finite residual.  Given
+        ``rate_tol``, Newton also stops on its rate and the attempt fails at
+        its first unconverged solve."""
         opt = self.options
         try:
-            y_h = self._solve_once(state, h, f)
-            mid = self._solve_once(state, 0.5 * h, f)
-            y_h2 = self._solve_once(mid, 0.5 * h, f)
+            y_h, theta_h = self._solve_once(state, h, f, rate_tol)
+            mid, theta_1 = self._solve_once(state, 0.5 * h, f, rate_tol)
+            y_h2, theta_2 = self._solve_once(mid, 0.5 * h, f, rate_tol)
         except NonFiniteResidual:
-            return None, math.inf
+            return Attempt()
+        except _Unconverged:
+            return Attempt(unconverged=True)
         p = self.kind.order
         y_err = (y_h2 - y_h) / (2 ** p - 1)
         err = error_norm(y_err, y_h2, opt.atol, opt.rtol, opt.norm, opt.err_denominator)
-        return richardson(y_h, y_h2, p, opt.extrapolate), err
+        return Attempt(richardson(y_h, y_h2, p, opt.extrapolate), err,
+                       max(theta_h, theta_1, theta_2))
 
     def _start(self) -> Tuple[np.ndarray, Trajectory]:
         """The consistent initial state and a Trajectory holding it at t=0."""
@@ -281,9 +328,12 @@ class Stepper:
         opt = self.options
         state, traj = self._start()
         p = self.kind.order
+        rate_tol = _RATE_TOL * opt.atol
         t, h = 0.0, min(opt.hinit, opt.tf)
         landing = h >= opt.tf
         frozen: Optional[Factorization] = None   # None: refresh before the next attempt
+        fresh = False      # frozen was factorized at the current (state, h)
+        h_lu = h           # the h frozen was factorized at
         h_floor = max(1e-14 * opt.tf, 1e-3 * opt.hinit)
         consecutive_rejects = 0
 
@@ -298,9 +348,16 @@ class Stepper:
                 traj.status = Status.STEP_UNDERFLOW
                 break
             if frozen is None:
-                frozen = self._refresh(state, h, traj)
-            new, err = (None, math.inf) if frozen is None else self.attempt_step(state, h, frozen)
-            if err > 1.0:
+                frozen, fresh, h_lu = self._refresh(state, h, traj), True, h
+            attempt = Attempt() if frozen is None else self.attempt_step(state, h, frozen, rate_tol)
+            if attempt.unconverged:
+                traj.conv_fails += 1
+                if not fresh:   # retry the same h against an LU of (state, h)
+                    frozen = None
+                    continue
+            elif attempt.state is not None and attempt.err > 1.0:
+                traj.err_fails += 1
+            if attempt.err > 1.0:
                 traj.rejected += 1
                 consecutive_rejects += 1
                 if consecutive_rejects > _MAX_CONSECUTIVE_REJECTS:
@@ -312,15 +369,16 @@ class Stepper:
                 continue
 
             consecutive_rejects = 0
-            state = new
+            state = attempt.state
             t = opt.tf if landing else t + h
             traj.accepted += 1
             traj.record(t, state)
-            if err > _JAC_REFRESH_ERR:
-                frozen = None
-            h = next_h(h, err, p, opt.hmax)
+            h = next_h(h, attempt.err, p, opt.hmax)
             landing = h >= opt.tf - t
             h = min(h, opt.tf - t)
+            if attempt.theta > _THETA_REFRESH or not _H_RATIO_MIN <= h / h_lu <= _H_RATIO_MAX:
+                frozen = None
+            fresh = False
         return traj
 
     @np.errstate(all="ignore")
@@ -342,7 +400,7 @@ class Stepper:
                 traj.status = Status.TOO_MANY_STEPS
                 break
             f = self._refresh(state, h, traj)
-            new = None if f is None else self.attempt_step(state, h, f)[0]
+            new = None if f is None else self.attempt_step(state, h, f).state
             if new is None:
                 traj.rejected += 1
                 traj.status = Status.STEP_UNDERFLOW

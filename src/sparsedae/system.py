@@ -106,9 +106,10 @@ class DaeSystem:
             if "h" in g.text or "b" in g.names:
                 name = "h" if "h" in g.text else f"{BASE_PREFIX}{g.index[0, g.names.index('b')] + 1}"
                 raise ValueError(f"undeclared parameter {name!r}")
-            bad = g.index[(g.index < 0) | (g.index >= n_t)]
-            if bad.size:
-                raise ValueError(f"equation references state index {bad[0] + 1} outside 1..{n_t}")
+        index = np.concatenate([g.index.ravel() for g in groups])
+        if index.size and (index.min() < 0 or index.max() >= n_t):
+            bad = index[(index < 0) | (index >= n_t)]
+            raise ValueError(f"equation references state index {bad[0] + 1} outside 1..{n_t}")
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "groups", groups)
 

@@ -1,12 +1,14 @@
 """Source hygiene: no library module imports a name it never reads, no
 library function takes a parameter it never reads, and no library function,
-class or method is left that nothing reads.
+class, method or module-level ``_UPPER_CASE`` constant is left that nothing
+reads.
 
 ``__init__.py`` is left out of the import scan, and is no reader in the
 definition scan, because its imports are the package's re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -74,10 +76,14 @@ def test_function_reads_every_parameter(path):
     assert unused_parameters(path.read_text(encoding="utf-8")) == []
 
 
+PRIVATE_CONSTANT = re.compile(r"_[A-Z][A-Z0-9_]*")
+
+
 def unread_definitions(sources, readers):
-    """(file name, line, name) for every function, class or non-dunder method
-    of ``sources`` (file name -> text) whose name no text of ``readers``
-    reads, as a name or as an attribute."""
+    """(file name, line, name) for every function, class, non-dunder method
+    or module-level ``_UPPER_CASE`` constant of ``sources`` (file name ->
+    text) whose name no text of ``readers`` reads, as a name or as an
+    attribute."""
     read = set()
     for text in readers:
         for n in ast.walk(ast.parse(text)):
@@ -87,11 +93,20 @@ def unread_definitions(sources, readers):
                 read.add(n.attr)
     found = []
     for name, text in sources.items():
-        for n in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        for n in ast.walk(tree):
             if (isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not (n.name.startswith("__") and n.name.endswith("__"))
                     and n.name not in read):
                 found.append((name, n.lineno, n.name))
+        for stmt in tree.body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            for t in targets:
+                for n in ast.walk(t):
+                    if (isinstance(n, ast.Name) and PRIVATE_CONSTANT.fullmatch(n.id)
+                            and n.id not in read):
+                        found.append((name, n.lineno, n.id))
     return sorted(found)
 
 
@@ -100,6 +115,13 @@ def test_the_scan_finds_an_unread_definition():
            "class C:\n    def __init__(self): pass\n    def m(self): pass\n    def n(self): pass\n")
     assert unread_definitions({"m.py": src}, [src, "used(); C().n()\n"]) == [
         ("m.py", 2, "unused"), ("m.py", 5, "m")]
+
+
+def test_the_scan_finds_an_unread_private_constant():
+    src = ("_USED = 1\n_UNUSED = 2\n_A, _B = 3, 4\n_T: int = 5\nPUBLIC = 6\n_lower = 7\n"
+           "def f():\n    _LOCAL = 8\n    return _USED + _A\n")
+    assert unread_definitions({"m.py": src}, [src, "f()\n"]) == [
+        ("m.py", 2, "_UNUSED"), ("m.py", 3, "_B"), ("m.py", 4, "_T")]
 
 
 def test_every_library_definition_is_read():

@@ -104,3 +104,38 @@ def test_parameters_enter_through_bindings():
     f2 = factorize(SparseMatrix.from_dense(np.array([[3.0]])))
     out2 = newton_solve(res, f2, np.zeros(1), max_iter=5, ctol=1e-12)
     assert out2.uu[0] == pytest.approx(2.0)
+
+
+def test_rate_test_stops_a_linear_contraction_early():
+    # R(u) = u - 1 against a frozen slope of 2: each correction halves the
+    # error, so theta = 0.5 and theta/(1-theta)*|d_k| is exactly the error left
+    res = make_residual([ex.U(1) - 1.0])
+    f = factorize(SparseMatrix.from_dense(np.array([[2.0]])))
+    out = newton_solve(res, f, np.zeros(1), max_iter=50, ctol=1e-12, rate_tol=1e-3)
+    assert out.converged
+    assert out.iterations == 10          # 2^-10 <= 1e-3; the absolute test needs 40
+    assert out.theta == pytest.approx(0.5)
+    assert abs(out.uu[0] - 1.0) <= 1e-3
+
+
+def test_rate_test_stops_a_diverging_iteration():
+    # a frozen slope of 0.4 for R(u) = u - 1 multiplies the error by -1.5
+    res = make_residual([ex.U(1) - 1.0])
+    f = factorize(SparseMatrix.from_dense(np.array([[0.4]])))
+    out = newton_solve(res, f, np.zeros(1), max_iter=50, ctol=1e-12, rate_tol=1e-3)
+    assert not out.converged
+    assert out.iterations == 2
+    assert out.theta == pytest.approx(1.5)
+
+
+def test_without_a_rate_tolerance_only_the_absolute_test_stops():
+    res = make_residual([ex.U(1) - 1.0])
+    # the slow contraction runs to the absolute test, the divergence to max_iter
+    for slope, max_iter, iterations, converged in ((2.0, 50, 40, True), (0.4, 6, 6, False)):
+        f = factorize(SparseMatrix.from_dense(np.array([[slope]])))
+        plain = newton_solve(res, f, np.zeros(1), max_iter, 1e-12)
+        out = newton_solve(res, f, np.zeros(1), max_iter, 1e-12, rate_tol=None)
+        assert (out.iterations, out.converged) == (plain.iterations, plain.converged) == (
+            iterations, converged)
+        assert out.uu[0] == plain.uu[0]
+        assert out.correction_norm == plain.correction_norm

@@ -10,8 +10,9 @@ import pytest
 from sparsedae import expr as ex
 from sparsedae.errors import NonFiniteResidual
 from sparsedae.problemfile import parse_problem_text
-from sparsedae.problems import example1
+from sparsedae.problems import example1, example2, example5
 from sparsedae.stepper import (
+    Attempt,
     SolverOptions,
     Status,
     Stepper,
@@ -75,9 +76,9 @@ def test_backward_euler_single_step_closed_form():
                                             iter=40, extrapolate=extrapolate))
         state, _ = st.initialize()
         assert state == pytest.approx([1.0])
-        y, err = st.attempt_step(state, h, st._factorize(state, h))
-        assert y == pytest.approx([want], abs=1e-12)
-        assert err == pytest.approx(a / (atol + a * 10 * atol), rel=1e-8)
+        out = st.attempt_step(state, h, st._factorize(state, h))
+        assert out.state == pytest.approx([want], abs=1e-12)
+        assert out.err == pytest.approx(a / (atol + a * 10 * atol), rel=1e-8)
 
 
 def test_nonfinite_step_reports_infinite_error():
@@ -87,8 +88,8 @@ def test_nonfinite_step_reports_infinite_error():
                                      hinit=1e-3, iter=50))
     state, f = st.initialize()
     # a huge step drives the iterate negative and ln out of its domain
-    y, err = st.attempt_step(np.array([0.5]), 1.0, f)
-    assert err == math.inf and y is None
+    out = st.attempt_step(np.array([0.5]), 1.0, f)
+    assert out.err == math.inf and out.state is None and not out.unconverged
 
 
 SQRT_DECAY = """
@@ -132,6 +133,64 @@ def test_nonfinite_jacobian_in_fixed_step_mode_stops_the_run(monkeypatch):
     assert (traj.accepted, traj.rejected, traj.jac_updates) == (1, 1, 1)
     assert traj.times == [0.0, 0.5]
     assert traj.final_state[0] == pytest.approx(math.exp(-0.5), abs=1e-2)
+
+
+def unconverged_on_call(st, n):
+    """Make ``st``'s n-th step attempt (1-based) fail on an unconverged Newton
+    solve; returns the list of (h, factorization) of every attempt."""
+    attempt = st.attempt_step
+    calls = []
+
+    def fake(state, h, f, rate_tol=None):
+        calls.append((h, f))
+        return Attempt(unconverged=True) if len(calls) == n else attempt(state, h, f, rate_tol)
+
+    st.attempt_step = fake
+    return calls
+
+
+# a constant h keeps the LU of one step for the next (h / h_LU = 1)
+CONSTANT_H = dict(tf=1.0, atol=1e-3, hinit=0.125, hmax=0.125)
+
+
+def test_unconverged_attempt_against_a_stale_lu_retries_the_same_h():
+    plain = Stepper(decay(), SolverOptions(**CONSTANT_H)).integrate()
+    st = Stepper(decay(), SolverOptions(**CONSTANT_H))
+    calls = unconverged_on_call(st, 2)   # the second step, on the first step's LU
+    traj = st.integrate()
+    assert calls[1][1] is calls[0][1]
+    assert calls[2][0] == calls[1][0] and calls[2][1] is not calls[1][1]
+    assert (traj.rejected, traj.conv_fails, traj.err_fails) == (0, 1, 0)
+    assert traj.accepted == plain.accepted
+    assert traj.jac_updates == traj.lu_count == plain.jac_updates + 1
+
+
+def test_unconverged_attempt_against_a_fresh_lu_rejects_the_step():
+    st = Stepper(decay(), SolverOptions(**CONSTANT_H))
+    calls = unconverged_on_call(st, 1)   # the first step, on its own fresh LU
+    traj = st.integrate()
+    assert calls[1][0] == calls[0][0] / 4 and calls[1][1] is not calls[0][1]
+    assert (traj.rejected, traj.conv_fails, traj.err_fails) == (1, 1, 0)
+    assert traj.status is Status.SUCCESS
+
+
+def test_rejections_are_split_by_cause():
+    traj = integrate(example2(), SolverOptions(tf=10.0, atol=1e-6, hmax=0.1, method=MethodKind.RAD,
+                                               err_denominator="standard"))
+    assert traj.err_fails > 0 and traj.conv_fails > 0
+    # every rejection is an error-test failure or a convergence failure
+    assert traj.err_fails <= traj.rejected <= traj.err_fails + traj.conv_fails
+
+
+def test_lus_follow_newton_contraction_not_every_step():
+    # criterion 10's options on ex5 16x16 (41 steps): Newton contracts fast
+    # enough that most steps keep the previous step's LU
+    traj = integrate(example5(16, 16, c0=1.0), SolverOptions(
+        tf=5.0, atol=1e-6, hmax=0.25, hinit=1e-4, ntot=4000, method=MethodKind.IMPTRAP,
+        err_denominator="standard", extrapolate=False))
+    assert traj.status is Status.SUCCESS
+    assert traj.rejected == 0 and 30 <= traj.accepted <= 45
+    assert traj.lu_count <= 12
 
 
 def test_adaptive_run_hits_tf_exactly():
