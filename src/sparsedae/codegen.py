@@ -12,10 +12,12 @@ number.  Slots are numbered by first appearance, so the aliasing pattern is
 part of the shape: ``u_i*u_i`` and ``u_i*u_j`` never share one.
 ``group_shapes`` walks each expression once and groups them by shape into
 ``ShapeGroup``s, which hold every member's leaf indices as one row of an
-index table.  In the solve path only the source equations are walked, once
-per system, when ``system.DaeSystem`` is built; ``derived_groups`` takes
-expressions built from a group's first member and instantiates each for
-every member by picking columns of that table.
+index table.  In the solve path only hand-written source equations are
+walked, once per system, when ``system.DaeSystem`` is built;
+``derived_groups`` takes expressions built from a group's first member and
+instantiates each for every member by picking columns of that table.  The
+grid built-ins' stencil templates enter through ``derived_groups`` too, so
+their rows are never walked.
 Lowering and differentiation share it: the method residual is lowered once
 per source shape and instantiated from the source table
 (``system.build_residual``), so no lowered row is walked on its own, and
@@ -165,7 +167,9 @@ def derived_groups(blocks: Iterable[Tuple[ShapeGroup, ex.Expr, np.ndarray]],
     """Group expressions instantiated over the members of source groups.
 
     Each block ``(source, d, rows)`` holds an expression ``d`` built from the
-    leaves of ``source``'s first member; member ``r`` of ``source`` gets ``d``
+    leaves of ``source``'s first member, where ``source`` is anything with a
+    ShapeGroup's ``names`` and ``index``, such as a ``system.Stencil``;
+    member ``r`` of ``source`` gets ``d``
     with those leaves replaced by its own, at output position ``rows[r]``.  A
     leaf of ``d`` reads the first column of ``source.index`` that names it on
     the first member, so where two columns name the same leaf the earlier one

@@ -9,7 +9,11 @@ ex6  2-D electrolyte concentration/potential (tertiary current distribution)
 
 The PDE problems make every ghost node a first-class algebraic unknown whose
 defining equation is the boundary condition; that is what produces system
-sizes 2N+4, NM+2N+2M, and 2NM+4N+4M.
+sizes 2N+4, NM+2N+2M, and 2NM+4N+4M.  They emit their rows as stencil
+templates (``system.StencilRows``): one row per stencil class (interior
+cells, each ghost side, electrode and insulated rows) over numpy tables of
+its members' unknowns, so building a grid never builds a row.  The small
+problems give their rows as tuples.
 
 ex6's physical parameters are not calibrated against published data; their
 defaults are placeholders and all four are settable.  The
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import InvalidGrid, SparseDaeError, UnknownObservable
-from .system import DaeSystem
+from .system import DaeSystem, Stencil, StencilRows
 
 
 def example1() -> DaeSystem:
@@ -80,6 +84,21 @@ def decay() -> DaeSystem:
     )
 
 
+def _stencils(*blocks) -> StencilRows:
+    """Rows from ``(build, *columns)`` blocks, laid out one block after another.
+
+    Each column is an array of 0-based unknowns, one per member; ``build``
+    takes one unknown per column and returns the row, and is called once, on
+    the first member's unknowns, for the block's template."""
+    stencils, start = [], 0
+    for build, *columns in blocks:
+        index = np.stack(columns, axis=1).astype(np.int64)
+        first = [ex.U(k + 1) for k in index[0].tolist()]
+        stencils.append(Stencil(build(*first), np.arange(start, start + len(index)), index))
+        start += len(index)
+    return StencilRows(stencils)
+
+
 def example4(n: int = 4) -> DaeSystem:
     """1-D PDE pair with ghost nodes; 2n+4 unknowns.
 
@@ -89,22 +108,21 @@ def example4(n: int = 4) -> DaeSystem:
     dx = 1.0 / n
     inv_dx2 = 1.0 / (dx * dx)
 
-    # c[i] and z[i] for i = 0..n+1, ghosts at both ends
-    c = [ex.U(k) for k in (2 * n + 1, *range(1, n + 1), 2 * n + 2)]
-    z = [ex.U(k) for k in (2 * n + 3, *range(n + 1, 2 * n + 1), 2 * n + 4)]
+    # 0-based unknowns of c[i] and z[i] for i = 0..n+1, ghosts at both ends
+    c = np.array([2 * n, *range(n), 2 * n + 1])
+    z = np.array([2 * n + 2, *range(n, 2 * n), 2 * n + 3])
+    west, centre, east = slice(0, n), slice(1, n + 1), slice(2, n + 2)
 
-    odes = tuple(
-        (c[i + 1] - 2.0 * c[i] + c[i - 1]) * inv_dx2 - c[i] * (1.0 + z[i])
-        for i in range(1, n + 1)
-    )
-    alg: List[ex.Expr] = [
-        (z[i + 1] - 2.0 * z[i] + z[i - 1]) * inv_dx2 - (1.0 - c[i] * c[i]) * ex.exp(-z[i])
-        for i in range(1, n + 1)
-    ]
-    alg.append((c[1] - c[0]) / dx)
-    alg.append((c[n] + c[n + 1]) * 0.5 - 1.0)
-    alg.append((z[1] - z[0]) / dx)
-    alg.append((z[n] + z[n + 1]) * 0.5)
+    odes = _stencils(
+        (lambda ce, cc, cw, zc: (ce - 2.0 * cc + cw) * inv_dx2 - cc * (1.0 + zc),
+         c[east], c[centre], c[west], z[centre]))
+    alg = _stencils(
+        (lambda ze, zc, zw, cc: (ze - 2.0 * zc + zw) * inv_dx2 - (1.0 - cc * cc) * ex.exp(-zc),
+         z[east], z[centre], z[west], c[centre]),
+        (lambda c1, c0: (c1 - c0) / dx, c[1:2], c[0:1]),
+        (lambda cn, cg: (cn + cg) * 0.5 - 1.0, c[n:n + 1], c[n + 1:]),
+        (lambda z1, z0: (z1 - z0) / dx, z[1:2], z[0:1]),
+        (lambda zn, zg: (zn + zg) * 0.5, z[n:n + 1], z[n + 1:]))
 
     names = ([f"c_{i}" for i in range(1, n + 1)]
              + [f"z_{i}" for i in range(1, n + 1)]
@@ -116,52 +134,43 @@ def example4(n: int = 4) -> DaeSystem:
     }
     return DaeSystem(
         ode_rhs=odes,
-        alg_residual=tuple(alg),
+        alg_residual=alg,
         var_names=tuple(names),
         y0z0=tuple(init),
         observables=observables,
     )
 
 
-class _Grid:
-    """Unknowns of one field on an n x m cell grid with a ghost layer per side.
+def _field(n: int, m: int, cell0: int, ghost0: int) -> np.ndarray:
+    """0-based unknowns of one field on an n x m cell grid, padded with a
+    ghost layer per side: entry ``[j, i]`` is cell (i, j) for 1 <= i <= n,
+    1 <= j <= m, and the W, E, S and N ghosts sit at i = 0, i = n+1, j = 0
+    and j = m+1.  The cells are ``cell0`` on, row by row in j; the ghosts
+    are ``ghost0`` on, in the order W_1..W_m, E_1..E_m, S_1..S_n, N_1..N_n.
+    The corners are -1: the five-point stencil never reads them."""
+    g = np.full((m + 2, n + 2), -1, dtype=np.int64)
+    g[1:-1, 1:-1] = cell0 + np.arange(n * m).reshape(m, n)
+    g[1:-1, 0] = ghost0 + np.arange(m)
+    g[1:-1, -1] = ghost0 + m + np.arange(m)
+    g[0, 1:-1] = ghost0 + 2 * m + np.arange(n)
+    g[-1, 1:-1] = ghost0 + 2 * m + n + np.arange(n)
+    return g
 
-    Cell (i, j), 1-based, is ``U(cell0 + (j-1)*n + i)``; the ghosts follow
-    ``ghost0`` in the order W_1..W_m, E_1..E_m, S_1..S_n, N_1..N_n."""
 
-    def __init__(self, n: int, m: int, cell0: int, ghost0: int):
-        self.n, self.m, self.cell0, self.ghost0 = n, m, cell0, ghost0
+def _five_point(g: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Each cell's unknown and its west, east, south and north neighbours in
+    the padded field ``g``, cells in row order, ghosts at the edges."""
+    return tuple(a.ravel() for a in (g[1:-1, 1:-1], g[1:-1, :-2], g[1:-1, 2:],
+                                     g[:-2, 1:-1], g[2:, 1:-1]))
 
-    def cell(self, i: int, j: int) -> ex.Expr:
-        return ex.U(self.cell0 + (j - 1) * self.n + i)
 
-    def west(self, j: int) -> ex.Expr:
-        return ex.U(self.ghost0 + j)
-
-    def east(self, j: int) -> ex.Expr:
-        return ex.U(self.ghost0 + self.m + j)
-
-    def south(self, i: int) -> ex.Expr:
-        return ex.U(self.ghost0 + 2 * self.m + i)
-
-    def north(self, i: int) -> ex.Expr:
-        return ex.U(self.ghost0 + 2 * self.m + self.n + i)
-
-    def neighbors(self, i: int, j: int) -> Tuple[ex.Expr, ex.Expr, ex.Expr, ex.Expr]:
-        """West, east, south and north of cell (i, j), ghosts at the edges."""
-        n, m = self.n, self.m
-        return (self.west(j) if i == 1 else self.cell(i - 1, j),
-                self.east(j) if i == n else self.cell(i + 1, j),
-                self.south(i) if j == 1 else self.cell(i, j - 1),
-                self.north(i) if j == m else self.cell(i, j + 1))
-
-    def names(self, fld: str) -> Tuple[List[str], List[str]]:
-        """The cell names and the ghost names of field ``fld``."""
-        rows, cols = range(1, self.m + 1), range(1, self.n + 1)
-        cells = [f"{fld}_{i}_{j}" for j in rows for i in cols]
-        ghosts = ([f"{fld}W_{j}" for j in rows] + [f"{fld}E_{j}" for j in rows]
-                  + [f"{fld}S_{i}" for i in cols] + [f"{fld}N_{i}" for i in cols])
-        return cells, ghosts
+def _names(fld: str, n: int, m: int) -> Tuple[List[str], List[str]]:
+    """The cell names and the ghost names of field ``fld``, in ``_field``'s order."""
+    rows, cols = range(1, m + 1), range(1, n + 1)
+    cells = [f"{fld}_{i}_{j}" for j in rows for i in cols]
+    ghosts = ([f"{fld}W_{j}" for j in rows] + [f"{fld}E_{j}" for j in rows]
+              + [f"{fld}S_{i}" for i in cols] + [f"{fld}N_{i}" for i in cols])
+    return cells, ghosts
 
 
 def example5(n: int = 4, m: Optional[int] = None, phi: float = 0.5,
@@ -180,30 +189,19 @@ def example5(n: int = 4, m: Optional[int] = None, phi: float = 0.5,
     dx, dy = 1.0 / n, 1.0 / m
     inv_dx2, inv_dy2 = 1.0 / (dx * dx), 1.0 / (dy * dy)
     nm = n * m
-    g = _Grid(n, m, 0, nm)
-    cell = g.cell
+    g = _field(n, m, 0, nm)
 
     p2 = ex.Param("phi") * ex.Param("phi")
-    odes = []
-    for j in range(1, m + 1):
-        for i in range(1, n + 1):
-            cc = cell(i, j)
-            cw, ce, cs, cn = g.neighbors(i, j)
-            odes.append((ce - 2.0 * cc + cw) * inv_dx2
-                        + (cn - 2.0 * cc + cs) * inv_dy2
-                        - p2 * cc * cc)
+    odes = _stencils(
+        (lambda cc, cw, ce, cs, cn: (ce - 2.0 * cc + cw) * inv_dx2
+         + (cn - 2.0 * cc + cs) * inv_dy2 - p2 * cc * cc, *_five_point(g)))
+    alg = _stencils(
+        (lambda c, gw: (c - gw) / dx, g[1:-1, 1], g[1:-1, 0]),                # zero flux at x=0
+        (lambda c, ge: (c + ge) * 0.5 - 1.0, g[1:-1, n], g[1:-1, n + 1]),     # Dirichlet c=1 at x=1
+        (lambda c, gs: (c - gs) / dy, g[1, 1:-1], g[0, 1:-1]),                # zero flux at y=0
+        (lambda c, gn: (c + gn) * 0.5 - 1.0, g[m, 1:-1], g[m + 1, 1:-1]))     # Dirichlet c=1 at y=1
 
-    alg: List[ex.Expr] = []
-    for j in range(1, m + 1):  # zero flux at x=0
-        alg.append((cell(1, j) - g.west(j)) / dx)
-    for j in range(1, m + 1):  # Dirichlet c=1 at x=1
-        alg.append((cell(n, j) + g.east(j)) * 0.5 - 1.0)
-    for i in range(1, n + 1):  # zero flux at y=0
-        alg.append((cell(i, 1) - g.south(i)) / dy)
-    for i in range(1, n + 1):  # Dirichlet c=1 at y=1
-        alg.append((cell(i, m) + g.north(i)) * 0.5 - 1.0)
-
-    cells, ghosts = g.names("c")
+    cells, ghosts = _names("c", n, m)
     init = ([float(c0)] * nm + [float(c0)] * m + [2.0 - c0] * m
             + [float(c0)] * n + [2.0 - c0] * n)
 
@@ -213,8 +211,8 @@ def example5(n: int = 4, m: Optional[int] = None, phi: float = 0.5,
         "c_center": (((j0 - 1) * n + i0, 1.0),),
     }
     return DaeSystem(
-        ode_rhs=tuple(odes),
-        alg_residual=tuple(alg),
+        ode_rhs=odes,
+        alg_residual=alg,
         var_names=tuple(cells + ghosts),
         y0z0=tuple(init),
         params={"phi": float(phi)},
@@ -243,61 +241,50 @@ def example6(n: int = 4, m: Optional[int] = None, dx_coeff: float = 1.0,
     Da, Delta = ex.Param("Da"), ex.Param("delta")
 
     gc0, gp0 = 2 * nm, 2 * nm + 2 * m + 2 * n
-    gc, gp = _Grid(n, m, 0, gc0), _Grid(n, m, nm, gp0)
-    c, p = gc.cell, gp.cell
-
+    gc, gp = _field(n, m, 0, gc0), _field(n, m, nm, gp0)
     inv_dx2, inv_dy2 = 1.0 / (dx * dx), 1.0 / (dy * dy)
-    odes = []
-    for j in range(1, m + 1):
-        for i in range(1, n + 1):
-            cc = c(i, j)
-            cw, ce_, cs, cn = gc.neighbors(i, j)
-            odes.append(Dx * ((ce_ - 2.0 * cc + cw) * inv_dx2)
-                        + Dy * ((cn - 2.0 * cc + cs) * inv_dy2))
 
-    alg: List[ex.Expr] = []
-    # potential rows: flux divergence with face-averaged concentrations
-    for j in range(1, m + 1):
-        for i in range(1, n + 1):
-            cc, pc = c(i, j), p(i, j)
-            cw, ce_, cs, cn = gc.neighbors(i, j)
-            pw, pe, ps, pn = gp.neighbors(i, j)
-            flux_e = Dx * ((ce_ + cc) * 0.5) * ((pe - pc) / dx)
-            flux_w = Dx * ((cc + cw) * 0.5) * ((pc - pw) / dx)
-            flux_n = Dy * ((cc + cn) * 0.5) * ((pn - pc) / dy)
-            flux_s = Dy * ((cc + cs) * 0.5) * ((pc - ps) / dy)
-            alg.append((flux_e - flux_w) / dx + (flux_n - flux_s) / dy)
+    def potential(cc, cw, ce_, cs, cn, pc, pw, pe, ps, pn):
+        # flux divergence with face-averaged concentrations
+        flux_e = Dx * ((ce_ + cc) * 0.5) * ((pe - pc) / dx)
+        flux_w = Dx * ((cc + cw) * 0.5) * ((pc - pw) / dx)
+        flux_n = Dy * ((cc + cn) * 0.5) * ((pn - pc) / dy)
+        flux_s = Dy * ((cc + cs) * 0.5) * ((pc - ps) / dy)
+        return (flux_e - flux_w) / dx + (flux_n - flux_s) / dy
 
-    # concentration ghosts
-    for j in range(1, m + 1):  # x = 0: electrode kinetics / insulation
-        if j <= half:
-            face_c = (gc.west(j) + c(1, j)) * 0.5
-            face_p = (gp.west(j) + p(1, j)) * 0.5
-            alg.append(Dx * (c(1, j) - gc.west(j)) / dx - Da * face_c * face_p)
-        else:
-            alg.append((c(1, j) - gc.west(j)) / dx)
-    for j in range(1, m + 1):  # x = L: applied flux
-        alg.append(Dx * (gc.east(j) - c(n, j)) / dx - Delta)
-    for i in range(1, n + 1):  # y = 0: zero flux
-        alg.append((c(i, 1) - gc.south(i)) / dy)
-    for i in range(1, n + 1):  # y = H: zero flux
-        alg.append((gc.north(i) - c(i, m)) / dy)
+    def electrode_c(c1, cw, p1, pw):
+        face_c = (cw + c1) * 0.5
+        face_p = (pw + p1) * 0.5
+        return Dx * (c1 - cw) / dx - Da * face_c * face_p
 
-    # potential ghosts
-    for j in range(1, m + 1):  # x = 0
-        if j <= half:
-            face_p = (gp.west(j) + p(1, j)) * 0.5
-            alg.append(Dx * (p(1, j) - gp.west(j)) / dx - Da * face_p)
-        else:
-            alg.append((p(1, j) - gp.west(j)) / dx)
-    for j in range(1, m + 1):  # x = L: applied current
-        alg.append(Dx * ((gc.east(j) + c(n, j)) * 0.5) * ((gp.east(j) - p(n, j)) / dx) - Delta)
-    for i in range(1, n + 1):  # y = 0
-        alg.append((p(i, 1) - gp.south(i)) / dy)
-    for i in range(1, n + 1):  # y = H
-        alg.append((gp.north(i) - p(i, m)) / dy)
+    def electrode_p(p1, pw):
+        face_p = (pw + p1) * 0.5
+        return Dx * (p1 - pw) / dx - Da * face_p
 
-    (c_cells, c_ghosts), (p_cells, p_ghosts) = gc.names("c"), gp.names("phi")
+    # grid rows j = 1..half of the x = 0 ghosts face the electrode, the rest
+    # are insulated
+    lo, hi = slice(1, half + 1), slice(half + 1, m + 1)
+    odes = _stencils(
+        (lambda cc, cw, ce_, cs, cn: Dx * ((ce_ - 2.0 * cc + cw) * inv_dx2)
+         + Dy * ((cn - 2.0 * cc + cs) * inv_dy2), *_five_point(gc)))
+    alg = _stencils(
+        (potential, *_five_point(gc), *_five_point(gp)),
+        # concentration ghosts: x = 0 electrode kinetics / insulation,
+        # x = L applied flux, zero flux at y = 0 and y = H
+        (electrode_c, gc[lo, 1], gc[lo, 0], gp[lo, 1], gp[lo, 0]),
+        (lambda c1, cw: (c1 - cw) / dx, gc[hi, 1], gc[hi, 0]),
+        (lambda ce, cn: Dx * (ce - cn) / dx - Delta, gc[1:-1, n + 1], gc[1:-1, n]),
+        (lambda c1, cs: (c1 - cs) / dy, gc[1, 1:-1], gc[0, 1:-1]),
+        (lambda cn, cm: (cn - cm) / dy, gc[m + 1, 1:-1], gc[m, 1:-1]),
+        # potential ghosts: x = 0, x = L applied current, y = 0, y = H
+        (electrode_p, gp[lo, 1], gp[lo, 0]),
+        (lambda p1, pw: (p1 - pw) / dx, gp[hi, 1], gp[hi, 0]),
+        (lambda ce, cn, pe, pn: Dx * ((ce + cn) * 0.5) * ((pe - pn) / dx) - Delta,
+         gc[1:-1, n + 1], gc[1:-1, n], gp[1:-1, n + 1], gp[1:-1, n]),
+        (lambda p1, ps: (p1 - ps) / dy, gp[1, 1:-1], gp[0, 1:-1]),
+        (lambda pn, pm: (pn - pm) / dy, gp[m + 1, 1:-1], gp[m, 1:-1]))
+
+    (c_cells, c_ghosts), (p_cells, p_ghosts) = _names("c", n, m), _names("phi", n, m)
     init = [1.0] * nm + [0.0] * nm + [1.0] * (2 * m + 2 * n) + [0.0] * (2 * m + 2 * n)
 
     i0, j0 = max(1, n // 2), half
@@ -308,8 +295,8 @@ def example6(n: int = 4, m: Optional[int] = None, dx_coeff: float = 1.0,
         "phi_x0_ymid": ((gp0 + j0, 0.5), (nm + (j0 - 1) * n + 1, 0.5)),
     }
     return DaeSystem(
-        ode_rhs=tuple(odes),
-        alg_residual=tuple(alg),
+        ode_rhs=odes,
+        alg_residual=alg,
         var_names=tuple(c_cells + p_cells + c_ghosts + p_ghosts),
         y0z0=tuple(init),
         params={"Dx": float(dx_coeff), "Dy": float(dy_coeff),

@@ -329,12 +329,15 @@ class Stepper:
         state, traj = self._start()
         p = self.kind.order
         rate_tol = _RATE_TOL * opt.atol
+        h_floor = max(1e-14 * opt.tf, 1e-3 * opt.hinit)
+        # a step that would end within h_floor of tf lands on tf: the rest
+        # would be a step below the floor
         t, h = 0.0, min(opt.hinit, opt.tf)
-        landing = h >= opt.tf
+        landing = h >= opt.tf - h_floor
+        h = opt.tf if landing else h
         frozen: Optional[Factorization] = None   # None: refresh before the next attempt
         fresh = False      # frozen was factorized at the current (state, h)
         h_lu = h           # the h frozen was factorized at
-        h_floor = max(1e-14 * opt.tf, 1e-3 * opt.hinit)
         consecutive_rejects = 0
 
         while True:
@@ -374,8 +377,8 @@ class Stepper:
             traj.accepted += 1
             traj.record(t, state)
             h = next_h(h, attempt.err, p, opt.hmax)
-            landing = h >= opt.tf - t
-            h = min(h, opt.tf - t)
+            landing = h >= opt.tf - t - h_floor
+            h = opt.tf - t if landing else h
             if attempt.theta > _THETA_REFRESH or not _H_RATIO_MIN <= h / h_lu <= _H_RATIO_MAX:
                 frozen = None
             fresh = False

@@ -12,10 +12,14 @@ the symbolic structure is built once and only numeric bindings change from
 step to step.  The same residual with h = 0 performs consistent
 initialization of the algebraic components.
 
-The f's and g's are grouped by shape (``codegen.group_shapes``) once, when
-the system is constructed and validated; lowering runs once per source
-shape, not once per row.  Each method maps a leaf of the source equation
-to a fixed expression in that leaf's unknown and base-state slot, and adds
+The f's and g's are grouped by shape once, when the system is constructed
+and validated.  Hand-written rows, given as tuples (problem files, the small
+built-ins, tests), are walked one by one by ``codegen.group_shapes``.  The
+grid built-ins give ``StencilRows`` instead: one template row per stencil
+class over index tables, merged into shape groups by
+``codegen.derived_groups`` without building a row; a row is built only when
+it is read.  Lowering runs once per source shape, not once per row.  Each
+method maps a leaf of the source equation to a fixed expression in that leaf's unknown and base-state slot, and adds
 the row's own unknown to an ODE row, so a lowered row's shape follows from
 its source shape, the method, and which slot, if any, names the row's own
 unknown.  Only the first row of each such part is lowered;
@@ -27,8 +31,10 @@ Jacobian's derivatives.
 from __future__ import annotations
 
 import enum
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -59,11 +65,98 @@ class MethodKind(enum.Enum):
         return 2 if self is MethodKind.RAD else 1
 
 
+def _instantiate(e: ex.Expr, index: np.ndarray, r: int) -> ex.Expr:
+    """``e``, written over the 0-based unknowns ``index[0]``, rewritten over
+    member ``r``'s unknowns ``index[r]``."""
+    if r == 0:
+        return e
+    return ex.substitute(e, {j + 1: ex.U(k + 1) for j, k in zip(index[0].tolist(), index[r].tolist())})
+
+
+class Stencil(NamedTuple):
+    """One stencil class: a template row and the index table it is mapped over.
+
+    ``expr`` is the first member's row, written over the 0-based unknowns
+    ``index[0]``; member ``r`` is the same row over ``index[r]``, at position
+    ``rows[r]`` of its ``StencilRows``.  Every column names an unknown."""
+
+    expr: ex.Expr
+    rows: np.ndarray
+    index: np.ndarray
+
+    @property
+    def names(self) -> Tuple[str, ...]:
+        # the column names ``derived_groups`` reads off a source
+        return ("u",) * self.index.shape[1]
+
+
+class StencilRows(Sequence):
+    """A read-only sequence of rows held as stencil templates.
+
+    The stencils' ``rows`` must ascend within each stencil and together
+    number the rows 0..n-1.  Each member must have coincident columns
+    exactly where its stencil's first member has them, since a template's
+    leaves are mapped to columns on the first member.  ``len`` is free, and
+    a row is built, from its stencil's template, only when it is read."""
+
+    def __init__(self, stencils: Sequence[Stencil]):
+        self.stencils = tuple(stencils)
+        for s in self.stencils:
+            if len(s.rows) == 0 or len(s.rows) != len(s.index) or (np.diff(s.rows) <= 0).any():
+                raise ValueError("a stencil's rows must ascend, one per row of its index table")
+            same = s.index[:, :, None] == s.index[:, None, :]
+            bad = (same != same[0]).any(axis=(1, 2))
+            if bad.any():
+                raise ValueError(f"row {s.rows[bad.argmax()]} has coincident unknowns unlike "
+                                 f"its stencil's first row {s.rows[0]}")
+        none = [np.zeros(0, dtype=np.int64)]
+        sizes = [len(s.rows) for s in self.stencils]
+        rows = np.concatenate(none + [s.rows for s in self.stencils])
+        if not np.array_equal(np.sort(rows), np.arange(len(rows))):
+            raise ValueError("stencil rows must number the rows 0..n-1 once each")
+        # the (stencil, member) of each row
+        self._where = np.empty((len(rows), 2), dtype=np.int64)
+        self._where[rows, 0] = np.repeat(np.arange(len(sizes)), sizes)
+        self._where[rows, 1] = np.concatenate(none + [np.arange(k) for k in sizes])
+
+    def __len__(self) -> int:
+        return len(self._where)
+
+    def __getitem__(self, i) -> ex.Expr:
+        block, member = self._where[operator.index(i)].tolist()
+        s = self.stencils[block]
+        return _instantiate(s.expr, s.index, member)
+
+    def __eq__(self, other):
+        # equal stencils, as two calls of one builder give, without building rows
+        if not isinstance(other, StencilRows):
+            return NotImplemented
+        return len(self.stencils) == len(other.stencils) and all(
+            a.expr == b.expr and np.array_equal(a.rows, b.rows) and np.array_equal(a.index, b.index)
+            for a, b in zip(self.stencils, other.stencils))
+
+
+def _group(ode: Sequence[ex.Expr], alg: Sequence[ex.Expr], layout: ParamLayout) -> List[ShapeGroup]:
+    """The shape groups of ``ode + alg``: row tuples walked row by row, stencil
+    rows merged from their templates."""
+    if not isinstance(ode, StencilRows) and not isinstance(alg, StencilRows):
+        return group_shapes(tuple(ode) + tuple(alg), layout)
+    blocks = []
+    for rows, offset in ((ode, 0), (alg, len(ode))):
+        if not isinstance(rows, StencilRows):
+            if len(rows):
+                raise ValueError("ode_rhs and alg_residual must both be stencil rows when either is")
+            continue
+        blocks += [(s, s.expr, s.rows + offset) for s in rows.stencils]
+    return derived_groups(blocks, layout)
+
+
 @dataclass(frozen=True)
 class DaeSystem:
     """Ordered ODE + algebraic residual equations over one state vector.
 
-    ode_rhs[i] is f_i, alg_residual[j] is g_j (equation g_j = 0).  Both may
+    ode_rhs[i] is f_i, alg_residual[j] is g_j (equation g_j = 0), given
+    both as tuples of rows or both as ``StencilRows``.  Both may
     reference any state index 1..N_t and declared parameter names.  y0z0
     holds initial values for ODE variables and initial *guesses* for
     algebraic ones.  Parameter names may not be ``h`` or start with
@@ -73,8 +166,8 @@ class DaeSystem:
     unknown indices from that walk; every method residual reads them.
     """
 
-    ode_rhs: Tuple[ex.Expr, ...]
-    alg_residual: Tuple[ex.Expr, ...]
+    ode_rhs: Sequence[ex.Expr]
+    alg_residual: Sequence[ex.Expr]
     var_names: Tuple[str, ...]
     y0z0: Tuple[float, ...]
     params: Dict[str, float] = field(default_factory=dict)
@@ -98,7 +191,7 @@ class DaeSystem:
                              f"step size h or a base-state slot {BASE_PREFIX}k")
         layout = ParamLayout(sorted(self.params))
         try:
-            groups = tuple(group_shapes(tuple(self.ode_rhs) + tuple(self.alg_residual), layout))
+            groups = tuple(_group(self.ode_rhs, self.alg_residual, layout))
         except KeyError as e:
             raise ValueError(f"undeclared parameter {e.args[0]!r}") from None
         for g in groups:
@@ -187,8 +280,10 @@ def build_residual(sys: DaeSystem, kind: MethodKind) -> MethodResidual:
 
     Each of the system's shape groups of f's is split by
     which slot, if any, is the row's own unknown i.  Only the first member of
-    each part is lowered, and ``derived_groups`` instantiates it for the
-    others, as it does the Jacobian's derivatives.  The lowering maps leaves
+    each part is lowered, instantiated from its group's ``expr`` through the
+    group's index table, so no source row is read; ``derived_groups``
+    instantiates the lowered rows for the others, as it does the Jacobian's
+    derivatives.  The lowering maps leaves
     to leaves, so each index table is widened with every column a lowered
     row can name: each leaf's unknown, base-state slot and interior-stage
     unknown, then the row's own unknown in both blocks.  The leaves come
@@ -196,7 +291,6 @@ def build_residual(sys: DaeSystem, kind: MethodKind) -> MethodResidual:
     column.  CN and IMPTRAP project every g at the step endpoint, so each g
     must name an algebraic unknown; that is read off the same index tables."""
     n_t, n_ode = sys.n_total, sys.n_ode
-    equations = sys.ode_rhs + sys.alg_residual
     blocks, blind = [], []
     for g in sys.groups:
         rows, index, width = g.rows, g.index, len(g.names)
@@ -215,10 +309,10 @@ def build_residual(sys: DaeSystem, kind: MethodKind) -> MethodResidual:
         for s in dict.fromkeys(slot.tolist()):
             members = slot == s
             part_rows = rows[members]
-            i = int(part_rows[0])
-            part = ShapeGroup(g.text, equations[i], names, part_rows, table[members])
+            source = _instantiate(g.expr, index, int(members.argmax()))
+            part = ShapeGroup(g.text, source, names, part_rows, table[members])
             leaves = [j + 1 for j in part.index[0, :width].tolist()]
-            lowered = _lower(kind, equations[i], i + 1, s >= 0, leaves, n_t)
+            lowered = _lower(kind, source, int(part_rows[0]) + 1, s >= 0, leaves, n_t)
             blocks += [(part, e, part_rows + block * n_t) for block, e in enumerate(lowered)]
     if blind:
         raise UnsupportedSystem(

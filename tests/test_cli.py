@@ -123,6 +123,17 @@ def test_exit_code_2_on_early_stop(capsys, tmp_path):
     assert "TooManySteps" in err
 
 
+def test_adaptive_run_whose_sum_of_steps_falls_an_ulp_short_of_tf_lands_on_tf(capsys):
+    # ten steps of 0.01 sum to one ulp below 0.1; the tenth must land on tf
+    # rather than leave a step below the floor
+    code, out, _ = run(capsys, "solve", "decay", "--tf", "0.1", "--hinit", "0.01",
+                       "--hmax", "0.01", "--stdout")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1].startswith("# accepted=10,") and lines[-1].endswith("status=Success")
+    assert float(lines[-2].split(",")[0]) == 0.1
+
+
 def test_fixed_step_stops_at_ntot(capsys):
     code, out, err = run(capsys, "solve", "decay", "--tf", "1", "--fixed-h", "0.001",
                          "--ntot", "5", "--stdout")

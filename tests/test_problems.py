@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sparsedae import problems
 from sparsedae.errors import InvalidGrid, SparseDaeError, UnknownObservable
 from sparsedae.problems import (
     ORACLES,
@@ -20,6 +21,8 @@ from sparsedae.problems import (
 )
 from sparsedae.stepper import SolverOptions, Status, integrate
 from sparsedae.system import MethodKind
+
+import problems_reference
 
 
 def test_small_system_shapes():
@@ -170,3 +173,38 @@ def test_piecewise_variant_integrates():
     assert traj.status is Status.SUCCESS
     s = traj.final_state
     assert s[0] ** 2 + s[1] ** 2 == pytest.approx(1.0, abs=1e-6)
+
+
+# the smallest grids; n == m, where ex5's x- and y-boundary rows share a
+# shape; odd n; ex6's default m; dx == dy, where ex6's x- and y-boundary
+# rows share shapes; and non-default parameters
+STENCIL_CASES = {
+    "ex4-2": ("example4", dict(n=2)),
+    "ex4-7": ("example4", dict(n=7)),
+    "ex5-2x2": ("example5", dict(n=2, m=2)),
+    "ex5-2x3": ("example5", dict(n=2, m=3)),
+    "ex5-6x6": ("example5", dict(n=6)),
+    "ex5-5x7-phi-c0": ("example5", dict(n=5, m=7, phi=2.0, c0=1.0)),
+    "ex6-2x2": ("example6", dict(n=2, m=2)),
+    "ex6-3": ("example6", dict(n=3)),
+    "ex6-2x20": ("example6", dict(n=2, m=20)),
+    "ex6-5x6-da0-delta0": ("example6", dict(n=5, m=6, dx_coeff=2.0, da=0.0, delta=0.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STENCIL_CASES))
+def test_stencil_builders_match_the_per_row_builders(case):
+    name, kw = STENCIL_CASES[case]
+    got = getattr(problems, name)(**kw)
+    want = getattr(problems_reference, name)(**kw)
+    assert got == getattr(problems, name)(**kw)
+    assert len(got.groups) == len(want.groups)
+    for g, w in zip(got.groups, want.groups):
+        assert (g.text, g.expr, g.names) == (w.text, w.expr, w.names)
+        assert np.array_equal(g.rows, w.rows) and np.array_equal(g.index, w.index)
+    for rows, ref in ((got.ode_rhs, want.ode_rhs), (got.alg_residual, want.alg_residual)):
+        assert len(rows) == len(ref)
+        assert tuple(rows) == ref
+        assert [repr(e) for e in rows] == [repr(e) for e in ref]
+    assert (got.var_names, got.y0z0, got.params, got.observables) == (
+        want.var_names, want.y0z0, want.params, want.observables)

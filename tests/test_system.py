@@ -5,15 +5,19 @@ import re
 import numpy as np
 import pytest
 
+from sparsedae import codegen
 from sparsedae import expr as ex
 from sparsedae import system
 from sparsedae.codegen import CompiledResidual, group_shapes
 from sparsedae.errors import UnsupportedSystem
+from sparsedae.problems import example6
 from sparsedae.stepper import SolverOptions, Stepper
 from sparsedae.system import (
     DaeSystem,
     MethodKind,
     MethodResidual,
+    Stencil,
+    StencilRows,
     build_residual,
     state_update,
 )
@@ -176,3 +180,59 @@ def test_each_system_is_grouped_once(monkeypatch):
         build_residual(sysd, kind)
     Stepper(sysd, SolverOptions(tf=1.0))
     assert len(calls) == 1
+
+
+def stencil(index, rows=None):
+    """A stencil of the rows u_a - u_b over the 0-based unknown pairs ``index``."""
+    index = np.array(index, dtype=np.int64)
+    rows = np.arange(len(index)) if rows is None else np.array(rows, dtype=np.int64)
+    return Stencil(ex.U(int(index[0, 0]) + 1) - ex.U(int(index[0, 1]) + 1), rows, index)
+
+
+def test_stencil_rows_are_built_from_the_template_when_read():
+    rows = StencilRows([stencil([[0, 1], [1, 2], [2, 0]])])
+    assert len(rows) == 3
+    assert tuple(rows) == (ex.U(1) - ex.U(2), ex.U(2) - ex.U(3), ex.U(3) - ex.U(1))
+    assert rows[-1] == rows[2]
+    with pytest.raises(IndexError):
+        rows[3]
+    assert rows == StencilRows([stencil([[0, 1], [1, 2], [2, 0]])])
+    assert rows != StencilRows([stencil([[0, 1], [1, 2], [2, 1]])])
+
+
+@pytest.mark.parametrize("index, row", [
+    ([[0, 1], [1, 1], [2, 0]], 1),   # row 1 aliases where the first row does not
+    ([[1, 1], [0, 1], [2, 2]], 1),   # the first row aliases where row 1 does not
+])
+def test_stencil_rows_reject_a_member_that_aliases_unlike_the_first(index, row):
+    # a template's leaves are mapped to columns on the first member, so the
+    # members must repeat its coincidences exactly
+    with pytest.raises(ValueError, match=f"row {row} has coincident unknowns"):
+        StencilRows([stencil(index)])
+
+
+def test_stencil_rows_must_number_the_rows_once_each():
+    with pytest.raises(ValueError, match="0..n-1"):
+        StencilRows([stencil([[0, 1], [1, 2]], rows=[0, 2])])
+    with pytest.raises(ValueError, match="ascend"):
+        StencilRows([stencil([[0, 1], [1, 2]], rows=[1, 0])])
+    with pytest.raises(ValueError, match="both be stencil rows"):
+        DaeSystem(ode_rhs=StencilRows([stencil([[0, 1]])]), alg_residual=(ex.U(2) - 1.0,),
+                  var_names=("x", "z"), y0z0=(0.0, 1.0))
+
+
+def test_stencil_rows_are_grouped_from_their_templates(monkeypatch):
+    # no source row is built and no row is walked on the solve path of a
+    # stencil-built system: not at construction, lowering, compilation or
+    # integration
+    built, walked = [], []
+    read = StencilRows.__getitem__
+    monkeypatch.setattr(StencilRows, "__getitem__", lambda self, i: built.append(i) or read(self, i))
+    for module in (codegen, system):
+        monkeypatch.setattr(module, "group_shapes", lambda *a: walked.append(a) or group_shapes(*a))
+    sysn = example6(8, 16)
+    traj = Stepper(sysn, SolverOptions(tf=0.1, atol=1e-6, hinit=1e-4, ntot=3)).integrate()
+    assert traj.accepted == 3
+    assert built == [] and walked == []
+    sysn.ode_rhs[0]
+    assert built == [0]
