@@ -56,7 +56,7 @@ def _yes_no(value) -> bool:
 
 
 # SolverOptions field -> cast of its flag or config value; each field is the
-# dest of one flag and the name of one config key (rtol has neither)
+# dest of one flag and the name of one config key
 SOLVER_OPTIONS: Dict[str, Callable] = {
     "tf": float, "atol": float, "hinit": float, "hmax": float, "ntot": int,
     "iter": int, "fixed_h": float, "method": MethodKind, "norm": str,
@@ -137,16 +137,11 @@ def _write_output(args, write: Callable[[TextIO], None], default_out: Optional[s
     return False
 
 
-def _integrate(sys_, options: SolverOptions):
-    """Fixed-step integration when ``--fixed-h`` is set, adaptive otherwise."""
-    return (integrate_fixed if options.fixed_h else integrate)(sys_, options)
-
-
 def cmd_solve(args) -> int:
     sys_ = _build_problem(args)
     options = SolverOptions(**_option_values(args))
     _check_observables(sys_, args.observable or [])
-    traj = _integrate(sys_, options)
+    traj = integrate(sys_, options)
 
     def write(fh):
         traj.write_csv(fh)
@@ -171,7 +166,7 @@ def cmd_converge(args) -> int:
         if obs_names is None:
             obs_names = args.observable or sorted(sys_.observables)
         _check_observables(sys_, obs_names)
-        traj = _integrate(sys_, options)
+        traj = integrate(sys_, options)
         if traj.status is not Status.SUCCESS:
             raise SparseDaeError(f"N={n}: integration stopped: {traj.message}")
         rows.append([n] + [probe(traj.final_state, sys_, o) for o in obs_names])

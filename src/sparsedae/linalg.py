@@ -182,23 +182,3 @@ def write_matrix_market(a: SparseMatrix, fh: TextIO, pattern_only: bool = False)
             else:
                 fh.write(f"{a.rowind[idx] + 1} {j + 1} {a.values[idx]:.17g}\n")
 
-
-def read_matrix_market(fh: TextIO) -> SparseMatrix:
-    header = fh.readline().strip().lower().split()
-    if header[:4] != ["%%matrixmarket", "matrix", "coordinate", "real"] and \
-       header[:4] != ["%%matrixmarket", "matrix", "coordinate", "pattern"]:
-        raise ValueError("unsupported Matrix Market header")
-    pattern = header[3] == "pattern"
-    line = fh.readline()
-    while line.startswith("%"):
-        line = fh.readline()
-    nrows, ncols, nnz = map(int, line.split())
-    if nrows != ncols:
-        raise ValueError("only square matrices are supported")
-    rows, cols, vals = [], [], []
-    for _ in range(nnz):
-        parts = fh.readline().split()
-        rows.append(int(parts[0]) - 1)
-        cols.append(int(parts[1]) - 1)
-        vals.append(1.0 if pattern else float(parts[2]))
-    return SparseMatrix.from_coo(nrows, rows, cols, vals)

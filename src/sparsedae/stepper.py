@@ -23,7 +23,10 @@ The fixed-step driver refactorizes every step and keeps Newton's absolute
 test alone, because order verification needs Newton's error far below the
 Richardson error.  Both drivers share one refresh (``_refresh``), the one
 place where Jacobian refreshes and LUs are counted, and one step
-(``attempt_step``).
+(``attempt_step``).  ``integrate`` picks the driver: fixed-step when
+``SolverOptions.fixed_h`` is set, adaptive otherwise.  ``fixed_h`` is
+validated when ``SolverOptions`` is built.  The error test's rtol is fixed
+at 10*atol and is not an option.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .newton import default_ctol, newton_solve
 from .system import DaeSystem, MethodKind, build_residual, state_update
 
 _INIT_MAX_ITER = 100
-_MAX_CONSECUTIVE_REJECTS = 40
 # step-size controller: next_h's growth cap and safety factor, and the
 # divisor of h on a rejection
 _GROWTH = 3.0
@@ -67,8 +69,10 @@ class Status(enum.Enum):
 
 @dataclass
 class SolverOptions:
-    """Integration controls.  Unset hinit/hmax/rtol take the suggested
-    defaults hinit = min(1e-6, tf*atol), hmax = tf/20, rtol = 10*atol."""
+    """Integration controls.  Unset hinit/hmax take the suggested defaults
+    hinit = min(1e-6, tf*atol), hmax = tf/20.  ``fixed_h``, when set, must
+    divide tf into whole steps, and selects the fixed-step driver in
+    ``integrate``.  The error test's rtol is 10*atol, not an option."""
 
     tf: float
     atol: float = 1e-6
@@ -77,7 +81,6 @@ class SolverOptions:
     ntot: int = 1000
     iter: int = 5
     method: MethodKind = MethodKind.IMPTRAP
-    rtol: Optional[float] = None
     extrapolate: bool = True
     fixed_h: Optional[float] = None
     norm: str = "inf"                  # "inf" or "rms"
@@ -88,12 +91,14 @@ class SolverOptions:
             raise ValueError("tf must be positive and finite")
         if not 0 < self.atol < math.inf:
             raise ValueError("atol must be positive and finite")
+        if self.fixed_h is not None:
+            steps = self.tf / self.fixed_h if self.fixed_h > 0 else math.nan
+            if not (steps < math.inf and abs(round(steps) * self.fixed_h - self.tf) <= 1e-12 * self.tf):
+                raise ValueError("fixed_h must be positive and divide tf into whole steps")
         if self.hinit is None:
             self.hinit = min(1e-6, self.tf * self.atol)
         if self.hmax is None:
             self.hmax = self.tf / 20.0
-        if self.rtol is None:
-            self.rtol = 10.0 * self.atol
         if not (0 < self.hinit <= self.hmax <= self.tf):
             raise ValueError("need 0 < hinit <= hmax <= tf")
         if self.ntot < 1 or self.iter < 1:
@@ -310,7 +315,7 @@ class Stepper:
             return Attempt(unconverged=True)
         p = self.kind.order
         y_err = (y_h2 - y_h) / (2 ** p - 1)
-        err = error_norm(y_err, y_h2, opt.atol, opt.rtol, opt.norm, opt.err_denominator)
+        err = error_norm(y_err, y_h2, opt.atol, 10.0 * opt.atol, opt.norm, opt.err_denominator)
         return Attempt(richardson(y_h, y_h2, p, opt.extrapolate), err,
                        max(theta_h, theta_1, theta_2))
 
@@ -336,22 +341,18 @@ class Stepper:
         landing = h >= opt.tf - h_floor
         h = opt.tf if landing else h
         frozen: Optional[Factorization] = None   # None: refresh before the next attempt
-        fresh = False      # frozen was factorized at the current (state, h)
         h_lu = h           # the h frozen was factorized at
-        consecutive_rejects = 0
 
-        while True:
-            if t >= opt.tf:
-                traj.status = Status.SUCCESS
-                break
+        while t < opt.tf:
             if traj.accepted >= opt.ntot:
                 traj.status = Status.TOO_MANY_STEPS
                 break
             if h < h_floor:
                 traj.status = Status.STEP_UNDERFLOW
                 break
-            if frozen is None:
-                frozen, fresh, h_lu = self._refresh(state, h, traj), True, h
+            fresh = frozen is None   # refresh now, at (state, h)
+            if fresh:
+                frozen, h_lu = self._refresh(state, h, traj), h
             attempt = Attempt() if frozen is None else self.attempt_step(state, h, frozen, rate_tol)
             if attempt.unconverged:
                 traj.conv_fails += 1
@@ -362,16 +363,11 @@ class Stepper:
                 traj.err_fails += 1
             if attempt.err > 1.0:
                 traj.rejected += 1
-                consecutive_rejects += 1
-                if consecutive_rejects > _MAX_CONSECUTIVE_REJECTS:
-                    traj.status = Status.STEP_UNDERFLOW
-                    break
                 h = h / _REJECT_DIVISOR
                 landing = False
                 frozen = None
                 continue
 
-            consecutive_rejects = 0
             state = attempt.state
             t = opt.tf if landing else t + h
             traj.accepted += 1
@@ -381,7 +377,6 @@ class Stepper:
             h = opt.tf - t if landing else h
             if attempt.theta > _THETA_REFRESH or not _H_RATIO_MIN <= h / h_lu <= _H_RATIO_MAX:
                 frozen = None
-            fresh = False
         return traj
 
     @np.errstate(all="ignore")
@@ -392,11 +387,9 @@ class Stepper:
         step rejected, when a step leaves the domain, since h cannot shrink."""
         opt = self.options
         h = opt.fixed_h
-        if h is None or h <= 0:
-            raise ValueError("fixed_h must be set and positive")
+        if h is None:
+            raise ValueError("fixed_h must be set")
         nsteps = round(opt.tf / h)
-        if nsteps < 1 or abs(nsteps * h - opt.tf) > 1e-12 * opt.tf:
-            raise ValueError("fixed_h must divide tf")
         state, traj = self._start()
         for k in range(nsteps):
             if traj.accepted >= opt.ntot:
@@ -415,8 +408,10 @@ class Stepper:
 
 
 def integrate(sys: DaeSystem, options: SolverOptions) -> Trajectory:
-    """Adaptive integration of ``sys`` from t=0 to options.tf."""
-    return Stepper(sys, options).integrate()
+    """Integration of ``sys`` from t=0 to options.tf: fixed-step when
+    options.fixed_h is set, adaptive otherwise."""
+    st = Stepper(sys, options)
+    return st.integrate() if options.fixed_h is None else st.integrate_fixed()
 
 
 def integrate_fixed(sys: DaeSystem, options: SolverOptions) -> Trajectory:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, config files."""
 
+import dataclasses
 import math
 import warnings
 
@@ -8,6 +9,7 @@ import pytest
 from sparsedae import cli
 from sparsedae.cli import PROBLEM_FLAGS, main
 from sparsedae.problems import BUILTINS, builtin_keywords
+from sparsedae.stepper import SolverOptions
 
 VDP = """\
 [params]
@@ -152,6 +154,28 @@ def test_fixed_step_run_that_leaves_the_domain_exits_2_with_the_partial_csv(caps
     assert len(lines) == 1 + 7 + 1   # header, t = 0 .. 0.6, summary
     assert lines[-1].startswith("# accepted=6, rejected=1,")
     assert "StepUnderflow" in err
+
+
+@pytest.mark.parametrize("fixed_h", ["0", "-0.5", "nan", "inf", "0.3", "1e-320"])
+def test_fixed_step_that_does_not_divide_tf_exits_1(capsys, fixed_h):
+    # SolverOptions rejects these before any driver runs: 0 must not fall
+    # back to adaptive, and 1e-320 makes tf / fixed_h overflow
+    for argv in (("solve", "decay", "--stdout"), ("converge", "ex4", "--n-list", "4,8")):
+        code, out, err = run(capsys, *argv, "--tf", "1", "--fixed-h", fixed_h)
+        assert (code, out) == (1, "")
+        assert "fixed_h" in err
+
+
+def test_config_fixed_h_zero_exits_1(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tf = 1.0\nfixed_h = 0\n")
+    code, out, err = run(capsys, "solve", "decay", "--config", str(cfg), "--stdout")
+    assert (code, out) == (1, "")
+    assert "fixed_h" in err
+
+
+def test_every_solver_option_has_a_flag_and_a_config_key():
+    assert set(cli.SOLVER_OPTIONS) == {f.name for f in dataclasses.fields(SolverOptions)}
 
 
 def test_config_keys_are_solver_option_names(capsys, tmp_path):

@@ -1,16 +1,16 @@
-"""Sparse storage, LU factorization, and Matrix Market round trips."""
+"""Sparse storage, LU factorization, and Matrix Market output read back by scipy."""
 
 import io
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.linalg
 
 from sparsedae.errors import SingularMatrix
 from sparsedae.linalg import (
     SparseMatrix,
     factorize,
-    read_matrix_market,
     solve,
     write_matrix_market,
 )
@@ -140,8 +140,9 @@ def test_matrix_market_round_trip_values():
     buf = io.StringIO()
     write_matrix_market(m, buf)
     buf.seek(0)
-    back = read_matrix_market(buf)
-    assert back.to_dense() == pytest.approx(m.to_dense())
+    back = scipy.io.mmread(buf)
+    assert back.shape == (10, 10) and back.nnz == m.nnz
+    assert np.array_equal(back.toarray(), a)
 
 
 def test_matrix_market_pattern_only():
@@ -151,7 +152,7 @@ def test_matrix_market_pattern_only():
     text = buf.getvalue()
     assert "pattern" in text.splitlines()[0]
     buf.seek(0)
-    back = read_matrix_market(buf)
+    back = scipy.io.mmread(buf)
     assert back.nnz == 3
-    assert back.values == pytest.approx([1.0, 1.0, 1.0])
+    assert np.array_equal(back.toarray(), [[1.0, 0.0], [1.0, 1.0]])
 

@@ -174,6 +174,27 @@ def test_unconverged_attempt_against_a_fresh_lu_rejects_the_step():
     assert traj.status is Status.SUCCESS
 
 
+def test_longest_rejection_chain_ends_in_step_underflow():
+    # hinit <= 1e-11*tf puts h_floor at 1e-14*tf.  After 25 good steps h is
+    # near tf; from there every attempt fails.  Every rejection divides h by
+    # 4 and h <= tf, so at most 24 rejections (4^24 > 1e14) reach the floor
+    st = Stepper(decay(), SolverOptions(tf=1.0, atol=1e-3, hinit=1e-12, hmax=1.0))
+    attempt = st.attempt_step
+    hs = []
+
+    def fail_after_25(state, h, f, rate_tol=None):
+        hs.append(h)
+        return attempt(state, h, f, rate_tol) if len(hs) <= 25 else Attempt(unconverged=True)
+
+    st.attempt_step = fail_after_25
+    traj = st.integrate()
+    assert traj.status is Status.STEP_UNDERFLOW
+    assert traj.accepted == 25 and hs[25] > 0.1
+    chain = traj.rejected
+    assert chain <= 24
+    assert hs[25] / 4 ** chain < 1e-14 <= hs[25] / 4 ** (chain - 1) == hs[-1]
+
+
 def test_rejections_are_split_by_cause():
     traj = integrate(example2(), SolverOptions(tf=10.0, atol=1e-6, hmax=0.1, method=MethodKind.RAD,
                                                err_denominator="standard"))
@@ -243,6 +264,14 @@ def test_fixed_step_driver():
                                                hinit=0.3, hmax=0.5))
 
 
+def test_integrate_honours_fixed_h():
+    opt = SolverOptions(tf=1, fixed_h=0.25, hinit=0.25, hmax=0.25)
+    traj = integrate(decay(), opt)
+    assert traj.status is Status.SUCCESS
+    assert traj.accepted == 4 and traj.times == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert np.array_equal(traj.final_state, integrate_fixed(decay(), opt).final_state)
+
+
 def test_csv_output_shape():
     traj = integrate(decay(), SolverOptions(tf=1.0, atol=1e-6))
     buf = io.StringIO()
@@ -270,3 +299,7 @@ def test_options_validation():
         SolverOptions(tf=1.0, atol=1e-6, norm="l7")
     with pytest.raises(ValueError):
         SolverOptions(tf=1.0, atol=1e-6, err_denominator="other")
+    for fixed_h in (0.0, -0.5, math.nan, math.inf, 0.3, 1e-320):
+        with pytest.raises(ValueError, match="fixed_h"):
+            SolverOptions(tf=1.0, fixed_h=fixed_h)
+    assert SolverOptions(tf=1.0, fixed_h=0.1).fixed_h == 0.1
