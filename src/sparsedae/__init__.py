@@ -14,12 +14,11 @@ from .errors import (
     ProblemFileError,
     SingularMatrix,
     SparseDaeError,
-    UnboundSymbol,
     UnknownObservable,
     UnsupportedSystem,
 )
 from .expr import Branch, Const, Expr, Param, Piecewise, U, diff, exp, free_unknowns, ln, piecewise, substitute
-from .grammar import format_expr, parse_expr
+from .grammar import parse_expr
 from .jacobian import JacobianAssembler, SparsityPattern, SymbolicJacobian, detect_pattern, differentiate
 from .linalg import Factorization, SparseMatrix, factorize, solve, write_matrix_market
 from .newton import NewtonOutcome, default_ctol, newton_solve

@@ -59,8 +59,8 @@ def _yes_no(value) -> bool:
 # dest of one flag and the name of one config key
 SOLVER_OPTIONS: Dict[str, Callable] = {
     "tf": float, "atol": float, "hinit": float, "hmax": float, "ntot": int,
-    "iter": int, "fixed_h": float, "method": MethodKind, "norm": str,
-    "err_denominator": str, "extrapolate": _yes_no,
+    "iter": int, "fixed_h": float, "method": MethodKind, "err_denominator": str,
+    "extrapolate": _yes_no,
 }
 
 
@@ -81,7 +81,6 @@ def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--iter", type=int, default=None)
     p.add_argument("--fixed-h", type=float, default=None)
     p.add_argument("--no-extrapolate", dest="extrapolate", action="store_const", const=False)
-    p.add_argument("--norm", default=None, choices=["inf", "rms"])
     p.add_argument("--err-denominator", default=None, choices=["literal", "standard"])
 
 
@@ -207,11 +206,12 @@ def cmd_orders(args) -> int:
                 # endpoint error so the Newton floor never shows in the slopes
                 opt = SolverOptions(
                     tf=options.tf, atol=min(options.atol, 1e-12), hinit=h,
-                    hmax=options.tf,
-                    ntot=max(options.ntot, int(round(options.tf / h)) + 10),
+                    hmax=options.tf, ntot=options.ntot,
                     iter=max(options.iter, 12), method=method,
                     extrapolate=extrapolate, fixed_h=h,
                 )
+                # SolverOptions has validated h as fixed_h, so tf / h is finite
+                opt.ntot = max(options.ntot, round(options.tf / h) + 10)
                 traj = integrate_fixed(sys_, opt)
                 if traj.status is not Status.SUCCESS:
                     raise SparseDaeError(f"{method.value} h={h:g}: integration stopped: {traj.message}")

@@ -5,10 +5,6 @@ class SparseDaeError(Exception):
     """Base class for all library errors."""
 
 
-class UnboundSymbol(SparseDaeError):
-    """An unknown index or parameter name has no value bound to it."""
-
-
 class NonFiniteValue(SparseDaeError):
     """Expression evaluation produced inf/nan (overflow, ln domain, divide by zero)."""
 

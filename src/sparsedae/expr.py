@@ -360,42 +360,33 @@ def diff(e: Expr, k: int) -> Expr:
 def free_unknowns(e: Expr) -> list:
     """Sorted, duplicate-free list of unknown indices appearing in ``e``."""
     unknowns: set = set()
-    _collect(e, unknowns, set())
+    _collect(e, unknowns)
     return sorted(unknowns)
 
 
-def free_params(e: Expr) -> set:
-    """Set of parameter names appearing in ``e``."""
-    params: set = set()
-    _collect(e, set(), params)
-    return params
-
-
-def _collect(e: Expr, unknowns: set, params: set) -> None:
+def _collect(e: Expr, unknowns: set) -> None:
     # exact type tests, as in ``diff``
     t = type(e)
     if t is U:
         unknowns.add(e.index)
-    elif t is Param:
-        params.add(e.name)
     elif t is Add:
         for a in e.terms:
-            _collect(a, unknowns, params)
+            _collect(a, unknowns)
     elif t is Mul:
         for a in e.factors:
-            _collect(a, unknowns, params)
+            _collect(a, unknowns)
     elif t is Div:
-        _collect(e.num, unknowns, params)
-        _collect(e.den, unknowns, params)
+        _collect(e.num, unknowns)
+        _collect(e.den, unknowns)
     elif t is Pow:
-        _collect(e.base, unknowns, params)
+        _collect(e.base, unknowns)
     elif t is Neg or t is ExpF or t is LnF:
-        _collect(e.arg, unknowns, params)
+        _collect(e.arg, unknowns)
     elif t is Piecewise:
         for b in e.branches:
-            _collect(b.test, unknowns, params)
-            _collect(b.value, unknowns, params)
-        _collect(e.default, unknowns, params)
+            _collect(b.test, unknowns)
+            _collect(b.value, unknowns)
+        _collect(e.default, unknowns)
 
 
 def substitute(e: Expr, mapping: Mapping[int, Expr]) -> Expr:

@@ -5,12 +5,12 @@ Infix syntax with ``+ - * / ^``, functions ``exp``, ``ln`` and
 expression against a numeric constant with one of ``< <= > >=``.
 
 Unknowns are written as their declared variable names; any other identifier
-parses as a late-bound parameter.  ``format_expr`` prints a form that parses
-back to the identical tree (round-trip up to whitespace).
+parses as a late-bound parameter.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Mapping, Optional, Sequence
 
@@ -47,137 +47,99 @@ def _tokenize(text: str):
     return tokens
 
 
+# binary operator -> (precedence, node builder); a higher precedence binds tighter
+_BINARY = {"+": (1, operator.add), "-": (1, operator.sub),
+           "*": (2, operator.mul), "/": (2, operator.truediv)}
+_FUNCTIONS = {"exp": ex.exp, "ln": ex.ln}
+
+
 class _Parser:
+    """Precedence climbing over ``_BINARY`` in ``expr``, recursive descent below it."""
+
     def __init__(self, tokens, var_index: Mapping[str, int]):
         self.toks = tokens
         self.i = 0
         self.var_index = var_index
 
-    def peek(self):
-        return self.toks[self.i]
+    def peek_op(self) -> Optional[str]:
+        kind, val = self.toks[self.i]
+        return val if kind == "op" else None
 
     def next(self):
-        t = self.toks[self.i]
         self.i += 1
-        return t
+        return self.toks[self.i - 1]
 
-    def expect_op(self, op):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise ExprSyntaxError(f"expected {op!r}, got {val!r}")
+    def accept(self, ops) -> Optional[str]:
+        """Consume and return the next token if it is an operator in ``ops``."""
+        op = self.peek_op()
+        if op in ops:
+            self.i += 1
+            return op
+        return None
 
-    def parse_expr(self) -> ex.Expr:
-        node = self.parse_term()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in ("+", "-"):
-                self.next()
-                rhs = self.parse_term()
-                node = node + rhs if val == "+" else node - rhs
-            else:
-                return node
+    def close(self, node):
+        """``node``, once the ``)`` that must follow it is consumed."""
+        if not self.accept((")",)):
+            raise ExprSyntaxError(f"expected ')', got {self.toks[self.i][1]!r}")
+        return node
 
-    def parse_term(self) -> ex.Expr:
-        node = self.parse_unary()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in ("*", "/"):
-                self.next()
-                rhs = self.parse_unary()
-                node = node * rhs if val == "*" else node / rhs
-            else:
-                return node
-
-    def parse_unary(self) -> ex.Expr:
-        kind, val = self.peek()
-        if kind == "op" and val == "-":
+    def expr(self, level: int = 0) -> ex.Expr:
+        """Unary operands joined by operators binding tighter than ``level``, folded left."""
+        node = self.unary()
+        while (op := self.peek_op()) in _BINARY and _BINARY[op][0] > level:
             self.next()
-            return -self.parse_unary()
-        if kind == "op" and val == "+":
-            self.next()
-            return self.parse_unary()
-        return self.parse_power()
+            prec, build = _BINARY[op]
+            node = build(node, self.expr(prec))
+        return node
 
-    def parse_power(self) -> ex.Expr:
-        base = self.parse_atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            exponent = self.parse_unary()  # right-associative
-            return ex.pow_(base, exponent)
+    def unary(self) -> ex.Expr:
+        sign = self.accept(("-", "+"))
+        if sign:
+            return -self.unary() if sign == "-" else self.unary()
+        base = self.atom()
+        if self.accept(("^",)):
+            return ex.pow_(base, self.unary())  # right-associative
         return base
 
-    def parse_atom(self) -> ex.Expr:
+    def atom(self) -> ex.Expr:
         kind, val = self.next()
         if kind == "num":
             return ex.const(val)
-        if kind == "op" and val == "(":
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
-        if kind == "name":
-            pk, pv = self.peek()
-            if pk == "op" and pv == "(":
-                return self.parse_call(val)
-            if val in self.var_index:
-                return ex.U(self.var_index[val])
-            return ex.Param(val)
-        raise ExprSyntaxError(f"unexpected token {val!r}")
+        if (kind, val) == ("op", "("):
+            return self.close(self.expr())
+        if kind != "name":
+            raise ExprSyntaxError(f"unexpected token {val!r}")
+        if not self.accept(("(",)):
+            return ex.U(self.var_index[val]) if val in self.var_index else ex.Param(val)
+        if val == "piecewise":
+            return self.piecewise()
+        if val not in _FUNCTIONS:
+            raise ExprSyntaxError(f"unknown function {val!r}")
+        return self.close(_FUNCTIONS[val](self.expr()))
 
-    def parse_call(self, name: str) -> ex.Expr:
-        self.expect_op("(")
-        if name == "exp":
-            node = ex.exp(self.parse_expr())
-            self.expect_op(")")
-            return node
-        if name == "ln":
-            node = ex.ln(self.parse_expr())
-            self.expect_op(")")
-            return node
-        if name == "piecewise":
-            return self.parse_piecewise()
-        raise ExprSyntaxError(f"unknown function {name!r}")
+    def piecewise(self) -> ex.Expr:
+        """The arguments ``cond1, e1, ..., default)`` of ``piecewise(``."""
+        args = [self.argument()]
+        while self.accept((",",)):
+            args.append(self.argument())
+        self.close(args)
+        last = len(args) - 1
+        if last < 2 or last % 2 or any(isinstance(a, tuple) != (j % 2 == 0 and j < last)
+                                       for j, a in enumerate(args)):
+            raise ExprSyntaxError("piecewise needs condition, value pairs and then a default")
+        return ex.piecewise([ex.Branch(*args[j], args[j + 1]) for j in range(0, last, 2)], args[-1])
 
-    def parse_piecewise(self) -> ex.Expr:
-        # arguments: cond1, e1, cond2, e2, ..., default
-        items = [self.parse_piecewise_arg()]
-        while True:
-            kind, val = self.next()
-            if kind == "op" and val == ")":
-                break
-            if not (kind == "op" and val == ","):
-                raise ExprSyntaxError(f"expected ',' or ')' in piecewise, got {val!r}")
-            items.append(self.parse_piecewise_arg())
-        if len(items) < 3 or len(items) % 2 != 1:
-            raise ExprSyntaxError("piecewise needs cond/value pairs plus a default")
-        branches = []
-        for j in range(0, len(items) - 1, 2):
-            cond, value = items[j], items[j + 1]
-            if not isinstance(cond, tuple):
-                raise ExprSyntaxError("piecewise argument at an odd position must be a condition")
-            if isinstance(value, tuple):
-                raise ExprSyntaxError("piecewise branch value cannot be a condition")
-            test, op, threshold = cond
-            branches.append(ex.Branch(test, op, threshold, value))
-        default = items[-1]
-        if isinstance(default, tuple):
-            raise ExprSyntaxError("piecewise default cannot be a condition")
-        return ex.piecewise(branches, default)
-
-    def parse_piecewise_arg(self):
-        node = self.parse_expr()
-        kind, val = self.peek()
-        if kind == "op" and val in ("<", "<=", ">", ">="):
-            self.next()
-            nk, nv = self.next()
-            sign = 1.0
-            if nk == "op" and nv == "-":
-                sign = -1.0
-                nk, nv = self.next()
-            if nk != "num":
-                raise ExprSyntaxError("piecewise condition must compare against a constant")
-            return (node, val, sign * nv)
-        return node
+    def argument(self):
+        """An expression, or a condition ``expr < c`` as a (test, op, c) tuple."""
+        node = self.expr()
+        op = self.accept(("<", "<=", ">", ">="))
+        if not op:
+            return node
+        sign = -1.0 if self.accept(("-",)) else 1.0
+        kind, val = self.next()
+        if kind != "num":
+            raise ExprSyntaxError("piecewise condition must compare against a constant")
+        return (node, op, sign * val)
 
 
 def parse_expr(text: str, var_names: Optional[Sequence[str]] = None) -> ex.Expr:
@@ -185,60 +147,11 @@ def parse_expr(text: str, var_names: Optional[Sequence[str]] = None) -> ex.Expr:
     list order), all other identifiers become parameters."""
     var_index = {name: i + 1 for i, name in enumerate(var_names or [])}
     p = _Parser(_tokenize(text), var_index)
-    node = p.parse_expr()
+    try:
+        node = p.expr()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply") from None
     kind, val = p.next()
     if kind != "end":
         raise ExprSyntaxError(f"trailing input starting at {val!r}")
-    if isinstance(node, tuple):
-        raise ExprSyntaxError("a bare condition is not an expression")
     return node
-
-
-def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
-
-
-def format_expr(e: ex.Expr, var_names: Optional[Sequence[str]] = None) -> str:
-    """Print ``e`` in grammar syntax.  Unknown index k prints as
-    var_names[k-1] when given, else ``u[k]`` (which re-parses as a parameter,
-    so pass var_names for true round-trips)."""
-    return _fmt(e, var_names, 0)
-
-
-# precedence levels: 0 add, 1 mul, 2 unary, 3 power/atom
-def _fmt(e: ex.Expr, names, level: int) -> str:
-    if isinstance(e, ex.Const):
-        s = _fmt_num(e.value)
-        return f"({s})" if e.value < 0 and level >= 1 else s
-    if isinstance(e, ex.U):
-        return names[e.index - 1] if names else f"u[{e.index}]"
-    if isinstance(e, ex.Param):
-        return e.name
-    if isinstance(e, ex.Add):
-        s = " + ".join(_fmt(t, names, 1) for t in e.terms)
-        return f"({s})" if level >= 1 else s
-    if isinstance(e, ex.Mul):
-        s = " * ".join(_fmt(f, names, 2) for f in e.factors)
-        return f"({s})" if level >= 2 else s
-    if isinstance(e, ex.Div):
-        s = f"{_fmt(e.num, names, 2)} / {_fmt(e.den, names, 2)}"
-        return f"({s})" if level >= 2 else s
-    if isinstance(e, ex.Neg):
-        s = f"-{_fmt(e.arg, names, 2)}"
-        return f"({s})" if level >= 2 else s
-    if isinstance(e, ex.Pow):
-        return f"{_fmt(e.base, names, 3)} ^ ({_fmt_num(e.exponent)})"
-    if isinstance(e, ex.ExpF):
-        return f"exp({_fmt(e.arg, names, 0)})"
-    if isinstance(e, ex.LnF):
-        return f"ln({_fmt(e.arg, names, 0)})"
-    if isinstance(e, ex.Piecewise):
-        parts = []
-        for b in e.branches:
-            parts.append(f"{_fmt(b.test, names, 0)} {b.op} {_fmt_num(b.threshold)}")
-            parts.append(_fmt(b.value, names, 0))
-        parts.append(_fmt(e.default, names, 0))
-        return "piecewise(" + ", ".join(parts) + ")"
-    raise TypeError(f"unhandled node {type(e).__name__}")

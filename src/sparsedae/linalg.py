@@ -66,25 +66,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return int(self.indptr[-1])
 
-    @classmethod
-    def from_coo(cls, n: int, rows, cols, values) -> "SparseMatrix":
-        """Build from 0-based coordinate triples (duplicates not allowed)."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=float)
-        order = np.lexsort((rows, cols))
-        rows, cols, values = rows[order], cols[order], values[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, cols + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(n=n, indptr=indptr, rowind=rows, values=values)
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> "SparseMatrix":
-        a = np.asarray(a, dtype=float)
-        rows, cols = np.nonzero(a)
-        return cls.from_coo(a.shape[0], rows, cols, a[rows, cols])
-
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
         for j in range(self.n):

@@ -83,7 +83,6 @@ class SolverOptions:
     method: MethodKind = MethodKind.IMPTRAP
     extrapolate: bool = True
     fixed_h: Optional[float] = None
-    norm: str = "inf"                  # "inf" or "rms"
     err_denominator: str = "literal"   # "literal" or "standard"
 
     def __post_init__(self):
@@ -103,8 +102,6 @@ class SolverOptions:
             raise ValueError("need 0 < hinit <= hmax <= tf")
         if self.ntot < 1 or self.iter < 1:
             raise ValueError("ntot and iter must be at least 1")
-        if self.norm not in ("inf", "rms"):
-            raise ValueError("norm must be 'inf' or 'rms'")
         if self.err_denominator not in ("literal", "standard"):
             raise ValueError("err_denominator must be 'literal' or 'standard'")
 
@@ -182,8 +179,8 @@ class _Unconverged(Exception):
 
 
 def error_norm(y_err: np.ndarray, yref: np.ndarray, atol: float, rtol: float,
-               norm: str = "inf", denominator: str = "literal") -> float:
-    """Scalar error measure of the step-doubling estimate.
+               denominator: str = "literal") -> float:
+    """Infinity norm of the weighted step-doubling error estimate.
 
     The default ("literal") denominator is atol + |y_err_i|*rtol; the
     "standard" alternative uses the solution magnitude, atol + |yref_i|*rtol.
@@ -196,8 +193,6 @@ def error_norm(y_err: np.ndarray, yref: np.ndarray, atol: float, rtol: float,
         w = a / (atol + np.abs(np.asarray(yref, dtype=float)) * rtol)
     if len(w) == 0:
         return 0.0
-    if norm == "rms":
-        return float(np.sqrt(np.mean(w * w)))
     return float(np.max(w))
 
 
@@ -315,7 +310,7 @@ class Stepper:
             return Attempt(unconverged=True)
         p = self.kind.order
         y_err = (y_h2 - y_h) / (2 ** p - 1)
-        err = error_norm(y_err, y_h2, opt.atol, 10.0 * opt.atol, opt.norm, opt.err_denominator)
+        err = error_norm(y_err, y_h2, opt.atol, 10.0 * opt.atol, opt.err_denominator)
         return Attempt(richardson(y_h, y_h2, p, opt.extrapolate), err,
                        max(theta_h, theta_1, theta_2))
 

@@ -1,16 +1,23 @@
-"""A tree-walking reference evaluator, independent of the compiled path.
+"""Tree walks that only tests need, independent of the compiled path.
 
 The library evaluates residuals and Jacobians only through generated code
 (``sparsedae.codegen``).  ``eval_expr`` walks an expression tree with Python
 floats instead, so tests use it as an oracle for the parser, the symbolic
-derivatives and the compiled functions.
+derivatives and the compiled functions.  ``free_params`` lists a tree's
+parameters, and ``format_expr`` prints a tree in the grammar's syntax, so
+that printing and parsing back checks the parser.
 """
 
+import dataclasses
 import math
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 from sparsedae import expr as ex
-from sparsedae.errors import NonFiniteValue, UnboundSymbol
+from sparsedae.errors import NonFiniteValue, SparseDaeError
+
+
+class UnboundSymbol(SparseDaeError):
+    """An unknown index or parameter name has no value bound to it."""
 
 
 def eval_expr(e: ex.Expr, uu: Sequence[float], params: Mapping[str, float]) -> float:
@@ -77,3 +84,66 @@ def _compare(lhs: float, op: str, rhs: float) -> bool:
     if op == ">":
         return lhs > rhs
     return lhs >= rhs
+
+
+def free_params(e) -> set:
+    """Names of the parameters in ``e``, an expression or a piecewise Branch."""
+    if isinstance(e, ex.Param):
+        return {e.name}
+    found = set()
+    for f in dataclasses.fields(e):
+        value = getattr(e, f.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, (ex.Expr, ex.Branch)):
+                found |= free_params(child)
+    return found
+
+
+def _fmt_num(v: float) -> str:
+    if v == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    return repr(v)
+
+
+def format_expr(e: ex.Expr, var_names: Optional[Sequence[str]] = None) -> str:
+    """Print ``e`` in grammar syntax.  Unknown index k prints as
+    var_names[k-1] when given, else ``u[k]`` (which re-parses as a parameter,
+    so pass var_names for true round-trips)."""
+    return _fmt(e, var_names, 0)
+
+
+# precedence levels: 0 add, 1 mul, 2 unary, 3 power/atom
+def _fmt(e: ex.Expr, names, level: int) -> str:
+    if isinstance(e, ex.Const):
+        s = _fmt_num(e.value)
+        return f"({s})" if e.value < 0 and level >= 1 else s
+    if isinstance(e, ex.U):
+        return names[e.index - 1] if names else f"u[{e.index}]"
+    if isinstance(e, ex.Param):
+        return e.name
+    if isinstance(e, ex.Add):
+        s = " + ".join(_fmt(t, names, 1) for t in e.terms)
+        return f"({s})" if level >= 1 else s
+    if isinstance(e, ex.Mul):
+        s = " * ".join(_fmt(f, names, 2) for f in e.factors)
+        return f"({s})" if level >= 2 else s
+    if isinstance(e, ex.Div):
+        s = f"{_fmt(e.num, names, 2)} / {_fmt(e.den, names, 2)}"
+        return f"({s})" if level >= 2 else s
+    if isinstance(e, ex.Neg):
+        s = f"-{_fmt(e.arg, names, 2)}"
+        return f"({s})" if level >= 2 else s
+    if isinstance(e, ex.Pow):
+        return f"{_fmt(e.base, names, 3)} ^ ({_fmt_num(e.exponent)})"
+    if isinstance(e, ex.ExpF):
+        return f"exp({_fmt(e.arg, names, 0)})"
+    if isinstance(e, ex.LnF):
+        return f"ln({_fmt(e.arg, names, 0)})"
+    if isinstance(e, ex.Piecewise):
+        parts = []
+        for b in e.branches:
+            parts.append(f"{_fmt(b.test, names, 0)} {b.op} {_fmt_num(b.threshold)}")
+            parts.append(_fmt(b.value, names, 0))
+        parts.append(_fmt(e.default, names, 0))
+        return "piecewise(" + ", ".join(parts) + ")"
+    raise TypeError(f"unhandled node {type(e).__name__}")

@@ -98,6 +98,18 @@ def test_exit_code_1_on_bad_input(capsys, tmp_path):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("rhs", ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"],
+                         ids=["parentheses", "minus-signs"])
+def test_deeply_nested_expression_exits_1_with_its_line(capsys, tmp_path, rhs):
+    # deep enough that a recursive parser overflows Python's stack
+    prob = tmp_path / "deep.prob"
+    prob.write_text(f"[odes]\nx' = {rhs}\n[init]\nx = 1\n")
+    code, out, err = run(capsys, "solve", str(prob), "--tf", "1", "--stdout")
+    assert (code, out) == (1, "")
+    assert "line 2: expression nested too deeply" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", ["h", "Y0_1"])
 def test_reserved_parameter_name_exits_1(capsys, tmp_path, name):
     # a parameter h would silently be the step size, Y0_1 the base state
@@ -308,6 +320,15 @@ def test_orders_needs_two_distinct_positive_step_sizes(capsys, monkeypatch, h_li
                          "--h-list", h_list, "--stdout")
     assert (code, out) == (1, "")
     assert "two distinct" in err
+
+
+@pytest.mark.parametrize("h_list", ["1e-320,0.5", "0.1,nan"])
+def test_orders_step_size_that_does_not_divide_tf_exits_1(capsys, h_list):
+    # 1e-320 makes tf / h overflow, and nan has no step count
+    code, out, err = run(capsys, "orders", "decay", "--tf", "1", "--method", "eb",
+                         "--h-list", h_list, "--stdout")
+    assert (code, out) == (1, "")
+    assert "fixed_h" in err
 
 
 def test_orders_exact_endpoint_prints_nan_slope_without_a_warning(capsys):

@@ -56,7 +56,6 @@ FLAGS = st.fixed_dictionaries({}, optional={
     "--ntot": mostly(["1", "5"], ["0", "x"]),
     "--iter": mostly(["1", "5"], ["0", "-2"]),
     "--method": mostly(["eb", "cn", "imptrap", "rad"], ["bogus"]),
-    "--norm": mostly(["inf", "rms"], ["l1"]),
     "--err-denominator": mostly(["literal", "standard"], ["x"]),
     "--observable": st.sampled_from(["x", "nope"]),
     "--no-extrapolate": st.just(None),

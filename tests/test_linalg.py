@@ -15,6 +15,8 @@ from sparsedae.linalg import (
     write_matrix_market,
 )
 
+from matrix_helpers import from_coo, from_dense
+
 
 def random_spd_like(rng, n, density=0.2):
     a = np.where(rng.random((n, n)) < density, rng.standard_normal((n, n)), 0.0)
@@ -24,7 +26,7 @@ def random_spd_like(rng, n, density=0.2):
 
 def test_dense_round_trip_and_nnz():
     a = np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [-1.0, 0.0, 4.0]])
-    m = SparseMatrix.from_dense(a)
+    m = from_dense(a)
     assert m.nnz == 5
     assert m.to_dense() == pytest.approx(a)
 
@@ -43,7 +45,7 @@ def test_coo_build_validates():
     with pytest.raises(ValueError, match="start at 0"):
         SparseMatrix(n=2, indptr=[1, 1, 2], rowind=[0, 1], values=[1.0, 2.0])
     with pytest.raises(ValueError):  # duplicate coordinates through from_coo
-        SparseMatrix.from_coo(2, [1, 1], [0, 0], [1.0, 2.0])
+        from_coo(2, [1, 1], [0, 0], [1.0, 2.0])
     # rows may descend across a column boundary, and columns may be empty
     m = SparseMatrix(n=2, indptr=[0, 1, 2], rowind=[1, 0], values=[1.0, 2.0])
     assert m.to_dense() == pytest.approx(np.array([[0.0, 2.0], [1.0, 0.0]]))
@@ -56,7 +58,7 @@ def test_coo_build_validates():
 def test_matvec_matches_dense():
     rng = np.random.default_rng(3)
     a = random_spd_like(rng, 12)
-    m = SparseMatrix.from_dense(a)
+    m = from_dense(a)
     x = rng.standard_normal(12)
     assert m.matvec(x) == pytest.approx(a @ x)
 
@@ -66,7 +68,7 @@ def test_dense_path_solve_matches_numpy():
     for n in (1, 4, 17, 64):
         a = random_spd_like(rng, n)
         b = rng.standard_normal(n)
-        f = factorize(SparseMatrix.from_dense(a))
+        f = factorize(from_dense(a))
         assert f._dense is not None  # small systems use the dense path
         assert solve(f, b) == pytest.approx(np.linalg.solve(a, b), abs=1e-10)
 
@@ -77,7 +79,7 @@ def test_dense_solve_calls_lapack_without_the_scipy_wrapper(monkeypatch):
     rng = np.random.default_rng(7)
     a = random_spd_like(rng, 9)
     b = rng.standard_normal(9)
-    f = factorize(SparseMatrix.from_dense(a))
+    f = factorize(from_dense(a))
     want = scipy.linalg.lu_solve(f._dense, b)
     b0 = b.copy()
 
@@ -95,7 +97,7 @@ def test_sparse_path_solve_matches_numpy():
     n = 120
     a = random_spd_like(rng, n, density=0.05)
     b = rng.standard_normal(n)
-    f = factorize(SparseMatrix.from_dense(a))
+    f = factorize(from_dense(a))
     assert f._splu is not None
     assert solve(f, b) == pytest.approx(np.linalg.solve(a, b), abs=1e-9)
 
@@ -103,7 +105,7 @@ def test_sparse_path_solve_matches_numpy():
 def test_permuted_matrix_still_solves():
     # row pivoting must handle a zero on the diagonal
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    f = factorize(SparseMatrix.from_dense(a))
+    f = factorize(from_dense(a))
     assert solve(f, np.array([3.0, 7.0])) == pytest.approx([7.0, 3.0])
 
 
@@ -111,7 +113,7 @@ def test_permuted_matrix_still_solves():
 def test_singular_matrix_reports_column():
     a = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(SingularMatrix):
-        factorize(SparseMatrix.from_dense(a))
+        factorize(from_dense(a))
 
 
 def test_large_singular_perturbation_fallback():
@@ -121,13 +123,13 @@ def test_large_singular_perturbation_fallback():
     a[np.arange(n - 1), np.arange(1, n)] = -1.0
     a[np.arange(1, n), np.arange(n - 1)] = -1.0
     a[0, 0] = a[-1, -1] = 1.0  # row sums all zero -> exactly singular
-    f = factorize(SparseMatrix.from_dense(a))
+    f = factorize(from_dense(a))
     assert f.perturbed
     assert solve(f, np.zeros(n)) == pytest.approx(np.zeros(n))
 
 
 def test_solve_validates_rhs_shape():
-    f = factorize(SparseMatrix.from_dense(np.eye(3)))
+    f = factorize(from_dense(np.eye(3)))
     assert solve(f, np.ones(3)) == pytest.approx(np.ones(3))
     with pytest.raises(ValueError):
         solve(f, np.ones(4))
@@ -136,7 +138,7 @@ def test_solve_validates_rhs_shape():
 def test_matrix_market_round_trip_values():
     rng = np.random.default_rng(9)
     a = random_spd_like(rng, 10)
-    m = SparseMatrix.from_dense(a)
+    m = from_dense(a)
     buf = io.StringIO()
     write_matrix_market(m, buf)
     buf.seek(0)
@@ -146,7 +148,7 @@ def test_matrix_market_round_trip_values():
 
 
 def test_matrix_market_pattern_only():
-    m = SparseMatrix.from_dense(np.array([[1.0, 0.0], [2.0, 3.0]]))
+    m = from_dense(np.array([[1.0, 0.0], [2.0, 3.0]]))
     buf = io.StringIO()
     write_matrix_market(m, buf, pattern_only=True)
     text = buf.getvalue()

@@ -7,8 +7,10 @@ from sparsedae import expr as ex
 from sparsedae import newton as newton_mod
 from sparsedae.codegen import CompiledResidual, ParamLayout, group_shapes
 from sparsedae.errors import NonFiniteResidual
-from sparsedae.linalg import SparseMatrix, factorize, solve
+from sparsedae.linalg import factorize, solve
 from sparsedae.newton import NewtonOutcome, default_ctol, newton_solve
+
+from matrix_helpers import from_dense
 
 
 def make_residual(exprs, params=None):
@@ -23,7 +25,7 @@ def test_linear_system_converges_in_one_iteration():
     exprs = [2.0 * ex.U(1) + ex.U(2) - 3.0,
              ex.U(1) + 3.0 * ex.U(2) - 4.0]
     res = make_residual(exprs)
-    f = factorize(SparseMatrix.from_dense(np.array([[2.0, 1.0], [1.0, 3.0]])))
+    f = factorize(from_dense(np.array([[2.0, 1.0], [1.0, 3.0]])))
     out = newton_solve(res, f, np.zeros(2), max_iter=5, ctol=1e-12)
     assert out.converged
     assert out.iterations <= 2  # exact solve, second pass only confirms
@@ -34,7 +36,7 @@ def test_quadratic_convergence_with_fresh_jacobian():
     # u^2 - 2 = 0 from u0 = 1.5 with J evaluated at u0 and frozen:
     # linear contraction, but still reaches sqrt(2)
     res = make_residual([ex.U(1) * ex.U(1) - 2.0])
-    f = factorize(SparseMatrix.from_dense(np.array([[3.0]])))  # 2*u0
+    f = factorize(from_dense(np.array([[3.0]])))  # 2*u0
     out = newton_solve(res, f, np.array([1.5]), max_iter=30, ctol=1e-13)
     assert out.converged
     assert out.uu[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
@@ -43,7 +45,7 @@ def test_quadratic_convergence_with_fresh_jacobian():
 def test_budget_exhaustion_is_not_an_error():
     # badly scaled frozen Jacobian: converges too slowly to finish
     res = make_residual([ex.U(1) * ex.U(1) - 2.0])
-    f = factorize(SparseMatrix.from_dense(np.array([[40.0]])))
+    f = factorize(from_dense(np.array([[40.0]])))
     out = newton_solve(res, f, np.array([1.5]), max_iter=3, ctol=1e-13)
     assert isinstance(out, NewtonOutcome)
     assert not out.converged
@@ -53,7 +55,7 @@ def test_budget_exhaustion_is_not_an_error():
 
 def test_early_exit_on_small_correction():
     res = make_residual([ex.U(1) - 1.0])
-    f = factorize(SparseMatrix.from_dense(np.array([[1.0]])))
+    f = factorize(from_dense(np.array([[1.0]])))
     out = newton_solve(res, f, np.array([1.0 + 1e-15]), max_iter=50, ctol=1e-8)
     assert out.converged
     assert out.iterations == 1
@@ -61,7 +63,7 @@ def test_early_exit_on_small_correction():
 
 def test_nonfinite_residual_raises():
     res = make_residual([ex.ln(ex.U(1))])
-    f = factorize(SparseMatrix.from_dense(np.array([[1.0]])))
+    f = factorize(from_dense(np.array([[1.0]])))
     with pytest.raises(NonFiniteResidual):
         newton_solve(res, f, np.array([-0.5]), max_iter=5, ctol=1e-10)
 
@@ -75,7 +77,7 @@ def test_never_factorizes_only_solves(monkeypatch):
 
     monkeypatch.setattr(newton_mod, "solve", counting_solve)
     res = make_residual([ex.U(1) * ex.U(1) - 2.0])
-    f = factorize(SparseMatrix.from_dense(np.array([[3.0]])))
+    f = factorize(from_dense(np.array([[3.0]])))
     out = newton_solve(res, f, np.array([1.5]), max_iter=30, ctol=1e-13)
     # one triangular solve per iteration, all against the factors handed in
     assert len(calls) == out.iterations
@@ -84,7 +86,7 @@ def test_never_factorizes_only_solves(monkeypatch):
 
 def test_uu0_length_validated():
     res = make_residual([ex.U(1) - 1.0])
-    f = factorize(SparseMatrix.from_dense(np.array([[1.0]])))
+    f = factorize(from_dense(np.array([[1.0]])))
     with pytest.raises(ValueError):
         newton_solve(res, f, np.zeros(2), max_iter=5, ctol=1e-10)
 
@@ -97,11 +99,11 @@ def test_default_ctol():
 
 def test_parameters_enter_through_bindings():
     res = make_residual([ex.Param("k") * ex.U(1) - 6.0], params={"k": 2.0})
-    f = factorize(SparseMatrix.from_dense(np.array([[2.0]])))
+    f = factorize(from_dense(np.array([[2.0]])))
     out = newton_solve(res, f, np.zeros(1), max_iter=5, ctol=1e-12)
     assert out.uu[0] == pytest.approx(3.0)
     res.set_params({"k": 3.0})
-    f2 = factorize(SparseMatrix.from_dense(np.array([[3.0]])))
+    f2 = factorize(from_dense(np.array([[3.0]])))
     out2 = newton_solve(res, f2, np.zeros(1), max_iter=5, ctol=1e-12)
     assert out2.uu[0] == pytest.approx(2.0)
 
@@ -110,7 +112,7 @@ def test_rate_test_stops_a_linear_contraction_early():
     # R(u) = u - 1 against a frozen slope of 2: each correction halves the
     # error, so theta = 0.5 and theta/(1-theta)*|d_k| is exactly the error left
     res = make_residual([ex.U(1) - 1.0])
-    f = factorize(SparseMatrix.from_dense(np.array([[2.0]])))
+    f = factorize(from_dense(np.array([[2.0]])))
     out = newton_solve(res, f, np.zeros(1), max_iter=50, ctol=1e-12, rate_tol=1e-3)
     assert out.converged
     assert out.iterations == 10          # 2^-10 <= 1e-3; the absolute test needs 40
@@ -121,7 +123,7 @@ def test_rate_test_stops_a_linear_contraction_early():
 def test_rate_test_stops_a_diverging_iteration():
     # a frozen slope of 0.4 for R(u) = u - 1 multiplies the error by -1.5
     res = make_residual([ex.U(1) - 1.0])
-    f = factorize(SparseMatrix.from_dense(np.array([[0.4]])))
+    f = factorize(from_dense(np.array([[0.4]])))
     out = newton_solve(res, f, np.zeros(1), max_iter=50, ctol=1e-12, rate_tol=1e-3)
     assert not out.converged
     assert out.iterations == 2
@@ -132,7 +134,7 @@ def test_without_a_rate_tolerance_only_the_absolute_test_stops():
     res = make_residual([ex.U(1) - 1.0])
     # the slow contraction runs to the absolute test, the divergence to max_iter
     for slope, max_iter, iterations, converged in ((2.0, 50, 40, True), (0.4, 6, 6, False)):
-        f = factorize(SparseMatrix.from_dense(np.array([[slope]])))
+        f = factorize(from_dense(np.array([[slope]])))
         plain = newton_solve(res, f, np.zeros(1), max_iter, 1e-12)
         out = newton_solve(res, f, np.zeros(1), max_iter, 1e-12, rate_tol=None)
         assert (out.iterations, out.converged) == (plain.iterations, plain.converged) == (

@@ -35,15 +35,11 @@ def test_error_norm_literal_and_standard():
     y_err = np.array([1e-6, -2e-6])
     yref = np.array([10.0, 0.5])
     atol, rtol = 1e-6, 1e-5
-    lit = error_norm(y_err, yref, atol, rtol, "inf", "literal")
+    lit = error_norm(y_err, yref, atol, rtol, "literal")
     assert lit == pytest.approx(2e-6 / (atol + 2e-6 * rtol))
-    std = error_norm(y_err, yref, atol, rtol, "inf", "standard")
+    std = error_norm(y_err, yref, atol, rtol, "standard")
     assert std == pytest.approx(max(1e-6 / (atol + 10.0 * rtol),
                                     2e-6 / (atol + 0.5 * rtol)))
-    rms = error_norm(y_err, yref, atol, rtol, "rms", "literal")
-    w1 = 1e-6 / (atol + 1e-6 * rtol)
-    w2 = 2e-6 / (atol + 2e-6 * rtol)
-    assert rms == pytest.approx(math.sqrt((w1 ** 2 + w2 ** 2) / 2))
 
 
 def test_next_h_formula():
@@ -295,8 +291,6 @@ def test_options_validation():
         SolverOptions(tf=1.0, atol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(tf=1.0, atol=1e-6, hinit=0.5, hmax=0.1)
-    with pytest.raises(ValueError):
-        SolverOptions(tf=1.0, atol=1e-6, norm="l7")
     with pytest.raises(ValueError):
         SolverOptions(tf=1.0, atol=1e-6, err_denominator="other")
     for fixed_h in (0.0, -0.5, math.nan, math.inf, 0.3, 1e-320):

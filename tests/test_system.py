@@ -22,6 +22,8 @@ from sparsedae.system import (
     state_update,
 )
 
+from expr_reference import free_params
+
 
 def simple_dae():
     # y' = z, 0 = y^2 + z^2 - 1
@@ -108,7 +110,7 @@ def test_cn_explicit_term_reads_the_base_state():
     # row 1: uu1 - h/2*f(uu + Y0) - h/2*f(Y0) with f = z: z0 - 0.2 and z0
     mr = build_residual(simple_dae(), MethodKind.CN)
     first = next(g.expr for g in mr.groups if g.rows[0] == 0)
-    assert ex.free_params(first) == {"h", "Y0_2"}
+    assert free_params(first) == {"h", "Y0_2"}
     got = eval_rows(mr, [0.1, -0.2], [0.0, 1.0], 0.5)
     assert got[0] == pytest.approx(0.1 - 0.25 * 0.8 - 0.25 * 1.0)
 
