@@ -56,13 +56,15 @@ from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from . import expr as ex
-from .errors import NonFiniteResidual
+from .errors import NonFiniteResidual, UnsupportedSystem
 
 BASE_PREFIX = "Y0_"
 
 # Rows per shape from which one numpy statement beats scalar lines; measured
 # break-even for a five-point-stencil shape is about 10 rows.
 _VECTOR_MIN_ROWS = 10
+
+_TOO_DEEP = "expression nested too deeply to compile"
 
 
 class ParamLayout:
@@ -125,11 +127,16 @@ def _shape(e: ex.Expr, layout: ParamLayout, slots: Dict[tuple, int], vec: bool) 
     raise TypeError(f"unhandled node {type(e).__name__}")
 
 
-def shape(e: ex.Expr, layout: ParamLayout) -> Tuple[str, List[tuple]]:
-    """The shape text of ``e`` and its leaves (array name, 0-based index) in
-    slot order."""
+def shape(e: ex.Expr, layout: ParamLayout, vec: bool = False) -> Tuple[str, List[tuple]]:
+    """The shape text of ``e`` (see ``_shape``) and its leaves (array name,
+    0-based index) in slot order.  Raises UnsupportedSystem for a tree too
+    deep to walk."""
     slots: Dict[tuple, int] = {}
-    return _shape(e, layout, slots, False), list(slots)
+    try:
+        text = _shape(e, layout, slots, vec)
+    except RecursionError:
+        raise UnsupportedSystem(_TOO_DEEP) from None
+    return text, list(slots)
 
 
 class ShapeGroup(NamedTuple):
@@ -224,12 +231,11 @@ def compile_groups(groups: Sequence[ShapeGroup], n_out: int, layout: ParamLayout
                 scalar[i] = f"    out[{i}] = " + group.text.format(*idx)
             continue
         ns[f"_r{g}"] = group.rows
-        slots: Dict[tuple, int] = {}
-        vec_text = _shape(group.expr, layout, slots, True)
+        vec_text, leaves = shape(group.expr, layout, vec=True)
         for k, name in enumerate(group.names):
             ns[f"_i{g}_{k}"] = group.index[:, k].copy()
             vector.append(f"x{k} = {name}[_i{g}_{k}]")
-        vector.append(f"out[_r{g}] = " + vec_text.format(*(f"x{k}" for k in range(len(slots)))))
+        vector.append(f"out[_r{g}] = " + vec_text.format(*(f"x{k}" for k in range(len(leaves)))))
 
     lines = [f"def _{tag}(u, b, h, p, out, exp=exp, log=log):"]
     lines += [s for s in scalar if s]
@@ -238,7 +244,12 @@ def compile_groups(groups: Sequence[ShapeGroup], n_out: int, layout: ParamLayout
         lines += ["        " + s for s in vector]
     if len(lines) == 1:
         lines.append("    pass")
-    code = compile("\n".join(lines), f"<generated {tag}>", "exec")
+    try:
+        code = compile("\n".join(lines), f"<generated {tag}>", "exec")
+    except (SyntaxError, RecursionError):
+        # the source is well formed by construction; what compile rejects
+        # is nesting deeper than Python's parser allows (200 parentheses)
+        raise UnsupportedSystem(_TOO_DEEP) from None
     exec(code, ns)
     return ns[f"_{tag}"]
 

@@ -1,9 +1,15 @@
 """Compressed-column sparse storage, LU factorization, and solves.
 
 Small systems (n <= 64) take a dense elimination path; larger ones go
-through SuperLU with its fill-reducing column ordering.  Either way the
-external contract is the same: factorize once, then solve any number of
-right-hand sides against the frozen factors.
+through SuperLU.  The sparse path first equilibrates rows, dividing each
+row by its largest magnitude, then orders by minimum degree on A+A^T
+(``MMD_AT_PLUS_A`` in ``SymmetricMode``) and keeps SuperLU's partial-pivoting
+threshold of 1.0.  On the grid Jacobians every row's largest entry is its
+diagonal, so after equilibration each pivot stays on the diagonal and the
+symmetric ordering survives factorization; unscaled, rows of very
+different magnitude push pivots off the diagonal and multiply the fill.
+Either way the external contract is the same: factorize once, then solve
+any number of right-hand sides against the frozen factors.
 
 A Factorization owns copies of what it needs; callers may reassemble the
 originating matrix freely afterwards.
@@ -94,16 +100,23 @@ class Factorization:
     _dense: Optional[Tuple[np.ndarray, np.ndarray]] = None
     _splu: Optional[object] = None
     perturbed: bool = False
+    _row_scale: Optional[np.ndarray] = None
 
 
 def factorize(a: SparseMatrix) -> Factorization:
-    """PA = LU with partial pivoting; SuperLU adds a fill-reducing column
-    ordering for n > 64.
+    """PA = LU with partial pivoting.
+
+    For n > 64, SuperLU factorizes D_r A, where D_r divides each row by its
+    largest magnitude (row equilibration), with the minimum-degree ordering
+    of A+A^T (``MMD_AT_PLUS_A``, ``SymmetricMode``) and the default
+    diagonal pivot threshold of 1.0; ``solve`` applies D_r to the
+    right-hand side, so x solves A x = b.
 
     Raises SingularMatrix when a pivot falls below 1e-14 times its column's
     magnitude (dense path) or when SuperLU reports exact singularity and a
-    last-resort tiny diagonal perturbation also fails.  The perturbation
-    fallback exists for algebraically degenerate but consistently-posed
+    last-resort tiny diagonal perturbation also fails.  The perturbation,
+    eps*I with eps = 1e-12*max(max|D_r A|, 1), is added to the equilibrated
+    matrix.  It exists for algebraically degenerate but consistently-posed
     systems (pure-Neumann potential blocks whose Newton right-hand side is
     zero); a Factorization built that way is flagged ``perturbed``.
     """
@@ -119,21 +132,34 @@ def factorize(a: SparseMatrix) -> Factorization:
             raise SingularMatrix(column=int(bad[0]) + 1)
         return Factorization(n=a.n, _dense=(lu, piv))
 
-    csc = a.to_scipy()
+    # r_i = 1/max_j |a_ij|, or 1 for a row with no nonzero entry; a row
+    # whose largest entry is subnormal is scaled by 1/tiny, since its exact
+    # reciprocal overflows
+    rmax = np.zeros(a.n)
+    np.maximum.at(rmax, a.rowind, np.abs(a.values))
+    rmax[rmax == 0.0] = 1.0
+    r = 1.0 / np.maximum(rmax, np.finfo(float).tiny)
+    values = a.values * r[a.rowind]
+    csc = scipy.sparse.csc_matrix((values, a.rowind, a.indptr), shape=(a.n, a.n))
     try:
-        lu = scipy.sparse.linalg.splu(csc)
-        return Factorization(n=a.n, _splu=lu)
+        lu = _superlu(csc)
+        return Factorization(n=a.n, _splu=lu, _row_scale=r)
     except RuntimeError as err:
         if "singular" not in str(err).lower():
             raise
     # pivot-perturbation retry
-    eps = 1e-12 * max(np.max(np.abs(a.values)), 1.0)
+    eps = 1e-12 * max(np.max(np.abs(values)), 1.0)
     perturbed = csc + scipy.sparse.identity(a.n, format="csc") * eps
     try:
-        lu = scipy.sparse.linalg.splu(perturbed)
+        lu = _superlu(perturbed)
     except RuntimeError as err2:
         raise SingularMatrix(detail=str(err2))
-    return Factorization(n=a.n, _splu=lu, perturbed=True)
+    return Factorization(n=a.n, _splu=lu, perturbed=True, _row_scale=r)
+
+
+def _superlu(csc: scipy.sparse.csc_matrix):
+    return scipy.sparse.linalg.splu(csc, permc_spec="MMD_AT_PLUS_A",
+                                    options=dict(SymmetricMode=True))
 
 
 def solve(f: Factorization, b: np.ndarray) -> np.ndarray:
@@ -146,7 +172,7 @@ def solve(f: Factorization, b: np.ndarray) -> np.ndarray:
         # input checks: the shape is checked above and the factors are ours
         x, _ = scipy.linalg.lapack.dgetrs(*f._dense, b)
         return x
-    return f._splu.solve(b)
+    return f._splu.solve(b * f._row_scale)
 
 
 # --- Matrix Market (coordinate, general, real) ---------------------------

@@ -110,6 +110,31 @@ def test_deeply_nested_expression_exits_1_with_its_line(capsys, tmp_path, rhs):
     assert "Traceback" not in err
 
 
+def _nested(template: str, depth: int) -> str:
+    # template holds one "{}" for the next level down; the innermost is x
+    s = "x"
+    for _ in range(depth):
+        s = template.format(s)
+    return s
+
+
+@pytest.mark.parametrize("rhs", [
+    "-1e-3*" + _nested("exp({})", 250),
+    _nested("x*(x+({}))", 100),
+    "^".join(["x"] * 150),
+    "^".join(["x"] * 450),
+], ids=["exp-250", "mul-add-100", "power-tower-150", "power-tower-450"])
+def test_expression_too_deep_to_compile_exits_1(capsys, tmp_path, rhs):
+    # the parser accepts these; generated code nests past Python's 200
+    # parentheses, and the deepest tree also exhausts the code generator's stack
+    prob = tmp_path / "deep.prob"
+    prob.write_text(f"[odes]\nx' = {rhs}\n[init]\nx = 1\n")
+    code, out, err = run(capsys, "solve", str(prob), "--tf", "1e-3", "--ntot", "3", "--stdout")
+    assert (code, out) == (1, "")
+    assert "expression nested too deeply to compile" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", ["h", "Y0_1"])
 def test_reserved_parameter_name_exits_1(capsys, tmp_path, name):
     # a parameter h would silently be the step size, Y0_1 the base state

@@ -1,6 +1,7 @@
 """Sparse storage, LU factorization, and Matrix Market output read back by scipy."""
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from sparsedae.linalg import (
     solve,
     write_matrix_market,
 )
+from sparsedae.problems import example5, example6
+from sparsedae.stepper import SolverOptions, Stepper
 
 from matrix_helpers import from_coo, from_dense
 
@@ -126,6 +129,77 @@ def test_large_singular_perturbation_fallback():
     f = factorize(from_dense(a))
     assert f.perturbed
     assert solve(f, np.zeros(n)) == pytest.approx(np.zeros(n))
+
+
+def tridiagonal(n):
+    # diagonally dominant: 4 on the diagonal, -1 beside it
+    a = 4.0 * np.eye(n)
+    a[np.arange(n - 1), np.arange(1, n)] = -1.0
+    a[np.arange(1, n), np.arange(n - 1)] = -1.0
+    return a
+
+
+def test_sparse_solve_of_rows_scaled_over_16_decades_is_backward_stable():
+    rng = np.random.default_rng(12)
+    n = 100
+    scale = 10.0 ** rng.uniform(-8, 8, n)
+    a = tridiagonal(n) * scale[:, None]
+    b = rng.standard_normal(n)
+    f = factorize(from_dense(a))
+    assert f._splu is not None
+    x = solve(f, b)
+    # unequilibrated dense LU is only good to ~1e-11 here; the tridiagonal
+    # system without the row scales gives x to roundoff
+    assert x == pytest.approx(np.linalg.solve(a, b), rel=1e-9)
+    assert x == pytest.approx(np.linalg.solve(tridiagonal(n), b / scale), rel=1e-13)
+    # componentwise backward error, row by row
+    berr = np.abs(a @ x - b) / (np.abs(a) @ np.abs(x) + np.abs(b))
+    assert berr.max() <= 1e-14
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["no-entries", "stored-zeros"])
+def test_all_zero_row_takes_the_perturbed_retry_without_a_warning(stored):
+    # equilibration leaves a zero row's scale at 1 instead of dividing by 0
+    n = 100
+    a = tridiagonal(n)
+    rows, cols = np.nonzero(a)
+    a[37] = 0.0
+    # row 37 holds no entry, or its three entries are stored as zeros
+    m = from_coo(n, rows, cols, a[rows, cols]) if stored else from_dense(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = factorize(m)
+    assert f.perturbed
+
+
+def test_row_of_subnormal_entries_is_scaled_without_overflow():
+    n = 100
+    a = tridiagonal(n)
+    a[37] *= 1e-310
+    x_true = np.random.default_rng(14).standard_normal(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = solve(factorize(from_dense(a)), a @ x_true)
+    # row 37's right-hand side is subnormal and keeps fewer significant bits
+    assert x == pytest.approx(x_true, rel=1e-9)
+
+
+@pytest.mark.parametrize("build, hmax, max_fill", [
+    (lambda: example5(n=64, m=64, c0=1.0), 0.25, 150_000),
+    (lambda: example6(n=32, m=64), 1e-4, 200_000),
+], ids=["ex5-64x64", "ex6-32x64"])
+def test_grid_jacobian_lu_is_backward_stable_with_bounded_fill(build, hmax, max_fill):
+    # the benchmark workloads' Jacobians at the consistent initial state and
+    # h = hmax; the fill bounds fail once pivots leave the diagonal
+    st = Stepper(build(), SolverOptions(tf=hmax, hmax=hmax, hinit=hmax))
+    state, _ = st.initialize()
+    f = st._factorize(state, hmax)
+    a = st.assembler.matrix
+    b = np.random.default_rng(13).standard_normal(a.n)
+    x = solve(f, b)
+    berr = np.abs(a.matvec(x) - b).max() / (np.abs(a.values).max() * np.abs(x).max())
+    assert berr <= 1e-14
+    assert f._splu.L.nnz + f._splu.U.nnz <= max_fill
 
 
 def test_solve_validates_rhs_shape():
