@@ -23,19 +23,18 @@ per source shape and instantiated from the source table
 (``system.build_residual``), so no lowered row is walked on its own, and
 the Jacobian's derivatives are instantiated from the residual's groups.
 
-A group of at least ``_VECTOR_MIN_ROWS`` members becomes a single numpy
-statement ``out[R] = <shape over u[I0], b[I1], ...>`` whose index arrays are
-built at compile time.  Smaller groups, and so every row of a small system,
-are emitted as plain scalar lines, one per row, because a numpy statement's
-fixed cost exceeds a handful of scalar rows.
-
-The vectorized statements run under ``np.errstate(all="ignore")``: ``exp``
-and ``ln`` become ``np.exp``/``np.log``, and ``piecewise`` becomes a
-first-match ``np.select`` that evaluates every branch, so a branch that is
-not taken may produce inf or nan without raising.  Scalar lines evaluate on
-numpy scalars under the caller's error state; ``Stepper`` integrates under
-``np.errstate(all="ignore")`` too.  Callers detect non-finite results with
-``isfinite`` on the output.
+Every row is generated from its group's one text (``_shape``), so a row's
+value does not depend on how many rows share its shape.  A group of at
+least ``_VECTOR_MIN_ROWS`` members becomes one numpy statement ``out[R] =
+<text over u[I0], b[I1], ...>`` whose index arrays are built at compile
+time, under ``np.errstate(all="ignore")``.  Smaller groups, and so every row
+of a small system, are the text over each row's own leaves as scalar lines,
+because a numpy statement's fixed cost exceeds a handful of scalar rows;
+they run under the caller's error state (``Stepper`` integrates under
+``np.errstate(all="ignore")``).  Every operand but ``h`` and folded
+constants is a numpy value, so a domain error or an overflow raises no
+exception but gives inf or nan, and callers detect it with ``isfinite`` on
+the output.
 
 Generated functions share a single calling convention::
 
@@ -50,7 +49,6 @@ No common-subexpression elimination is attempted.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -75,65 +73,63 @@ class ParamLayout:
         self.slot = {n: i for i, n in enumerate(self.names)}
 
 
-def _shape(e: ex.Expr, layout: ParamLayout, slots: Dict[tuple, int], vec: bool) -> str:
-    """Source of ``e`` with each leaf ``u[i]``/``b[i]`` written as ``u[{k}]``/``b[{k}]``.
+def _shape(e: ex.Expr, layout: ParamLayout, slots: Dict[tuple, int]) -> str:
+    """Numpy source of ``e`` with each leaf ``u[i]``/``b[i]`` written as ``{k}``.
 
     ``slots`` maps each leaf (array name, 0-based index) to its slot number
-    ``k`` and is filled in first-appearance order.  With ``vec`` a leaf is
-    written as ``{k}``, to be filled with the name of an array gathered for
-    that slot, and the source uses numpy functions."""
+    ``k`` and is filled in first-appearance order.  ``{k}`` is filled with
+    the leaf for a scalar line or with an array gathered for the slot, and
+    the same numpy functions run on either: ``np.exp``, ``np.log``,
+    ``np.power``, and for ``piecewise`` a first-match chain of nested
+    ``np.where`` that evaluates every branch."""
     # exact type tests: no node class is subclassed, and this walk is a
     # visible share of a small system's setup time
     t = type(e)
     if t is ex.U:
-        k = slots.setdefault(("u", e.index - 1), len(slots))
-        return "{%d}" % k if vec else "u[{%d}]" % k
+        return "{%d}" % slots.setdefault(("u", e.index - 1), len(slots))
     if t is ex.Const:
         return repr(e.value)
     if t is ex.Param:
         if e.name == "h":
             return "h"
         if e.name.startswith(BASE_PREFIX) and e.name[len(BASE_PREFIX):].isdecimal():
-            k = slots.setdefault(("b", int(e.name[len(BASE_PREFIX):]) - 1), len(slots))
-            return "{%d}" % k if vec else "b[{%d}]" % k
+            return "{%d}" % slots.setdefault(("b", int(e.name[len(BASE_PREFIX):]) - 1), len(slots))
         return f"p[{layout.slot[e.name]}]"
     if t is ex.Add:
-        return "(" + " + ".join([_shape(a, layout, slots, vec) for a in e.terms]) + ")"
+        return "(" + " + ".join([_shape(a, layout, slots) for a in e.terms]) + ")"
     if t is ex.Mul:
-        return "(" + " * ".join([_shape(a, layout, slots, vec) for a in e.factors]) + ")"
+        return "(" + " * ".join([_shape(a, layout, slots) for a in e.factors]) + ")"
     if t is ex.Div:
-        return f"({_shape(e.num, layout, slots, vec)} / {_shape(e.den, layout, slots, vec)})"
+        return f"({_shape(e.num, layout, slots)} / {_shape(e.den, layout, slots)})"
     if t is ex.Pow:
-        return f"({_shape(e.base, layout, slots, vec)} ** {e.exponent!r})"
+        # a numpy scalar's ** is not the ufunc an array's runs, and can differ by an ulp
+        return f"np.power({_shape(e.base, layout, slots)}, {e.exponent!r})"
     if t is ex.Neg:
-        return f"(-{_shape(e.arg, layout, slots, vec)})"
+        return f"(-{_shape(e.arg, layout, slots)})"
     if t is ex.ExpF:
-        return ("np.exp(" if vec else "exp(") + _shape(e.arg, layout, slots, vec) + ")"
+        return "np.exp(" + _shape(e.arg, layout, slots) + ")"
     if t is ex.LnF:
-        return ("np.log(" if vec else "log(") + _shape(e.arg, layout, slots, vec) + ")"
+        return "np.log(" + _shape(e.arg, layout, slots) + ")"
     if t is ex.Piecewise:
-        # children are visited in the same order in both modes, so a shape's
-        # slot numbers agree between its scalar and vectorized source
+        # slots are numbered in branch order; the chain is built innermost first
         conds, values = [], []
         for b in e.branches:
-            conds.append(f"{_shape(b.test, layout, slots, vec)} {b.op} {b.threshold!r}")
-            values.append(_shape(b.value, layout, slots, vec))
-        s = _shape(e.default, layout, slots, vec)
-        if vec:
-            return f"np.select([{', '.join(conds)}], [{', '.join(values)}], {s})"
+            conds.append(f"{_shape(b.test, layout, slots)} {b.op} {b.threshold!r}")
+            values.append(_shape(b.value, layout, slots))
+        s = _shape(e.default, layout, slots)
         for cond, value in zip(reversed(conds), reversed(values)):
-            s = f"({value} if {cond} else {s})"
+            s = f"np.where({cond}, {value}, {s})"
         return s
     raise TypeError(f"unhandled node {type(e).__name__}")
 
 
-def shape(e: ex.Expr, layout: ParamLayout, vec: bool = False) -> Tuple[str, List[tuple]]:
+def shape(e: ex.Expr, layout: ParamLayout) -> Tuple[str, List[tuple]]:
     """The shape text of ``e`` (see ``_shape``) and its leaves (array name,
     0-based index) in slot order.  Raises UnsupportedSystem for a tree too
     deep to walk."""
     slots: Dict[tuple, int] = {}
     try:
-        text = _shape(e, layout, slots, vec)
+        text = _shape(e, layout, slots)
     except RecursionError:
         raise UnsupportedSystem(_TOO_DEEP) from None
     return text, list(slots)
@@ -142,8 +138,8 @@ def shape(e: ex.Expr, layout: ParamLayout, vec: bool = False) -> Tuple[str, List
 class ShapeGroup(NamedTuple):
     """Expressions that share one shape.
 
-    ``text`` is the shape's scalar source with slot ``k`` written as ``{k}``
-    inside its subscript, and ``expr`` is the first member.  ``names[k]`` is
+    ``text`` is the shape's source with slot ``k`` written as ``{k}`` (see
+    ``_shape``), and ``expr`` is the first member.  ``names[k]`` is
     the array slot ``k`` reads (``u`` or ``b``), ``rows[r]`` is member
     ``r``'s output position and ``index[r, k]`` the 0-based array index slot
     ``k`` takes in member ``r``; both are ``int64`` arrays."""
@@ -218,26 +214,24 @@ def derived_groups(blocks: Iterable[Tuple[ShapeGroup, ex.Expr, np.ndarray]],
     return sorted(out, key=lambda g: g.rows[0])
 
 
-def compile_groups(groups: Sequence[ShapeGroup], n_out: int, layout: ParamLayout,
-                   tag: str = "residual"):
+def compile_groups(groups: Sequence[ShapeGroup], n_out: int, tag: str = "residual"):
     """Compile shape groups into ``fn(u, b, h, p, out)`` filling ``out[:n_out]``;
-    each group is emitted as one numpy statement or as scalar lines."""
-    ns = {"exp": math.exp, "log": math.log, "np": np}
+    each group's text is emitted as one numpy statement or as scalar lines."""
+    ns = {"np": np}
     scalar = [""] * n_out
     vector: List[str] = []
     for g, group in enumerate(groups):
         if len(group.rows) < _VECTOR_MIN_ROWS:
             for i, idx in zip(group.rows.tolist(), group.index.tolist()):
-                scalar[i] = f"    out[{i}] = " + group.text.format(*idx)
+                scalar[i] = f"    out[{i}] = " + group.text.format(*map("{}[{}]".format, group.names, idx))
             continue
         ns[f"_r{g}"] = group.rows
-        vec_text, leaves = shape(group.expr, layout, vec=True)
         for k, name in enumerate(group.names):
             ns[f"_i{g}_{k}"] = group.index[:, k].copy()
             vector.append(f"x{k} = {name}[_i{g}_{k}]")
-        vector.append(f"out[_r{g}] = " + vec_text.format(*(f"x{k}" for k in range(len(leaves)))))
+        vector.append(f"out[_r{g}] = " + group.text.format(*(f"x{k}" for k in range(len(group.names)))))
 
-    lines = [f"def _{tag}(u, b, h, p, out, exp=exp, log=log):"]
+    lines = [f"def _{tag}(u, b, h, p, out):"]
     lines += [s for s in scalar if s]
     if vector:
         lines.append('    with np.errstate(all="ignore"):')
@@ -260,13 +254,13 @@ class CompiledResidual:
 
     ``set_base``/``set_h``/``set_params`` rebind values without touching the
     compiled structure.  ``evaluate`` raises NonFiniteResidual on any
-    overflow, domain error, or non-finite output.
+    non-finite output, which is what an overflow or a domain error gives.
     """
 
     def __init__(self, groups: Sequence[ShapeGroup], n: int, layout: ParamLayout):
         self.n = n
         self.layout = layout
-        self._fn = compile_groups(groups, n, layout)
+        self._fn = compile_groups(groups, n)
         self.b = np.zeros(0)
         self.h = 0.0
         self.p = np.zeros(len(layout.names))
@@ -284,10 +278,7 @@ class CompiledResidual:
 
     def evaluate(self, uu: np.ndarray) -> np.ndarray:
         out = self._out
-        try:
-            self._fn(uu, self.b, self.h, self.p, out)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            raise NonFiniteResidual("residual evaluation left the domain")
+        self._fn(uu, self.b, self.h, self.p, out)
         if not np.isfinite(out).all():
             raise NonFiniteResidual("residual evaluation produced non-finite values")
         return out

@@ -51,10 +51,17 @@ def _tokenize(text: str):
 _BINARY = {"+": (1, operator.add), "-": (1, operator.sub),
            "*": (2, operator.mul), "/": (2, operator.truediv)}
 _FUNCTIONS = {"exp": ex.exp, "ln": ex.ln}
+# the deepest the parser recurses, in calls of its own methods (three per
+# level of parentheses); it is reached before Python's default recursion
+# limit of 1000 from a caller up to about 145 frames deep
+_MAX_DEPTH = 850
 
 
 class _Parser:
-    """Precedence climbing over ``_BINARY`` in ``expr``, recursive descent below it."""
+    """Precedence climbing over ``_BINARY`` in ``expr``, recursive descent below it.
+
+    ``depth`` is the number of parser calls a method runs nested in; ``unary``,
+    which every nesting passes through, enforces ``_MAX_DEPTH``."""
 
     def __init__(self, tokens, var_index: Mapping[str, int]):
         self.toks = tokens
@@ -83,45 +90,47 @@ class _Parser:
             raise ExprSyntaxError(f"expected ')', got {self.toks[self.i][1]!r}")
         return node
 
-    def expr(self, level: int = 0) -> ex.Expr:
+    def expr(self, depth: int, level: int = 0) -> ex.Expr:
         """Unary operands joined by operators binding tighter than ``level``, folded left."""
-        node = self.unary()
+        node = self.unary(depth + 1)
         while (op := self.peek_op()) in _BINARY and _BINARY[op][0] > level:
             self.next()
             prec, build = _BINARY[op]
-            node = build(node, self.expr(prec))
+            node = build(node, self.expr(depth + 1, prec))
         return node
 
-    def unary(self) -> ex.Expr:
+    def unary(self, depth: int) -> ex.Expr:
+        if depth > _MAX_DEPTH:
+            raise ExprSyntaxError("expression nested too deeply")
         sign = self.accept(("-", "+"))
         if sign:
-            return -self.unary() if sign == "-" else self.unary()
-        base = self.atom()
+            return -self.unary(depth + 1) if sign == "-" else self.unary(depth + 1)
+        base = self.atom(depth + 1)
         if self.accept(("^",)):
-            return ex.pow_(base, self.unary())  # right-associative
+            return ex.pow_(base, self.unary(depth + 1))  # right-associative
         return base
 
-    def atom(self) -> ex.Expr:
+    def atom(self, depth: int) -> ex.Expr:
         kind, val = self.next()
         if kind == "num":
             return ex.const(val)
         if (kind, val) == ("op", "("):
-            return self.close(self.expr())
+            return self.close(self.expr(depth + 1))
         if kind != "name":
             raise ExprSyntaxError(f"unexpected token {val!r}")
         if not self.accept(("(",)):
             return ex.U(self.var_index[val]) if val in self.var_index else ex.Param(val)
         if val == "piecewise":
-            return self.piecewise()
+            return self.piecewise(depth + 1)
         if val not in _FUNCTIONS:
             raise ExprSyntaxError(f"unknown function {val!r}")
-        return self.close(_FUNCTIONS[val](self.expr()))
+        return self.close(_FUNCTIONS[val](self.expr(depth + 1)))
 
-    def piecewise(self) -> ex.Expr:
+    def piecewise(self, depth: int) -> ex.Expr:
         """The arguments ``cond1, e1, ..., default)`` of ``piecewise(``."""
-        args = [self.argument()]
+        args = [self.argument(depth + 1)]
         while self.accept((",",)):
-            args.append(self.argument())
+            args.append(self.argument(depth + 1))
         self.close(args)
         last = len(args) - 1
         if last < 2 or last % 2 or any(isinstance(a, tuple) != (j % 2 == 0 and j < last)
@@ -129,9 +138,9 @@ class _Parser:
             raise ExprSyntaxError("piecewise needs condition, value pairs and then a default")
         return ex.piecewise([ex.Branch(*args[j], args[j + 1]) for j in range(0, last, 2)], args[-1])
 
-    def argument(self):
+    def argument(self, depth: int):
         """An expression, or a condition ``expr < c`` as a (test, op, c) tuple."""
-        node = self.expr()
+        node = self.expr(depth + 1)
         op = self.accept(("<", "<=", ">", ">="))
         if not op:
             return node
@@ -148,8 +157,9 @@ def parse_expr(text: str, var_names: Optional[Sequence[str]] = None) -> ex.Expr:
     var_index = {name: i + 1 for i, name in enumerate(var_names or [])}
     p = _Parser(_tokenize(text), var_index)
     try:
-        node = p.expr()
+        node = p.expr(1)
     except RecursionError:
+        # a backstop for a caller whose own stack leaves too little room
         raise ExprSyntaxError("expression nested too deeply") from None
     kind, val = p.next()
     if kind != "end":

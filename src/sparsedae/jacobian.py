@@ -113,25 +113,21 @@ class JacobianAssembler:
 
     The matrix is built and validated once, on the pattern's structure;
     ``assemble`` refills its values in place and raises NonFiniteResidual
-    on any overflow, domain error, or non-finite entry, as
-    ``CompiledResidual.evaluate`` does.
+    on any non-finite entry, as ``CompiledResidual.evaluate`` does.
     """
 
     def __init__(self, jac: SymbolicJacobian, layout: ParamLayout):
         pat = jac.pattern
         self.matrix = SparseMatrix(n=pat.n, indptr=pat.indptr, rowind=pat.rowind,
                                    values=np.zeros(pat.nnz))
-        self._fn = compile_groups(derived_groups(jac.blocks, layout), pat.nnz, layout, tag="jacobian")
+        self._fn = compile_groups(derived_groups(jac.blocks, layout), pat.nnz, tag="jacobian")
 
     def assemble(self, uu: np.ndarray, b: np.ndarray, h: float, p: np.ndarray) -> SparseMatrix:
         """Refill the one matrix this assembler owns with the Jacobian at
         (uu, b, h, p) and return it; the previous values are overwritten, so
         a caller that keeps them must copy (``factorize`` does)."""
         m = self.matrix
-        try:
-            self._fn(uu, b, h, p, m.values)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            raise NonFiniteResidual("Jacobian entry evaluation left the domain")
+        self._fn(uu, b, h, p, m.values)
         finite = np.isfinite(m.values)
         if not finite.all():
             j = int(np.argmin(finite))

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import operator
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Tuple
@@ -195,10 +196,11 @@ class DaeSystem:
         except KeyError as e:
             raise ValueError(f"undeclared parameter {e.args[0]!r}") from None
         for g in groups:
-            # h and Y0_k skip the layout lookup; no other scalar token holds an h
-            if "h" in g.text or "b" in g.names:
-                name = "h" if "h" in g.text else f"{BASE_PREFIX}{g.index[0, g.names.index('b')] + 1}"
-                raise ValueError(f"undeclared parameter {name!r}")
+            # h and Y0_k skip the layout lookup; h is a token (np.where holds an h)
+            if re.search(r"\bh\b", g.text):
+                raise ValueError("undeclared parameter 'h'")
+            if "b" in g.names:
+                raise ValueError(f"undeclared parameter '{BASE_PREFIX}{g.index[0, g.names.index('b')] + 1}'")
         index = np.concatenate([g.index.ravel() for g in groups])
         if index.size and (index.min() < 0 or index.max() >= n_t):
             bad = index[(index < 0) | (index >= n_t)]

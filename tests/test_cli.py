@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 import warnings
 
 import pytest
@@ -125,7 +126,8 @@ def _nested(template: str, depth: int) -> str:
     "^".join(["x"] * 450),
 ], ids=["exp-250", "mul-add-100", "power-tower-150", "power-tower-450"])
 def test_expression_too_deep_to_compile_exits_1(capsys, tmp_path, rhs):
-    # the parser accepts these; generated code nests past Python's 200
+    # each stays within the parser's depth limit (mul-add-100 takes 802 of
+    # its 850 nested calls); generated code nests past Python's 200
     # parentheses, and the deepest tree also exhausts the code generator's stack
     prob = tmp_path / "deep.prob"
     prob.write_text(f"[odes]\nx' = {rhs}\n[init]\nx = 1\n")
@@ -133,6 +135,32 @@ def test_expression_too_deep_to_compile_exits_1(capsys, tmp_path, rhs):
     assert (code, out) == (1, "")
     assert "expression nested too deeply to compile" in err
     assert "Traceback" not in err
+
+
+def _at_depth(frames: int, fn):
+    """``fn()`` on a fresh thread, whose stack starts nearly empty as in a
+    shell, ``frames`` stack frames down."""
+    def down(k):
+        return fn() if k == 0 else down(k - 1)
+    result = []
+    thread = threading.Thread(target=lambda: result.append(down(frames)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return result[0]
+
+
+def test_parser_depth_limit_does_not_depend_on_the_callers_stack(capsys, tmp_path):
+    # 120 levels of x*(x+(...)) take the parser 962 nested calls, past its
+    # limit; 150 frames down, the RecursionError backstop fires first
+    prob = tmp_path / "deep.prob"
+    prob.write_text(f"[odes]\nx' = {_nested('x*(x+({}))', 120)}\n[init]\nx = 1\n")
+    argv = ["solve", str(prob), "--tf", "1e-3", "--ntot", "3", "--stdout"]
+    results = [_at_depth(frames, lambda: run(capsys, *argv)) for frames in (0, 150)]
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert (code, out) == (1, "")
+    assert "line 2: expression nested too deeply\n" in err
 
 
 @pytest.mark.parametrize("name", ["h", "Y0_1"])

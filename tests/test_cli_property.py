@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from sparsedae.cli import main
 
 # a two-variable system: x is an ODE variable, y an ODE or algebraic one;
-# the pools mix well-posed, stiff, singular, non-finite and reserved-name lines,
+# the pools mix well-posed, stiff, singular, non-finite (folded, overflowing at
+# run time, or in a piecewise branch) and reserved-name lines,
 # and the junk pool a repeated parameter
 X_ODES = ["x' = -k*x", "x' = y", "x' = -k*x + y", "x' = -x^0.5 - 1", "x' = ln(x)",
-          "x' = exp(1000) * x", "x' = piecewise(x < 0.5, -x, x >= 2, 1, 2*x)",
-          "x' = -x / y", "x' = 1 / (x - x)", "x' = -h*x", "x' = -Y0_1*x"]
+          "x' = exp(1000) * x", "x' = exp(1000*x)", "x' = piecewise(x < 0.5, -x, x >= 2, 1, 2*x)",
+          "x' = piecewise(x < 0, ln(x), x)", "x' = -x / y", "x' = 1 / (x - x)", "x' = -h*x",
+          "x' = -Y0_1*x"]
 Y_ODES = ["y' = x", "y' = -k*y", "y' = k*(1 - x^2)*y - x"]
 Y_ALGS = ["0 = x^2 + y^2 - 1", "y = k*x", "y^2 = x + 1", "0 = ln(y) + x", "0 = x", "0 = 1"]
 PARAMS = ["h = 2", "Y0_1 = 5", "Y0_x = 1", "k2 = 3", "k = 4"]
@@ -70,6 +72,8 @@ FLAGS = st.fixed_dictionaries({}, optional={
 # tf = inf must be rejected before fixed-step mode takes round(tf / fixed_h)
 @example(command="solve", text="[odes]\nx' = -x\n[init]\nx = 1\n",
          flags={"--tf": "inf", "--fixed-h": "0.5"})
+# the taken branch is ln of a negative
+@example(command="solve", text="[odes]\nx' = piecewise(x < 0, ln(x), x)\n[init]\nx = -1\n", flags={})
 def test_problem_files_and_flags_exit_0_1_or_2(command, text, flags):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "p.prob")

@@ -78,6 +78,33 @@ def test_vectorized_nonfinite_reaches_the_isfinite_check():
             res.evaluate(u)
 
 
+# one-unknown shapes, each with a point where it leaves the domain
+DOMAIN_SHAPES = {
+    "exp": (lambda u: ex.exp(3.0 * u), 300.0),   # overflows at run time
+    "ln": (ex.ln, -1.0),
+    "0/0": (lambda u: u / u, 0.0),
+    "fractional power": (lambda u: u ** 0.5, -1.0),
+    "piecewise": (lambda u: ex.piecewise((ex.Branch(u, "<", 0.5, ex.ln(u)),), ex.exp(u)), -1.0),
+}
+
+
+def test_scalar_lines_and_numpy_statements_give_identical_values():
+    # a row's value must not depend on how many rows share its shape
+    rng = np.random.default_rng(3)
+    for name, (build, bad) in DOMAIN_SHAPES.items():
+        small, large = (compiled([build(ex.U(i)) for i in range(1, n + 1)], ParamLayout([]))
+                        for n in (_VECTOR_MIN_ROWS - 1, N_ROWS))
+        assert not is_vectorized(small._fn) and is_vectorized(large._fn)
+        for u in rng.uniform(0.1, 3.0, (200, N_ROWS)):
+            got = small.evaluate(u[:small.n]).copy()
+            assert np.array_equal(got, large.evaluate(u)[:small.n]), name
+        for res in (small, large):
+            u = np.ones(res.n)
+            u[-1] = bad
+            with np.errstate(all="ignore"), pytest.raises(NonFiniteResidual):
+                res.evaluate(u)
+
+
 def evaluate_against_oracle(sysn, kind, seed):
     """Compiled residual and Jacobian next to eval_expr at a random state.
     The oracle differentiates every row on its own, per pattern entry."""

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sparsedae import expr as ex
-from sparsedae.grammar import ExprSyntaxError, parse_expr
+from sparsedae.grammar import _MAX_DEPTH, ExprSyntaxError, parse_expr
 
 from expr_reference import eval_expr, format_expr, free_params
 
@@ -55,6 +55,14 @@ def test_syntax_errors():
     for bad in ("x +", "(x", "x ** y", "piecewise(x)", "sin(x)", "1 2"):
         with pytest.raises(ExprSyntaxError):
             parse_expr(bad, VARS)
+
+
+def test_nesting_limit_is_a_fixed_count_of_parser_calls():
+    # "-" * k + "x" nests k + 2 parser calls: expr, one unary per sign, x's unary
+    assert parse_expr("-" * (_MAX_DEPTH - 2) + "x", VARS) == ex.U(1)
+    with pytest.raises(ExprSyntaxError, match="nested too deeply") as err:
+        parse_expr("-" * (_MAX_DEPTH - 1) + "x", VARS)
+    assert err.value.__context__ is None   # the limit, not the RecursionError backstop
 
 
 def test_format_round_trip_random_corpus():

@@ -160,8 +160,10 @@ def test_system_validation():
         DaeSystem(ode_rhs=(ex.Param("k") * ex.U(1),), alg_residual=(),
                   var_names=("x",), y0z0=(0.0,))  # undeclared parameter
     # h would silently be the step size, Y0_1 the base state, and U(0) would
-    # read the last unknown
-    for leaf, named in [(ex.Param("h"), "'h'"), (ex.Param("Y0_1"), "'Y0_1'"),
+    # read the last unknown; a piecewise's text holds np.where, so h is
+    # matched as a token
+    h_in_branch = ex.piecewise((ex.Branch(ex.U(1), "<", 0.0, ex.Param("h")),), ex.U(1))
+    for leaf, named in [(ex.Param("h"), "'h'"), (h_in_branch, "'h'"), (ex.Param("Y0_1"), "'Y0_1'"),
                         (ex.Param("Y0_x"), "'Y0_x'"), (ex.U(0), "index 0"), (ex.U(3), "index 3")]:
         with pytest.raises(ValueError, match=re.escape(named)):
             DaeSystem(ode_rhs=(ex.neg(ex.U(1)),), alg_residual=(ex.U(2) - leaf,),
