@@ -49,6 +49,7 @@ No common-subexpression elimination is attempted.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -255,6 +256,11 @@ class CompiledResidual:
     ``set_base``/``set_h``/``set_params`` rebind values without touching the
     compiled structure.  ``evaluate`` raises NonFiniteResidual on any
     non-finite output, which is what an overflow or a domain error gives.
+    It screens the output with its sum of squares, which is non-finite
+    whenever an entry is, and runs the exact ``isfinite`` test only when
+    the screen trips.  Finite entries above ~1e154 overflow the screen, which
+    numpy reports as a RuntimeWarning outside ``np.errstate(over="ignore")``
+    (the integrators ignore it) before the exact test clears them.
     """
 
     def __init__(self, groups: Sequence[ShapeGroup], n: int, layout: ParamLayout):
@@ -279,6 +285,7 @@ class CompiledResidual:
     def evaluate(self, uu: np.ndarray) -> np.ndarray:
         out = self._out
         self._fn(uu, self.b, self.h, self.p, out)
-        if not np.isfinite(out).all():
+        # squares cannot cancel, so any inf or nan trips the screen; np.isfinite clears an overflow
+        if not math.isfinite(out.dot(out)) and not np.isfinite(out).all():
             raise NonFiniteResidual("residual evaluation produced non-finite values")
         return out

@@ -122,7 +122,7 @@ def factorize(a: SparseMatrix) -> Factorization:
     """
     if a.n <= _DENSE_MAX:
         dense = a.to_dense()
-        col_mag = np.max(np.abs(dense), axis=0)
+        col_mag = np.abs(dense).max(axis=0)
         # LAPACK getrf, as lu_factor calls it, without its warning on an
         # exactly zero pivot: the pivot test below reports that one
         lu, piv, _ = scipy.linalg.lapack.dgetrf(dense)
@@ -148,7 +148,7 @@ def factorize(a: SparseMatrix) -> Factorization:
         if "singular" not in str(err).lower():
             raise
     # pivot-perturbation retry
-    eps = 1e-12 * max(np.max(np.abs(values)), 1.0)
+    eps = 1e-12 * max(np.abs(values).max(), 1.0)
     perturbed = csc + scipy.sparse.identity(a.n, format="csc") * eps
     try:
         lu = _superlu(perturbed)

@@ -15,6 +15,7 @@ to the caller for step rejection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,8 +65,8 @@ def newton_solve(
         r = res.evaluate(uu)  # raises NonFiniteResidual
         delta = solve(f, r)
         uu -= delta
-        prev, corr_norm = corr_norm, float(np.max(np.abs(delta))) if len(delta) else 0.0
-        if not np.isfinite(corr_norm):
+        prev, corr_norm = corr_norm, float(np.abs(delta).max(initial=0.0))
+        if not math.isfinite(corr_norm):
             raise NonFiniteResidual("Newton correction went non-finite")
         if corr_norm <= ctol:
             return NewtonOutcome(uu, it, corr_norm, True, theta_max)

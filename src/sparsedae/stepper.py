@@ -191,9 +191,7 @@ def error_norm(y_err: np.ndarray, yref: np.ndarray, atol: float, rtol: float,
         w = a / (atol + a * rtol)
     else:
         w = a / (atol + np.abs(np.asarray(yref, dtype=float)) * rtol)
-    if len(w) == 0:
-        return 0.0
-    return float(np.max(w))
+    return float(w.max(initial=0.0))
 
 
 def next_h(h_old: float, err: float, p: int, hmax: float) -> float:

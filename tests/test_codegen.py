@@ -78,6 +78,25 @@ def test_vectorized_nonfinite_reaches_the_isfinite_check():
             res.evaluate(u)
 
 
+@pytest.mark.parametrize("n", [_VECTOR_MIN_ROWS - 1, N_ROWS])
+def test_sum_of_squares_screen_falls_back_to_the_exact_test(n):
+    res = compiled([ex.U(i) for i in range(1, n + 1)], ParamLayout([]))
+    assert is_vectorized(res._fn) == (n == N_ROWS)
+    # finite entries whose squares overflow trip the screen, and the exact
+    # test clears them; under the integrators' error state that is quiet
+    u = np.full(n, 1e200)
+    u[1] = -3e200
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert res.evaluate(u).tolist() == u.tolist()
+    for bad in (np.inf, -np.inf, np.nan):
+        for row in (0, n // 2, n - 1):
+            u = np.ones(n)
+            u[row] = bad
+            with pytest.raises(NonFiniteResidual):
+                res.evaluate(u)
+
+
 # one-unknown shapes, each with a point where it leaves the domain
 DOMAIN_SHAPES = {
     "exp": (lambda u: ex.exp(3.0 * u), 300.0),   # overflows at run time

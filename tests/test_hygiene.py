@@ -131,3 +131,30 @@ def test_every_library_definition_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
     readers = [p.read_text(encoding="utf-8") for p in CALLERS]
     assert unread_definitions(sources, readers) == []
+
+
+# numpy's module-level reductions re-dispatch in Python before reaching the
+# ndarray method, which costs microseconds per call on the small arrays of
+# the Newton loop; the modules it runs through call the methods instead
+NUMPY_REDUCTIONS = {"max", "min", "amax", "amin", "sum", "all", "any"}
+INTEGRATE_PATH = ["newton.py", "stepper.py", "codegen.py", "jacobian.py", "linalg.py"]
+
+
+def numpy_reduction_calls(source: str):
+    """(line, name) for every call of ``np.<reduction>``."""
+    return sorted((n.lineno, n.func.attr) for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                  and isinstance(n.func.value, ast.Name) and n.func.value.id == "np"
+                  and n.func.attr in NUMPY_REDUCTIONS)
+
+
+def test_the_scan_finds_a_numpy_reduction_call():
+    src = ("x = np.max(np.abs(a))\ny = np.abs(a).max()\nz = np.maximum(a, b)\n"
+           "w = np.sum(a) + a.sum() + np.all(a)\n")
+    assert numpy_reduction_calls(src) == [(1, "max"), (4, "all"), (4, "sum")]
+
+
+@pytest.mark.parametrize("name", INTEGRATE_PATH)
+def test_integrate_path_calls_no_numpy_reduction_wrapper(name):
+    path = Path(sparsedae.__file__).parent / name
+    assert numpy_reduction_calls(path.read_text(encoding="utf-8")) == []

@@ -32,6 +32,18 @@ def test_linear_system_converges_in_one_iteration():
     assert out.uu == pytest.approx([1.0, 1.0])
 
 
+def test_residual_too_large_to_square_converges():
+    # residual entries near 2e200 overflow evaluate's sum-of-squares screen;
+    # the exact isfinite test must clear them
+    exprs = [1e200 * ex.U(1) - 2e200, 1e200 * ex.U(2) + 3e200]
+    res = make_residual(exprs)
+    f = factorize(from_dense(np.diag([1e200, 1e200])))
+    with np.errstate(all="ignore"):
+        out = newton_solve(res, f, np.zeros(2), max_iter=5, ctol=1e-12)
+    assert out.converged
+    assert out.uu.tolist() == [2.0, -3.0]
+
+
 def test_quadratic_convergence_with_fresh_jacobian():
     # u^2 - 2 = 0 from u0 = 1.5 with J evaluated at u0 and frozen:
     # linear contraction, but still reaches sqrt(2)

@@ -42,6 +42,11 @@ def test_error_norm_literal_and_standard():
                                     2e-6 / (atol + 0.5 * rtol)))
 
 
+def test_error_norm_of_no_components_is_zero():
+    for denominator in ("literal", "standard"):
+        assert error_norm(np.zeros(0), np.zeros(0), 1e-6, 1e-5, denominator) == 0.0
+
+
 def test_next_h_formula():
     assert next_h(0.1, 1e-4, 1, hmax=1.0) == pytest.approx(0.3)  # capped at 3x
     err = 0.5
