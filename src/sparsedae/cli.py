@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import SparseDaeError
 from .jacobian import detect_pattern
-from .linalg import SparseMatrix, write_matrix_market
+from .linalg import write_pattern
 from .problemfile import load_problem, numbered_lines, read_assignments
 from .problems import BUILTINS, ORACLES, builtin_keywords, make_builtin, probe
 from .stepper import SolverOptions, Status, integrate, integrate_fixed
@@ -232,8 +232,7 @@ def cmd_pattern(args) -> int:
     sys_ = _build_problem(args)
     method = MethodKind(args.method or "imptrap")
     pat = detect_pattern(build_residual(sys_, method))
-    mat = SparseMatrix(pat.n, pat.indptr, pat.rowind, np.ones(pat.nnz))
-    _write_output(args, lambda fh: write_matrix_market(mat, fh, pattern_only=True))
+    _write_output(args, lambda fh: write_pattern(pat.n, pat.indptr, pat.rowind, fh))
     return 0
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import expr as ex
 from .codegen import ParamLayout, ShapeGroup, compile_groups, derived_groups
 from .errors import EmptyRow, NonFiniteResidual
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, entry_columns
 from .system import MethodResidual
 
 
@@ -56,7 +56,7 @@ class SparsityPattern:
     @property
     def rows(self) -> Tuple[Tuple[int, ...], ...]:
         """Per-row ascending column indices (1-based)."""
-        cols = np.repeat(np.arange(1, self.n + 1), np.diff(self.indptr))
+        cols = entry_columns(self.indptr) + 1
         cols = cols[np.lexsort((cols, self.rowind))].tolist()
         ends = np.cumsum(np.bincount(self.rowind, minlength=self.n)).tolist()
         return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))

@@ -13,6 +13,9 @@ any number of right-hand sides against the frozen factors.
 
 A Factorization owns copies of what it needs; callers may reassemble the
 originating matrix freely afterwards.
+
+``check_structure`` owns the CSC checks and ``entry_columns`` the column of
+each stored entry; every reader of a structure in the library calls them.
 """
 
 from __future__ import annotations
@@ -31,13 +34,40 @@ _DENSE_MAX = 64
 _PIVOT_RTOL = 1e-14
 
 
+def entry_columns(indptr: np.ndarray) -> np.ndarray:
+    """Each stored entry's 0-based column, from a nondecreasing CSC ``indptr``."""
+    return np.arange(len(indptr) - 1).repeat(indptr[1:] - indptr[:-1])
+
+
+def check_structure(n: int, indptr: np.ndarray, rowind: np.ndarray) -> None:
+    """ValueError unless ``indptr`` and ``rowind`` are an n x n CSC structure
+    as SparseMatrix describes it, so that no entry is stored twice."""
+    if len(indptr) != n + 1:
+        raise ValueError("indptr must have n+1 entries")
+    if indptr[0] != 0:
+        raise ValueError("indptr must start at 0")
+    if np.count_nonzero(indptr[1:] < indptr[:-1]):
+        raise ValueError("indptr must be nondecreasing")
+    if indptr[-1] != len(rowind):
+        raise ValueError("nnz mismatch between indptr and rowind")
+    cols = entry_columns(indptr)
+    bad = ((rowind < 0) | (rowind >= n)).nonzero()[0]
+    if len(bad):
+        raise ValueError(f"row index out of range in column {cols[bad[0]] + 1}")
+    # neighbours in one column must ascend; a new column may start lower
+    bad = ((rowind[1:] <= rowind[:-1]) & (cols[1:] == cols[:-1])).nonzero()[0]
+    if len(bad):
+        raise ValueError(f"row indices not strictly ascending in column {cols[bad[0]] + 1}")
+
+
 @dataclass
 class SparseMatrix:
     """Square compressed-column matrix.
 
-    indptr has n+1 nondecreasing entries; rowind holds 0-based row indices,
-    strictly ascending within each column.  (File formats such as Matrix
-    Market use 1-based indices; conversion happens at the boundary.)
+    indptr has n+1 nondecreasing entries from 0 to len(rowind); rowind holds
+    0-based row indices, strictly ascending within each column.
+    ``check_structure`` checks that once, on construction, and
+    ``entry_columns`` maps each stored entry to its column.
     """
 
     n: int
@@ -49,43 +79,19 @@ class SparseMatrix:
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
         self.rowind = np.asarray(self.rowind, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=float)
-        if len(self.indptr) != self.n + 1:
-            raise ValueError("indptr must have n+1 entries")
-        if self.indptr[0] != 0:
-            raise ValueError("indptr must start at 0")
-        counts = self.indptr[1:] - self.indptr[:-1]
-        if np.count_nonzero(counts < 0):
-            raise ValueError("indptr must be nondecreasing")
-        if self.indptr[-1] != len(self.rowind) or len(self.rowind) != len(self.values):
-            raise ValueError("nnz mismatch between indptr, rowind, values")
-        rows = self.rowind
-        cols = np.arange(self.n).repeat(counts)
-        bad = ((rows < 0) | (rows >= self.n)).nonzero()[0]
-        if len(bad):
-            raise ValueError(f"row index out of range in column {cols[bad[0]] + 1}")
-        # neighbours in one column must ascend; a new column may start lower
-        bad = ((rows[1:] <= rows[:-1]) & (cols[1:] == cols[:-1])).nonzero()[0]
-        if len(bad):
-            raise ValueError(f"row indices not strictly ascending in column {cols[bad[0]] + 1}")
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indptr[-1])
+        check_structure(self.n, self.indptr, self.rowind)
+        if len(self.values) != len(self.rowind):
+            raise ValueError("nnz mismatch between rowind and values")
 
     def to_dense(self) -> np.ndarray:
+        # one scatter is exact: the structure stores no entry twice
         a = np.zeros((self.n, self.n))
-        for j in range(self.n):
-            sl = slice(self.indptr[j], self.indptr[j + 1])
-            a[self.rowind[sl], j] = self.values[sl]
+        a[self.rowind, entry_columns(self.indptr)] = self.values
         return a
 
-    def to_scipy(self) -> scipy.sparse.csc_matrix:
-        return scipy.sparse.csc_matrix(
-            (self.values, self.rowind, self.indptr), shape=(self.n, self.n)
-        )
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.to_scipy() @ np.asarray(x, dtype=float)
+        csc = scipy.sparse.csc_matrix((self.values, self.rowind, self.indptr), shape=(self.n, self.n))
+        return csc @ np.asarray(x, dtype=float)
 
 
 @dataclass
@@ -175,17 +181,11 @@ def solve(f: Factorization, b: np.ndarray) -> np.ndarray:
     return f._splu.solve(b * f._row_scale)
 
 
-# --- Matrix Market (coordinate, general, real) ---------------------------
-
-
-def write_matrix_market(a: SparseMatrix, fh: TextIO, pattern_only: bool = False) -> None:
-    kind = "pattern" if pattern_only else "real"
-    fh.write(f"%%MatrixMarket matrix coordinate {kind} general\n")
-    fh.write(f"{a.n} {a.n} {a.nnz}\n")
-    for j in range(a.n):
-        for idx in range(a.indptr[j], a.indptr[j + 1]):
-            if pattern_only:
-                fh.write(f"{a.rowind[idx] + 1} {j + 1}\n")
-            else:
-                fh.write(f"{a.rowind[idx] + 1} {j + 1} {a.values[idx]:.17g}\n")
-
+def write_pattern(n: int, indptr: np.ndarray, rowind: np.ndarray, fh: TextIO) -> None:
+    """The n x n CSC structure as a Matrix Market coordinate pattern, one
+    1-based ``row column`` line per entry in CSC order, once it passes
+    ``check_structure``."""
+    check_structure(n, indptr, rowind)
+    entries = np.column_stack((rowind + 1, entry_columns(indptr) + 1))
+    fh.write(f"%%MatrixMarket matrix coordinate pattern general\n{n} {n} {len(rowind)}\n")
+    fh.write("%d %d\n" * len(rowind) % tuple(entries.ravel().tolist()))

@@ -110,11 +110,11 @@ class SolverOptions:
 class Trajectory:
     """Accepted-step records plus step/rejection/factorization counters.
 
-    Counters cover the time-stepping loop; the single factorization used by
-    consistent initialization is reported separately in ``init_lu``.
-    ``lu_count`` counts LU factorizations actually computed, so a refresh
-    whose Jacobian is not finite adds none and a perturbed-pivot retry adds
-    a second one.  ``conv_fails`` counts attempts abandoned on an
+    Counters cover the time-stepping loop; the factorization used by
+    consistent initialization is reported separately in ``init_lu``.  Both
+    count LU factorizations actually computed, so a refresh whose Jacobian
+    is not finite adds none and a perturbed-pivot retry, at initialization
+    too, adds a second one.  ``conv_fails`` counts attempts abandoned on an
     unconverged Newton solve, retried or rejected, and ``err_fails`` the
     rejections by the error test (SUNDIALS IDA's ncfn and netf).
     """
@@ -314,8 +314,8 @@ class Stepper:
 
     def _start(self) -> Tuple[np.ndarray, Trajectory]:
         """The consistent initial state and a Trajectory holding it at t=0."""
-        state, _ = self.initialize()
-        traj = Trajectory(var_names=self.system.var_names, init_lu=1)
+        state, f = self.initialize()
+        traj = Trajectory(var_names=self.system.var_names, init_lu=1 + f.perturbed)
         traj.record(0.0, state)
         return state, traj
 

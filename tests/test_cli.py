@@ -1,16 +1,20 @@
 """Command-line interface: subcommands, exit codes, config files."""
 
 import dataclasses
+import io
 import math
 import threading
 import warnings
 
 import pytest
+import scipy.io
 
 from sparsedae import cli
 from sparsedae.cli import PROBLEM_FLAGS, main
-from sparsedae.problems import BUILTINS, builtin_keywords
+from sparsedae.jacobian import detect_pattern
+from sparsedae.problems import BUILTINS, builtin_keywords, example5
 from sparsedae.stepper import SolverOptions
+from sparsedae.system import MethodKind, build_residual
 
 VDP = """\
 [params]
@@ -411,7 +415,17 @@ def test_unknown_observable_exits_1_before_writing_output(capsys, tmp_path, monk
 def test_pattern_matrix_market(capsys):
     code, out, _ = run(capsys, "pattern", "ex1", "--method", "eb")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "%%MatrixMarket matrix coordinate pattern general"
-    assert lines[1] == "2 2 4"
-    assert len(lines) == 6
+    assert out == ("%%MatrixMarket matrix coordinate pattern general\n"
+                   "2 2 4\n1 1\n2 1\n1 2\n2 2\n")
+
+
+def test_pattern_reads_back_as_the_detected_pattern(capsys):
+    code, out, _ = run(capsys, "pattern", "ex5", "--N", "8", "--M", "8", "--method", "rad")
+    assert code == 0
+    pat = detect_pattern(build_residual(example5(8, 8), MethodKind.RAD))
+    back = scipy.io.mmread(io.StringIO(out))
+    assert back.shape == (pat.n, pat.n) and back.nnz == pat.nnz
+    rows = [[] for _ in range(pat.n)]
+    for i, k in sorted(zip(back.row.tolist(), back.col.tolist())):
+        rows[i].append(k + 1)
+    assert tuple(map(tuple, rows)) == pat.rows

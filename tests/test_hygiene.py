@@ -7,10 +7,15 @@ The callers are the library modules, the benchmark (``perfbench/``) and
 the acceptance criteria; a definition that only unit tests read belongs in
 the tests.  ``__init__.py`` is left out of the import scan, and is no reader
 in the definition scan, because its imports are the package's re-exports.
+The names the benchmark's tracer patches by string are checked by running
+its ``install`` in a child process.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,6 +136,17 @@ def test_every_library_definition_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in SOURCES}
     readers = [p.read_text(encoding="utf-8") for p in CALLERS]
     assert unread_definitions(sources, readers) == []
+
+
+def test_benchmark_tracer_finds_every_name_it_patches():
+    # perfbench/tracing.py reaches sparsedae's module globals and methods by
+    # their string names, which the scans above cannot see.  install() patches
+    # them for the life of the process, so it runs in a child.
+    root = Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    proc = subprocess.run([sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # numpy's module-level reductions re-dispatch in Python before reaching the

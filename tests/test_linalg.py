@@ -11,9 +11,10 @@ import scipy.linalg
 from sparsedae.errors import SingularMatrix
 from sparsedae.linalg import (
     SparseMatrix,
+    entry_columns,
     factorize,
     solve,
-    write_matrix_market,
+    write_pattern,
 )
 from sparsedae.problems import example5, example6
 from sparsedae.stepper import SolverOptions, Stepper
@@ -30,7 +31,7 @@ def random_spd_like(rng, n, density=0.2):
 def test_dense_round_trip_and_nnz():
     a = np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [-1.0, 0.0, 4.0]])
     m = from_dense(a)
-    assert m.nnz == 5
+    assert m.indptr[-1] == len(m.rowind) == 5
     assert m.to_dense() == pytest.approx(a)
 
 
@@ -56,6 +57,15 @@ def test_coo_build_validates():
     assert m.to_dense() == pytest.approx(np.array([[0.0, 0.0, 3.0],
                                                    [1.0, 0.0, 0.0],
                                                    [2.0, 0.0, 0.0]]))
+
+
+def test_to_dense_with_an_empty_column_and_a_stored_zero():
+    # column 2 is empty; column 3 stores an explicit 0.0 at row 2
+    m = SparseMatrix(n=3, indptr=[0, 2, 2, 4], rowind=[0, 2, 1, 2],
+                     values=[1.5, -2.0, 0.0, 4.0])
+    assert np.array_equal(m.to_dense(), [[1.5, 0.0, 0.0],
+                                         [0.0, 0.0, 0.0],
+                                         [-2.0, 0.0, 4.0]])
 
 
 def test_matvec_matches_dense():
@@ -209,26 +219,65 @@ def test_solve_validates_rhs_shape():
         solve(f, np.ones(4))
 
 
-def test_matrix_market_round_trip_values():
-    rng = np.random.default_rng(9)
-    a = random_spd_like(rng, 10)
-    m = from_dense(a)
-    buf = io.StringIO()
-    write_matrix_market(m, buf)
-    buf.seek(0)
-    back = scipy.io.mmread(buf)
-    assert back.shape == (10, 10) and back.nnz == m.nnz
-    assert np.array_equal(back.toarray(), a)
-
-
 def test_matrix_market_pattern_only():
     m = from_dense(np.array([[1.0, 0.0], [2.0, 3.0]]))
     buf = io.StringIO()
-    write_matrix_market(m, buf, pattern_only=True)
+    write_pattern(m.n, m.indptr, m.rowind, buf)
     text = buf.getvalue()
-    assert "pattern" in text.splitlines()[0]
+    assert text == "%%MatrixMarket matrix coordinate pattern general\n2 2 3\n1 1\n2 1\n2 2\n"
     buf.seek(0)
     back = scipy.io.mmread(buf)
     assert back.nnz == 3
     assert np.array_equal(back.toarray(), [[1.0, 0.0], [1.0, 1.0]])
+
+
+def test_column_map_matches_the_per_column_loop():
+    # a random structure with empty columns; the loops are the references
+    rng = np.random.default_rng(4)
+    n = 40
+    mask = rng.random((n, n)) < 0.1
+    mask[:, [3, 17]] = False
+    m = from_dense(np.where(mask, rng.standard_normal((n, n)), 0.0))
+    want_cols = [j for j in range(n) for _ in range(m.indptr[j], m.indptr[j + 1])]
+    assert entry_columns(m.indptr).tolist() == want_cols
+    dense = np.zeros((n, n))
+    for j in range(n):
+        sl = slice(m.indptr[j], m.indptr[j + 1])
+        dense[m.rowind[sl], j] = m.values[sl]
+    assert np.array_equal(m.to_dense(), dense)
+    buf = io.StringIO()
+    write_pattern(n, m.indptr, m.rowind, buf)
+    lines = [f"{m.rowind[k] + 1} {j + 1}" for k, j in enumerate(want_cols)]
+    assert buf.getvalue() == "\n".join(
+        ["%%MatrixMarket matrix coordinate pattern general", f"{n} {n} {len(lines)}"] + lines) + "\n"
+
+
+def test_matrix_market_pattern_of_no_entries():
+    buf = io.StringIO()
+    write_pattern(2, np.zeros(3, dtype=np.int64), np.zeros(0, dtype=np.int64), buf)
+    assert buf.getvalue() == "%%MatrixMarket matrix coordinate pattern general\n2 2 0\n"
+
+
+MALFORMED = [  # (n, indptr, rowind)
+    (2, [0, 1], [0]),
+    (2, [1, 1, 2], [0, 1]),
+    (2, [0, 2, 1], [0, 1]),
+    (2, [0, 1, 3], [0, 1]),
+    (2, [0, 1, 2], [-1, 0]),
+    (2, [0, 1, 2], [0, 5]),
+    (3, [0, 1, 3, 3], [0, 2, 2]),
+    (2, [0, 2, 2], [1, 0]),
+]
+
+
+@pytest.mark.parametrize("n, indptr, rowind", MALFORMED)
+def test_pattern_writer_rejects_what_sparse_matrix_rejects(n, indptr, rowind):
+    indptr, rowind = np.array(indptr), np.array(rowind)
+    with pytest.raises(ValueError) as built:
+        SparseMatrix(n=n, indptr=indptr, rowind=rowind, values=np.ones(len(rowind)))
+    buf = io.StringIO()
+    with pytest.raises(ValueError) as written:
+        write_pattern(n, indptr, rowind, buf)
+    assert str(written.value) == str(built.value)
+    assert buf.getvalue() == ""
 

@@ -231,6 +231,24 @@ def test_counters_one_lu_per_jacobian_update():
     assert traj.jac_updates <= traj.accepted + traj.rejected + 1
 
 
+def test_perturbed_initial_lu_counts_two():
+    # a pure-Neumann chain of 80 algebraic rows: singular, on the sparse
+    # path, so the initial LU takes the perturbed retry
+    n = 80
+    u = ex.U
+    rows = ([ex.add(u(2), ex.neg(u(1)))]
+            + [ex.add(u(i - 1), ex.mul(-2.0, u(i)), u(i + 1)) for i in range(2, n)]
+            + [ex.add(u(n - 1), ex.neg(u(n)))])
+    sys_ = DaeSystem(ode_rhs=(), alg_residual=tuple(rows),
+                     var_names=tuple(f"u{i}" for i in range(1, n + 1)), y0z0=(1.0,) * n)
+    st = Stepper(sys_, SolverOptions(tf=0.1, method=MethodKind.EB))
+    assert st.initialize()[1].perturbed
+    traj = st.integrate()
+    assert traj.status is Status.SUCCESS
+    assert traj.init_lu == 2
+    assert traj.lu_count == 2 * traj.jac_updates
+
+
 def test_algebraic_invariant_tracks_tolerance():
     # on the unit-circle system y^2 + z^2 = 1 must hold at every record
     atol = 1e-8
