@@ -19,7 +19,7 @@ from .errors import (
 )
 from .expr import Branch, Const, Expr, Param, Piecewise, U, diff, exp, free_unknowns, ln, piecewise, substitute
 from .grammar import parse_expr
-from .jacobian import JacobianAssembler, SparsityPattern, SymbolicJacobian, detect_pattern, differentiate
+from .jacobian import JacobianAssembler, SparsityPattern, detect_pattern, differentiate
 from .linalg import Factorization, SparseMatrix, factorize, solve, write_pattern
 from .newton import NewtonOutcome, default_ctol, newton_solve
 from .problemfile import load_problem, parse_problem_text

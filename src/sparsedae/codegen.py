@@ -14,7 +14,8 @@ part of the shape: ``u_i*u_i`` and ``u_i*u_j`` never share one.
 ``ShapeGroup``s, which hold every member's leaf indices as one row of an
 index table.  In the solve path only hand-written source equations are
 walked, once per system, when ``system.DaeSystem`` is built;
-``derived_groups`` takes expressions built from a group's first member and
+``derived_groups`` takes plain ``(names, index, expression, rows)`` blocks,
+each expression built from the first member of its index table, and
 instantiates each for every member by picking columns of that table.  The
 grid built-ins' stencil templates enter through ``derived_groups`` too, so
 their rows are never walked.
@@ -42,7 +43,8 @@ Generated functions share a single calling convention::
 
 where ``u`` is the unknown vector (0-based ndarray), ``b`` the base-state
 values bound to the Y0_* parameter slots, ``h`` the step size, ``p`` the
-system's parameter values in a fixed order, and ``out`` the output buffer.
+system's parameter values at the slots of its layout (``DaeSystem.layout``,
+a dict from each name to its slot), and ``out`` the output buffer.
 
 No common-subexpression elimination is attempted.
 """
@@ -66,15 +68,7 @@ _VECTOR_MIN_ROWS = 10
 _TOO_DEEP = "expression nested too deeply to compile"
 
 
-class ParamLayout:
-    """Fixed slot assignment for every non-base, non-h parameter name."""
-
-    def __init__(self, names: Sequence[str]):
-        self.names = list(names)
-        self.slot = {n: i for i, n in enumerate(self.names)}
-
-
-def _shape(e: ex.Expr, layout: ParamLayout, slots: Dict[tuple, int]) -> str:
+def _shape(e: ex.Expr, layout: Dict[str, int], slots: Dict[tuple, int]) -> str:
     """Numpy source of ``e`` with each leaf ``u[i]``/``b[i]`` written as ``{k}``.
 
     ``slots`` maps each leaf (array name, 0-based index) to its slot number
@@ -95,7 +89,7 @@ def _shape(e: ex.Expr, layout: ParamLayout, slots: Dict[tuple, int]) -> str:
             return "h"
         if e.name.startswith(BASE_PREFIX) and e.name[len(BASE_PREFIX):].isdecimal():
             return "{%d}" % slots.setdefault(("b", int(e.name[len(BASE_PREFIX):]) - 1), len(slots))
-        return f"p[{layout.slot[e.name]}]"
+        return f"p[{layout[e.name]}]"
     if t is ex.Add:
         return "(" + " + ".join([_shape(a, layout, slots) for a in e.terms]) + ")"
     if t is ex.Mul:
@@ -124,7 +118,7 @@ def _shape(e: ex.Expr, layout: ParamLayout, slots: Dict[tuple, int]) -> str:
     raise TypeError(f"unhandled node {type(e).__name__}")
 
 
-def shape(e: ex.Expr, layout: ParamLayout) -> Tuple[str, List[tuple]]:
+def shape(e: ex.Expr, layout: Dict[str, int]) -> Tuple[str, List[tuple]]:
     """The shape text of ``e`` (see ``_shape``) and its leaves (array name,
     0-based index) in slot order.  Raises UnsupportedSystem for a tree too
     deep to walk."""
@@ -152,7 +146,7 @@ class ShapeGroup(NamedTuple):
     index: np.ndarray
 
 
-def group_shapes(exprs: Sequence[ex.Expr], layout: ParamLayout) -> List[ShapeGroup]:
+def group_shapes(exprs: Sequence[ex.Expr], layout: Dict[str, int]) -> List[ShapeGroup]:
     """Walk each expression once; groups in order of first appearance."""
     groups: Dict[str, tuple] = {}
     for i, e in enumerate(exprs):
@@ -166,18 +160,18 @@ def group_shapes(exprs: Sequence[ex.Expr], layout: ParamLayout) -> List[ShapeGro
             for text, (e, names, rows, index) in groups.items()]
 
 
-def derived_groups(blocks: Iterable[Tuple[ShapeGroup, ex.Expr, np.ndarray]],
-                   layout: ParamLayout) -> List[ShapeGroup]:
-    """Group expressions instantiated over the members of source groups.
+def derived_groups(blocks: Iterable[Tuple[Tuple[str, ...], np.ndarray, ex.Expr, np.ndarray]],
+                   layout: Dict[str, int]) -> List[ShapeGroup]:
+    """Group expressions instantiated over the members of index tables.
 
-    Each block ``(source, d, rows)`` holds an expression ``d`` built from the
-    leaves of ``source``'s first member, where ``source`` is anything with a
-    ShapeGroup's ``names`` and ``index``, such as a ``system.Stencil``;
-    member ``r`` of ``source`` gets ``d``
-    with those leaves replaced by its own, at output position ``rows[r]``.  A
-    leaf of ``d`` reads the first column of ``source.index`` that names it on
-    the first member, so where two columns name the same leaf the earlier one
-    wins.
+    Each block ``(names, index, d, rows)`` holds an index table whose column
+    ``k`` reads array ``names[k]``, as a ShapeGroup's does, and an
+    expression ``d`` built from the leaves of its first member ``index[0]``;
+    member ``r`` gets ``d`` with those leaves replaced by its own, at output
+    position ``rows[r]``.  A leaf of ``d`` reads the first column that names
+    it on the first member, so where two columns name the same leaf the
+    earlier one wins.  That leaf-to-column map is built once for each run of
+    consecutive blocks on the same ``(names, index)`` pair.
 
     Blocks with the same text merge.  Members are ordered by output position
     and groups by their first one, as ``group_shapes`` would order them if
@@ -185,23 +179,23 @@ def derived_groups(blocks: Iterable[Tuple[ShapeGroup, ex.Expr, np.ndarray]],
     that of its block with the lowest first row, so it belongs to the group's
     first member when each block's rows ascend."""
     groups: Dict[str, list] = {}
-    last = None
-    for source, d, rows in blocks:
+    last = None, None
+    for names, index, d, rows in blocks:
         text, leaves = shape(d, layout)
-        if source is not last:
+        if names is not last[0] or index is not last[1]:
             # the column of each leaf, found on the first member
-            last, first = source, {}
-            for k, key in enumerate(zip(source.names, source.index[0].tolist())):
+            last, first = (names, index), {}
+            for k, key in enumerate(zip(names, index[0].tolist())):
                 first.setdefault(key, k)
-        index = source.index.take([first[leaf] for leaf in leaves], axis=1)
+        table = index.take([first[leaf] for leaf in leaves], axis=1)
         g = groups.get(text)
         if g is None:
-            groups[text] = [d, tuple([name for name, _ in leaves]), [rows], [index], rows[0]]
+            groups[text] = [d, tuple([name for name, _ in leaves]), [rows], [table], rows[0]]
             continue
         if rows[0] < g[4]:
             g[0], g[4] = d, rows[0]
         g[2].append(rows)
-        g[3].append(index)
+        g[3].append(table)
     out = []
     for text, (e, names, pieces, tables, _) in groups.items():
         # one block needs no concatenation, and one member no sort
@@ -263,13 +257,13 @@ class CompiledResidual:
     (the integrators ignore it) before the exact test clears them.
     """
 
-    def __init__(self, groups: Sequence[ShapeGroup], n: int, layout: ParamLayout):
+    def __init__(self, groups: Sequence[ShapeGroup], n: int, layout: Dict[str, int]):
         self.n = n
         self.layout = layout
         self._fn = compile_groups(groups, n)
         self.b = np.zeros(0)
         self.h = 0.0
-        self.p = np.zeros(len(layout.names))
+        self.p = np.zeros(len(layout))
         self._out = np.empty(self.n)
 
     def set_base(self, base: np.ndarray) -> None:
@@ -280,7 +274,7 @@ class CompiledResidual:
 
     def set_params(self, values: Dict[str, float]) -> None:
         for name, v in values.items():
-            self.p[self.layout.slot[name]] = v
+            self.p[self.layout[name]] = v
 
     def evaluate(self, uu: np.ndarray) -> np.ndarray:
         out = self._out

@@ -23,12 +23,12 @@ reassembly and factorization symbolics can be reused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
 from . import expr as ex
-from .codegen import ParamLayout, ShapeGroup, compile_groups, derived_groups
+from .codegen import ShapeGroup, compile_groups, derived_groups
 from .errors import EmptyRow, NonFiniteResidual
 from .linalg import SparseMatrix, entry_columns
 from .system import MethodResidual
@@ -62,19 +62,6 @@ class SparsityPattern:
         return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
 
 
-@dataclass(frozen=True)
-class SymbolicJacobian:
-    """Analytic entries on the pattern support, one per (shape, unknown slot).
-
-    ``blocks[j] = (group, d, positions)``: ``d`` is the derivative of
-    ``group.expr`` with respect to the unknown of the pattern's block ``j``,
-    and for member ``r`` of the group it gives CSC entry ``positions[r]``
-    over that member's leaves."""
-
-    pattern: SparsityPattern
-    blocks: Tuple[Tuple[ShapeGroup, ex.Expr, np.ndarray], ...]
-
-
 def detect_pattern(res: MethodResidual) -> SparsityPattern:
     """The support of row i is free_unknowns(residual row i), read off the
     residual's shape groups and put in CSC order with one lexsort.  Raises
@@ -101,26 +88,31 @@ def detect_pattern(res: MethodResidual) -> SparsityPattern:
     return SparsityPattern(n=res.n, indptr=indptr, rowind=rows[order], blocks=tuple(blocks))
 
 
-def differentiate(pat: SparsityPattern) -> SymbolicJacobian:
+def differentiate(pat: SparsityPattern) -> Tuple[Tuple[ShapeGroup, ex.Expr, np.ndarray], ...]:
     """Exact partials on the support, one ``diff`` per (shape, unknown
-    slot).  Structurally-zero derivatives are kept in their slots."""
-    blocks = tuple((g, ex.diff(g.expr, int(g.index[0, k]) + 1), pos) for g, k, pos in pat.blocks)
-    return SymbolicJacobian(pattern=pat, blocks=blocks)
+    slot), as blocks ``(group, d, positions)``, one per block of ``pat``:
+    ``d`` is the derivative of ``group.expr`` with respect to that block's
+    unknown, and for member ``r`` of the group it gives CSC entry
+    ``positions[r]`` over that member's leaves.  Structurally-zero
+    derivatives are kept in their slots."""
+    return tuple((g, ex.diff(g.expr, int(g.index[0, k]) + 1), pos) for g, k, pos in pat.blocks)
 
 
 class JacobianAssembler:
-    """Compiled numeric assembly of a SymbolicJacobian into CSC values.
+    """Compiled numeric assembly of ``differentiate``'s blocks into CSC
+    values on the pattern they were taken on.
 
     The matrix is built and validated once, on the pattern's structure;
     ``assemble`` refills its values in place and raises NonFiniteResidual
     on any non-finite entry, as ``CompiledResidual.evaluate`` does.
     """
 
-    def __init__(self, jac: SymbolicJacobian, layout: ParamLayout):
-        pat = jac.pattern
+    def __init__(self, pat: SparsityPattern, blocks: Iterable[Tuple[ShapeGroup, ex.Expr, np.ndarray]],
+                 layout: Dict[str, int]):
         self.matrix = SparseMatrix(n=pat.n, indptr=pat.indptr, rowind=pat.rowind,
                                    values=np.zeros(pat.nnz))
-        self._fn = compile_groups(derived_groups(jac.blocks, layout), pat.nnz, tag="jacobian")
+        derived = derived_groups(((g.names, g.index, d, pos) for g, d, pos in blocks), layout)
+        self._fn = compile_groups(derived, pat.nnz, tag="jacobian")
 
     def assemble(self, uu: np.ndarray, b: np.ndarray, h: float, p: np.ndarray) -> SparseMatrix:
         """Refill the one matrix this assembler owns with the Jacobian at

@@ -51,6 +51,9 @@ _INIT_MAX_ITER = 100
 _GROWTH = 3.0
 _SAFETY = 0.9
 _REJECT_DIVISOR = 4.0
+# the adaptive driver stops on a step below _H_FLOOR*tf (or 1e-3*hinit);
+# the default hinit stays 100 times above it, so three rejections fit
+_H_FLOOR = 1e-14
 # adaptive Newton: the rate tolerance as a multiple of atol, and the largest
 # contraction rate and the range of h / h_LU under which an accepted step
 # keeps its LU.  At 0.3*atol backward Euler's Newton bias adds up over ex2's
@@ -70,9 +73,9 @@ class Status(enum.Enum):
 @dataclass
 class SolverOptions:
     """Integration controls.  Unset hinit/hmax take the suggested defaults
-    hinit = min(1e-6, tf*atol), hmax = tf/20.  ``fixed_h``, when set, must
-    divide tf into whole steps, and selects the fixed-step driver in
-    ``integrate``.  The error test's rtol is 10*atol, not an option."""
+    hinit = max(min(1e-6, tf*atol), 1e-12*tf), hmax = tf/20.  ``fixed_h``,
+    when set, must divide tf into whole steps, and selects the fixed-step
+    driver in ``integrate``.  The error test's rtol is 10*atol, not an option."""
 
     tf: float
     atol: float = 1e-6
@@ -95,7 +98,7 @@ class SolverOptions:
             if not (steps < math.inf and abs(round(steps) * self.fixed_h - self.tf) <= 1e-12 * self.tf):
                 raise ValueError("fixed_h must be positive and divide tf into whole steps")
         if self.hinit is None:
-            self.hinit = min(1e-6, self.tf * self.atol)
+            self.hinit = max(min(1e-6, self.tf * self.atol), 100 * _H_FLOOR * self.tf)
         if self.hmax is None:
             self.hmax = self.tf / 20.0
         if not (0 < self.hinit <= self.hmax <= self.tf):
@@ -230,11 +233,10 @@ class Stepper:
         residual = build_residual(sys, self.kind)
         # the residual's shape groups are compiled and reused by the pattern,
         # the derivatives and the Jacobian code
-        layout = residual.layout
-        self.res = CompiledResidual(residual.groups, residual.n, layout)
+        self.res = CompiledResidual(residual.groups, residual.n, sys.layout)
         self.res.set_params(sys.params)
         pattern = detect_pattern(residual)
-        self.assembler = JacobianAssembler(differentiate(pattern), layout)
+        self.assembler = JacobianAssembler(pattern, differentiate(pattern), sys.layout)
         self.n = residual.n
         self._uu0 = np.zeros(self.n)
         self.ctol = default_ctol(options.atol)
@@ -327,7 +329,7 @@ class Stepper:
         state, traj = self._start()
         p = self.kind.order
         rate_tol = _RATE_TOL * opt.atol
-        h_floor = max(1e-14 * opt.tf, 1e-3 * opt.hinit)
+        h_floor = max(_H_FLOOR * opt.tf, 1e-3 * opt.hinit)
         # a step that would end within h_floor of tf lands on tf: the rest
         # would be a step below the floor
         t, h = 0.0, min(opt.hinit, opt.tf)

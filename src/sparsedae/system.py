@@ -40,7 +40,7 @@ from typing import Dict, List, NamedTuple, Tuple
 import numpy as np
 
 from . import expr as ex
-from .codegen import BASE_PREFIX, ParamLayout, ShapeGroup, derived_groups, group_shapes
+from .codegen import BASE_PREFIX, ShapeGroup, derived_groups, group_shapes
 from .errors import UnsupportedSystem
 
 
@@ -84,11 +84,6 @@ class Stencil(NamedTuple):
     expr: ex.Expr
     rows: np.ndarray
     index: np.ndarray
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        # the column names ``derived_groups`` reads off a source
-        return ("u",) * self.index.shape[1]
 
 
 class StencilRows(Sequence):
@@ -137,7 +132,7 @@ class StencilRows(Sequence):
             for a, b in zip(self.stencils, other.stencils))
 
 
-def _group(ode: Sequence[ex.Expr], alg: Sequence[ex.Expr], layout: ParamLayout) -> List[ShapeGroup]:
+def _group(ode: Sequence[ex.Expr], alg: Sequence[ex.Expr], layout: Dict[str, int]) -> List[ShapeGroup]:
     """The shape groups of ``ode + alg``: row tuples walked row by row, stencil
     rows merged from their templates."""
     if not isinstance(ode, StencilRows) and not isinstance(alg, StencilRows):
@@ -148,7 +143,7 @@ def _group(ode: Sequence[ex.Expr], alg: Sequence[ex.Expr], layout: ParamLayout) 
             if len(rows):
                 raise ValueError("ode_rhs and alg_residual must both be stencil rows when either is")
             continue
-        blocks += [(s, s.expr, s.rows + offset) for s in rows.stencils]
+        blocks += [(("u",) * s.index.shape[1], s.index, s.expr, s.rows + offset) for s in rows.stencils]
     return derived_groups(blocks, layout)
 
 
@@ -162,8 +157,9 @@ class DaeSystem:
     holds initial values for ODE variables and initial *guesses* for
     algebraic ones.  Parameter names may not be ``h`` or start with
     ``Y0_``: the method residuals use those for the step size and the base
-    state.  Construction groups the equations by shape once, into ``groups``
-    over ``layout``'s parameter slots, and validates their parameters and
+    state.  Construction numbers the parameters in sorted order, into the
+    dict ``layout`` from name to slot, groups the equations by shape once,
+    into ``groups`` over those slots, and validates their parameters and
     unknown indices from that walk; every method residual reads them.
     """
 
@@ -173,7 +169,7 @@ class DaeSystem:
     y0z0: Tuple[float, ...]
     params: Dict[str, float] = field(default_factory=dict)
     observables: Dict[str, Tuple[Tuple[int, float], ...]] = field(default_factory=dict)
-    layout: ParamLayout = field(init=False, repr=False, compare=False)
+    layout: Dict[str, int] = field(init=False, repr=False, compare=False)
     groups: Tuple[ShapeGroup, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -190,7 +186,7 @@ class DaeSystem:
         if reserved:
             raise ValueError(f"parameter name {reserved[0]!r} is reserved for the "
                              f"step size h or a base-state slot {BASE_PREFIX}k")
-        layout = ParamLayout(sorted(self.params))
+        layout = {name: k for k, name in enumerate(sorted(self.params))}
         try:
             groups = tuple(_group(self.ode_rhs, self.alg_residual, layout))
         except KeyError as e:
@@ -234,10 +230,9 @@ class MethodResidual:
     CN's explicit half f_i(base state) is part of its row, an expression over
     the ``Y0_k`` slots alone, so every row reads only uu, the base state, h
     and the system parameters.  ``groups`` hold the rows by shape, their
-    text written with ``layout``'s parameter slots.
+    text written with the system's ``DaeSystem.layout`` parameter slots.
     """
 
-    layout: ParamLayout
     groups: Tuple[ShapeGroup, ...]
     n: int
 
@@ -280,18 +275,19 @@ def _lower(kind: MethodKind, e: ex.Expr, i: int, ode: bool, leaves: List[int],
 def build_residual(sys: DaeSystem, kind: MethodKind) -> MethodResidual:
     """Lower (f, g) into the method's residual rows in uu, once per source shape.
 
-    Each of the system's shape groups of f's is split by
-    which slot, if any, is the row's own unknown i.  Only the first member of
-    each part is lowered, instantiated from its group's ``expr`` through the
-    group's index table, so no source row is read; ``derived_groups``
-    instantiates the lowered rows for the others, as it does the Jacobian's
-    derivatives.  The lowering maps leaves
-    to leaves, so each index table is widened with every column a lowered
-    row can name: each leaf's unknown, base-state slot and interior-stage
-    unknown, then the row's own unknown in both blocks.  The leaves come
-    first, so a leaf that is also the row's own unknown reads its leaf
-    column.  CN and IMPTRAP project every g at the step endpoint, so each g
-    must name an algebraic unknown; that is read off the same index tables."""
+    Each of the system's shape groups of f's is split by which slot, if
+    any, is the row's own unknown i.  Only the first member of each part is
+    lowered, instantiated from its group's ``expr`` through the group's
+    index table, so no source row is read; ``derived_groups`` instantiates
+    the lowered rows for the others, as it does the Jacobian's derivatives.
+    The lowering maps leaves to leaves, so each index table is widened with
+    every column a lowered row can name: each leaf's unknown, base-state
+    slot and interior-stage unknown, then the row's own unknown in both
+    blocks.  The leaves come first, so a leaf that is also the row's own
+    unknown reads its leaf column.  Each part goes to ``derived_groups`` as
+    its rows of the widened table with the table's column names.  CN and
+    IMPTRAP project every g at the step endpoint, so each g must name an
+    algebraic unknown; that is read off the same index tables."""
     n_t, n_ode = sys.n_total, sys.n_ode
     blocks, blind = [], []
     for g in sys.groups:
@@ -310,19 +306,18 @@ def build_residual(sys: DaeSystem, kind: MethodKind) -> MethodResidual:
         slot[c:] = -1
         for s in dict.fromkeys(slot.tolist()):
             members = slot == s
-            part_rows = rows[members]
+            part_rows, part_index = rows[members], table[members]
             source = _instantiate(g.expr, index, int(members.argmax()))
-            part = ShapeGroup(g.text, source, names, part_rows, table[members])
-            leaves = [j + 1 for j in part.index[0, :width].tolist()]
+            leaves = [j + 1 for j in part_index[0, :width].tolist()]
             lowered = _lower(kind, source, int(part_rows[0]) + 1, s >= 0, leaves, n_t)
-            blocks += [(part, e, part_rows + block * n_t) for block, e in enumerate(lowered)]
+            blocks += [(names, part_index, e, part_rows + block * n_t)
+                       for block, e in enumerate(lowered)]
     if blind:
         raise UnsupportedSystem(
             f"algebraic equation {min(blind) - n_ode + 1} references no algebraic variable; "
             f"{kind.value} cannot project it at the step endpoint"
         )
-    return MethodResidual(layout=sys.layout, groups=tuple(derived_groups(blocks, sys.layout)),
-                          n=kind.stage_multiplier * n_t)
+    return MethodResidual(groups=tuple(derived_groups(blocks, sys.layout)), n=kind.stage_multiplier * n_t)
 
 
 def state_update(y0: np.ndarray, uu: np.ndarray, kind: MethodKind) -> np.ndarray:

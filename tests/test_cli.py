@@ -178,6 +178,14 @@ def test_reserved_parameter_name_exits_1(capsys, tmp_path, name):
     assert "reserved" in err
 
 
+def test_unexpected_character_in_a_problem_file_exits_1_with_its_line(capsys, tmp_path):
+    prob = tmp_path / "dollar.prob"
+    prob.write_text("[odes]\nx' = x $ 1\n[init]\nx = 1\n")
+    code, out, err = run(capsys, "solve", str(prob), "--tf", "1", "--stdout")
+    assert (code, out) == (1, "")
+    assert "line 2: unexpected character" in err
+
+
 def test_undeclared_step_size_in_a_problem_file_exits_1(capsys, tmp_path):
     # an exit 0 would mean h silently became the step size
     prob = tmp_path / "h.prob"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sparsedae import expr as ex
-from sparsedae.codegen import _VECTOR_MIN_ROWS, CompiledResidual, ParamLayout, group_shapes
+from sparsedae.codegen import _VECTOR_MIN_ROWS, CompiledResidual, derived_groups, group_shapes
 from sparsedae.errors import NonFiniteResidual
 from sparsedae.jacobian import JacobianAssembler, detect_pattern, differentiate
 from sparsedae.problems import example4, example5, example6, make_builtin
@@ -22,12 +22,13 @@ def is_vectorized(fn) -> bool:
     return "errstate" in fn.__code__.co_names
 
 
-def compiled(exprs, layout):
+def compiled(exprs, layout=None):
+    layout = {} if layout is None else layout
     return CompiledResidual(group_shapes(exprs, layout), len(exprs), layout)
 
 
 def run(exprs, u, params=None):
-    res = compiled(exprs, ParamLayout(sorted(params or {})))
+    res = compiled(exprs, {name: k for k, name in enumerate(sorted(params or {}))})
     res.set_params(params or {})
     return res._fn, res.evaluate(np.asarray(u, dtype=float))
 
@@ -68,7 +69,7 @@ def test_vectorized_piecewise_is_first_match_and_quiet():
 
 
 def test_vectorized_nonfinite_reaches_the_isfinite_check():
-    res = compiled([ex.ln(ex.U(i)) for i in range(1, N_ROWS + 1)], ParamLayout([]))
+    res = compiled([ex.ln(ex.U(i)) for i in range(1, N_ROWS + 1)])
     u = np.ones(N_ROWS)
     assert res.evaluate(u).tolist() == [0.0] * N_ROWS
     u[3] = -1.0
@@ -80,7 +81,7 @@ def test_vectorized_nonfinite_reaches_the_isfinite_check():
 
 @pytest.mark.parametrize("n", [_VECTOR_MIN_ROWS - 1, N_ROWS])
 def test_sum_of_squares_screen_falls_back_to_the_exact_test(n):
-    res = compiled([ex.U(i) for i in range(1, n + 1)], ParamLayout([]))
+    res = compiled([ex.U(i) for i in range(1, n + 1)])
     assert is_vectorized(res._fn) == (n == N_ROWS)
     # finite entries whose squares overflow trip the screen, and the exact
     # test clears them; under the integrators' error state that is quiet
@@ -97,6 +98,30 @@ def test_sum_of_squares_screen_falls_back_to_the_exact_test(n):
                 res.evaluate(u)
 
 
+def derived(*blocks):
+    """(names, index, rows) of each group ``derived_groups`` makes of ``blocks``."""
+    groups = derived_groups([(names, index, d, np.array(rows)) for names, index, d, rows in blocks], {})
+    return [(g.names, g.index.tolist(), g.rows.tolist()) for g in groups]
+
+
+def test_derived_groups_map_leaves_per_names_of_a_shared_index_table():
+    # one table read as (u, b) and then as (b, u): on the first member both
+    # columns hold 0, so the leaf u_1 is column 0 for the first block and
+    # column 1 for the second
+    index = np.array([[0, 0], [2, 5]])
+    y0 = ex.Param("Y0_1")
+    assert derived((("u", "b"), index, ex.U(1) + y0, [0, 1]),
+                   (("b", "u"), index, 2.0 * ex.U(1), [2, 3])) == [
+        (("u", "b"), [[0, 0], [2, 5]], [0, 1]),
+        (("u",), [[0], [5]], [2, 3])]
+
+
+def test_derived_groups_read_the_earlier_of_two_columns_naming_one_leaf():
+    # both columns name u_1 on the first member and differ on the second
+    index = np.array([[0, 0], [1, 2]])
+    assert derived((("u", "u"), index, ex.exp(ex.U(1)), [0, 1])) == [(("u",), [[0], [1]], [0, 1])]
+
+
 # one-unknown shapes, each with a point where it leaves the domain
 DOMAIN_SHAPES = {
     "exp": (lambda u: ex.exp(3.0 * u), 300.0),   # overflows at run time
@@ -111,7 +136,7 @@ def test_scalar_lines_and_numpy_statements_give_identical_values():
     # a row's value must not depend on how many rows share its shape
     rng = np.random.default_rng(3)
     for name, (build, bad) in DOMAIN_SHAPES.items():
-        small, large = (compiled([build(ex.U(i)) for i in range(1, n + 1)], ParamLayout([]))
+        small, large = (compiled([build(ex.U(i)) for i in range(1, n + 1)])
                         for n in (_VECTOR_MIN_ROWS - 1, N_ROWS))
         assert not is_vectorized(small._fn) and is_vectorized(large._fn)
         for u in rng.uniform(0.1, 3.0, (200, N_ROWS)):
@@ -129,8 +154,7 @@ def evaluate_against_oracle(sysn, kind, seed):
     The oracle differentiates every row on its own, per pattern entry."""
     rng = np.random.default_rng(seed)
     mr = build_residual(sysn, kind)
-    layout = mr.layout
-    res = CompiledResidual(mr.groups, mr.n, layout)
+    res = CompiledResidual(mr.groups, mr.n, sysn.layout)
     res.set_params(sysn.params)
     base = np.asarray(sysn.y0z0) + 0.05 * rng.standard_normal(sysn.n_total)
     h = 0.01
@@ -141,7 +165,7 @@ def evaluate_against_oracle(sysn, kind, seed):
     bindings.update({f"Y0_{k}": v for k, v in enumerate(base, start=1)})
 
     pat = detect_pattern(mr)
-    asm = JacobianAssembler(differentiate(pat), layout)
+    asm = JacobianAssembler(pat, differentiate(pat), sysn.layout)
     a = asm.assemble(uu, res.b, h, res.p).to_dense()
     assert is_vectorized(asm._fn) and is_vectorized(res._fn)
 
@@ -177,9 +201,10 @@ def test_cn_explicit_half_vectorizes():
     # gathered like the implicit half's, so the rows still share a shape,
     # CN has EB's shapes and every row of ex5 8x8 is in a vectorized group
     shapes = {}
+    sysn = example5(8, 8)
     for kind in (MethodKind.EB, MethodKind.CN):
-        mr = build_residual(example5(8, 8), kind)
-        res = CompiledResidual(mr.groups, mr.n, mr.layout)
+        mr = build_residual(sysn, kind)
+        res = CompiledResidual(mr.groups, mr.n, sysn.layout)
         shapes[kind] = [len(g.rows) for g in mr.groups]
     assert is_vectorized(res._fn)
     assert shapes[MethodKind.CN] == shapes[MethodKind.EB]
@@ -197,7 +222,7 @@ def test_shape_pattern_and_csc_structure_match_the_rows(name, kind):
     mr = build_residual(sysn, kind)
     pat = detect_pattern(mr)
     assert pat.rows == tuple(tuple(ex.free_unknowns(r)) for r in reference_rows(sysn, kind))
-    asm = JacobianAssembler(differentiate(pat), mr.layout)
+    asm = JacobianAssembler(pat, differentiate(pat), sysn.layout)
     support = sorted((k - 1, i) for i, cols in enumerate(pat.rows) for k in cols)
     assert asm.matrix.rowind.tolist() == [row for _, row in support]
     counts = np.bincount([col for col, _ in support], minlength=mr.n)

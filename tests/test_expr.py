@@ -84,6 +84,7 @@ def test_free_unknowns_sorted_unique():
     e = ex.U(3) * ex.U(1) + ex.U(3) + ex.Param("a")
     assert ex.free_unknowns(e) == [1, 3]
     assert free_params(e) == {"a"}
+    assert ex.free_unknowns(ex.pow_(ex.U(3), 2.5)) == [3]
 
 
 def test_substitute_shifts_indices():

@@ -57,6 +57,13 @@ def test_syntax_errors():
             parse_expr(bad, VARS)
 
 
+def test_tokenizer_names_an_unexpected_character_and_skips_trailing_space():
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("x $ 1", ["x"])
+    assert str(err.value) == "unexpected character at ' $ 1'"
+    assert parse_expr("x + 1   ", ["x"]) == parse_expr("x + 1", ["x"])
+
+
 def test_nesting_limit_is_a_fixed_count_of_parser_calls():
     # "-" * k + "x" nests k + 2 parser calls: expr, one unary per sign, x's unary
     assert parse_expr("-" * (_MAX_DEPTH - 2) + "x", VARS) == ex.U(1)

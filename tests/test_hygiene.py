@@ -8,7 +8,9 @@ the acceptance criteria; a definition that only unit tests read belongs in
 the tests.  ``__init__.py`` is left out of the import scan, and is no reader
 in the definition scan, because its imports are the package's re-exports.
 The names the benchmark's tracer patches by string are checked by running
-its ``install`` in a child process.
+its ``install`` in a child process.  ``ShapeGroup``s are built only in
+``codegen``, from their own shape text, so a group's ``text`` always
+describes its slots.
 """
 
 import ast
@@ -174,3 +176,21 @@ def test_the_scan_finds_a_numpy_reduction_call():
 def test_integrate_path_calls_no_numpy_reduction_wrapper(name):
     path = Path(sparsedae.__file__).parent / name
     assert numpy_reduction_calls(path.read_text(encoding="utf-8")) == []
+
+
+def shape_group_constructions(source: str):
+    """Lines that call ``ShapeGroup(...)``, by name or as an attribute."""
+    calls = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
+    return sorted(n.lineno for n in calls
+                  if getattr(n.func, "id", getattr(n.func, "attr", None)) == "ShapeGroup")
+
+
+def test_the_scan_finds_a_shape_group_construction():
+    src = ("g = ShapeGroup(t, e, names, rows, index)\nh = codegen.ShapeGroup(*g)\n"
+           "k = g._replace(rows=rows)\nShapeGroup\n")
+    assert shape_group_constructions(src) == [1, 2]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "codegen.py"], ids=lambda p: p.name)
+def test_shape_groups_are_built_only_in_codegen(path):
+    assert shape_group_constructions(path.read_text(encoding="utf-8")) == []

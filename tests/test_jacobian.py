@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sparsedae import expr as ex
-from sparsedae.codegen import ParamLayout
 from sparsedae.errors import EmptyRow, NonFiniteResidual
 from sparsedae.jacobian import (
     JacobianAssembler,
@@ -26,8 +25,8 @@ def test_pattern_simple_dae_backward_euler():
 
 def ex1_eb_assembler():
     mr = build_residual(example1(), MethodKind.EB)
-    jac = differentiate(detect_pattern(mr))
-    return JacobianAssembler(jac, ParamLayout([]))
+    pat = detect_pattern(mr)
+    return JacobianAssembler(pat, differentiate(pat), {})
 
 
 def test_assembled_values_at_rest():
@@ -96,8 +95,9 @@ def test_derivatives_match_finite_differences():
 
 def test_assembler_reuses_structure_buffers():
     mr = build_residual(example1(), MethodKind.IMPTRAP)
-    jac = differentiate(detect_pattern(mr))
-    asm = JacobianAssembler(jac, mr.layout)
+    pat = detect_pattern(mr)
+    blocks = differentiate(pat)
+    asm = JacobianAssembler(pat, blocks, {})
     b = np.array([0.0, 1.0])
     m1 = asm.assemble(np.zeros(2), b, 0.1, np.zeros(0))
     indptr, rowind, values = m1.indptr.copy(), m1.rowind.copy(), m1.values.copy()
@@ -105,7 +105,7 @@ def test_assembler_reuses_structure_buffers():
     assert m2 is m1
     assert np.array_equal(m2.indptr, indptr) and np.array_equal(m2.rowind, rowind)
     # row 1 is U(1) - h*(U(2)/2 + Y0_2), so its d/dU(2) entry follows h
-    fresh = JacobianAssembler(jac, mr.layout).assemble(np.zeros(2), b, 0.5, np.zeros(0))
+    fresh = JacobianAssembler(pat, blocks, {}).assemble(np.zeros(2), b, 0.5, np.zeros(0))
     assert not np.array_equal(m2.values, values)
     assert np.array_equal(m2.values, fresh.values)
 
@@ -114,7 +114,8 @@ def test_nonfinite_jacobian_raises_nonfinite_residual():
     # d/dy of ln(y) is 1/y: at y = 0 the EB entry 1 - h/y is not finite
     sysd = DaeSystem(ode_rhs=(ex.ln(ex.U(1)),), alg_residual=(), var_names=("y",), y0z0=(0.0,))
     mr = build_residual(sysd, MethodKind.EB)
-    asm = JacobianAssembler(differentiate(detect_pattern(mr)), mr.layout)
+    pat = detect_pattern(mr)
+    asm = JacobianAssembler(pat, differentiate(pat), {})
     with np.errstate(all="ignore"), pytest.raises(NonFiniteResidual, match="row 1, col 1"):
         asm.assemble(np.zeros(1), np.zeros(1), 0.1, np.zeros(0))
 

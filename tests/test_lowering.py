@@ -30,8 +30,9 @@ def compiled(sysn: DaeSystem, mr: MethodResidual, monkeypatch, rng):
         return compile(source, filename, mode)
 
     monkeypatch.setattr(codegen, "compile", recording_compile, raising=False)
-    res = CompiledResidual(mr.groups, mr.n, mr.layout)
-    asm = JacobianAssembler(differentiate(detect_pattern(mr)), mr.layout)
+    res = CompiledResidual(mr.groups, mr.n, sysn.layout)
+    pat = detect_pattern(mr)
+    asm = JacobianAssembler(pat, differentiate(pat), sysn.layout)
     monkeypatch.undo()
     res.set_params(sysn.params)
     res.set_base(np.asarray(sysn.y0z0) + 0.05 * rng.standard_normal(sysn.n_total))
@@ -67,8 +68,7 @@ def test_lowering_per_shape_matches_the_per_row_reference(name, kind, monkeypatc
     sysn = SYSTEMS[name]()
     mr = build_residual(sysn, kind)
     ref_rows = reference_rows(sysn, kind)
-    ref = MethodResidual(layout=mr.layout,
-                         groups=tuple(group_shapes(ref_rows, mr.layout)), n=len(ref_rows))
+    ref = MethodResidual(groups=tuple(group_shapes(ref_rows, sysn.layout)), n=len(ref_rows))
     for got, want in zip(mr.groups, ref.groups):
         assert (got.text, got.expr, got.names) == (want.text, want.expr, want.names)
         assert np.array_equal(got.rows, want.rows) and np.array_equal(got.index, want.index)
@@ -85,7 +85,7 @@ def test_own_slot_splits_one_source_shape():
     # x1*x2 is one source shape, but row 1 owns its first slot and row 2 its
     # second, so the two lowered rows alias differently and stay apart
     sysn = SYSTEMS["own-slot-differs"]()
-    assert len(group_shapes(sysn.ode_rhs, build_residual(sysn, MethodKind.EB).layout)) == 1
+    assert len(group_shapes(sysn.ode_rhs, sysn.layout)) == 1
     for kind in MethodKind:
         mr = build_residual(sysn, kind)
         assert [g.rows.tolist() for g in mr.groups][:2] == [[0], [1]]

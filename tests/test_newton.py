@@ -5,7 +5,7 @@ import pytest
 
 from sparsedae import expr as ex
 from sparsedae import newton as newton_mod
-from sparsedae.codegen import CompiledResidual, ParamLayout, group_shapes
+from sparsedae.codegen import CompiledResidual, group_shapes
 from sparsedae.errors import NonFiniteResidual
 from sparsedae.linalg import factorize, solve
 from sparsedae.newton import NewtonOutcome, default_ctol, newton_solve
@@ -14,7 +14,7 @@ from matrix_helpers import from_dense
 
 
 def make_residual(exprs, params=None):
-    layout = ParamLayout(sorted(params or {}))
+    layout = {name: k for k, name in enumerate(sorted(params or {}))}
     res = CompiledResidual(group_shapes(exprs, layout), len(exprs), layout)
     res.set_params(params or {})
     return res
@@ -78,6 +78,14 @@ def test_nonfinite_residual_raises():
     f = factorize(from_dense(np.array([[1.0]])))
     with pytest.raises(NonFiniteResidual):
         newton_solve(res, f, np.array([-0.5]), max_iter=5, ctol=1e-10)
+
+
+def test_nonfinite_correction_raises():
+    # the residual is finite, but its solve against a tiny pivot overflows
+    res = make_residual([1e-300 * ex.U(1) - 1e10])
+    f = factorize(from_dense(np.array([[1e-300]])))
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteResidual, match="correction went non-finite"):
+        newton_solve(res, f, np.zeros(1), max_iter=5, ctol=1e-10)
 
 
 def test_never_factorizes_only_solves(monkeypatch):

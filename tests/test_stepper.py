@@ -196,6 +196,14 @@ def test_longest_rejection_chain_ends_in_step_underflow():
     assert hs[25] / 4 ** chain < 1e-14 <= hs[25] / 4 ** (chain - 1) == hs[-1]
 
 
+def test_default_hinit_lets_a_long_run_take_its_first_step():
+    # the default hinit must stay above the step floor, 1e-14*tf, however
+    # large tf is; min(1e-6, tf*atol) alone falls below it for tf > 1e8
+    traj = integrate(decay(), SolverOptions(tf=1e9))
+    assert traj.status is Status.SUCCESS and traj.accepted > 0
+    assert traj.final_time == 1e9
+
+
 def test_rejections_are_split_by_cause():
     traj = integrate(example2(), SolverOptions(tf=10.0, atol=1e-6, hmax=0.1, method=MethodKind.RAD,
                                                err_denominator="standard"))

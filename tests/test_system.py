@@ -60,7 +60,7 @@ def test_reserved_parameter_names_rejected(name):
 def eval_rows(mr: MethodResidual, uu, y0, h):
     """The rows at (uu, y0, h), evaluated by the compiled residual that
     Newton reads (the systems here have no parameters)."""
-    res = CompiledResidual(mr.groups, mr.n, mr.layout)
+    res = CompiledResidual(mr.groups, mr.n, {})
     res.set_base(np.asarray(y0, dtype=float))
     res.set_h(h)
     return res.evaluate(np.asarray(uu, dtype=float)).tolist()
