@@ -30,12 +30,15 @@ least ``_VECTOR_MIN_ROWS`` members becomes one numpy statement ``out[R] =
 <text over u[I0], b[I1], ...>`` whose index arrays are built at compile
 time, under ``np.errstate(all="ignore")``.  Smaller groups, and so every row
 of a small system, are the text over each row's own leaves as scalar lines,
-because a numpy statement's fixed cost exceeds a handful of scalar rows;
-they run under the caller's error state (``Stepper`` integrates under
-``np.errstate(all="ignore")``).  Every operand but ``h`` and folded
-constants is a numpy value, so a domain error or an overflow raises no
-exception but gives inf or nan, and callers detect it with ``isfinite`` on
-the output.
+because a numpy statement's fixed cost exceeds a handful of scalar rows.
+The function reads each ``u``/``b`` entry that its scalar lines use once, at
+its top, into a local (``u_3 = u[3]``), and the lines use the locals: the
+same numpy scalar, so the same values, without an index operation per
+occurrence.  Scalar lines run under the caller's error state (``Stepper``
+integrates under ``np.errstate(all="ignore")``).  Every operand but ``h``
+and folded constants is a numpy value, so a domain error or an overflow
+raises no exception but gives inf or nan, and callers detect it with
+``isfinite`` on the output.
 
 Generated functions share a single calling convention::
 
@@ -46,7 +49,8 @@ values bound to the Y0_* parameter slots, ``h`` the step size, ``p`` the
 system's parameter values at the slots of its layout (``DaeSystem.layout``,
 a dict from each name to its slot), and ``out`` the output buffer.
 
-No common-subexpression elimination is attempted.
+Beyond reading each entry once, no common-subexpression elimination is
+attempted.
 """
 
 from __future__ import annotations
@@ -209,16 +213,20 @@ def derived_groups(blocks: Iterable[Tuple[Tuple[str, ...], np.ndarray, ex.Expr, 
     return sorted(out, key=lambda g: g.rows[0])
 
 
-def compile_groups(groups: Sequence[ShapeGroup], n_out: int, tag: str = "residual"):
-    """Compile shape groups into ``fn(u, b, h, p, out)`` filling ``out[:n_out]``;
-    each group's text is emitted as one numpy statement or as scalar lines."""
+def generated_source(groups: Sequence[ShapeGroup], n_out: int, tag: str = "residual") -> Tuple[str, dict]:
+    """The source of ``_<tag>(u, b, h, p, out)`` filling ``out[:n_out]``, and
+    the namespace it runs in.  Each group's text is emitted as one numpy
+    statement or as scalar lines; the scalar lines read each ``u``/``b``
+    entry once, into a local ``u_3 = u[3]`` at the top."""
     ns = {"np": np}
     scalar = [""] * n_out
+    reads = set()
     vector: List[str] = []
     for g, group in enumerate(groups):
         if len(group.rows) < _VECTOR_MIN_ROWS:
             for i, idx in zip(group.rows.tolist(), group.index.tolist()):
-                scalar[i] = f"    out[{i}] = " + group.text.format(*map("{}[{}]".format, group.names, idx))
+                reads.update(zip(group.names, idx))
+                scalar[i] = f"    out[{i}] = " + group.text.format(*map("{}_{}".format, group.names, idx))
             continue
         ns[f"_r{g}"] = group.rows
         for k, name in enumerate(group.names):
@@ -227,14 +235,21 @@ def compile_groups(groups: Sequence[ShapeGroup], n_out: int, tag: str = "residua
         vector.append(f"out[_r{g}] = " + group.text.format(*(f"x{k}" for k in range(len(group.names)))))
 
     lines = [f"def _{tag}(u, b, h, p, out):"]
+    lines += [f"    {name}_{j} = {name}[{j}]" for name, j in sorted(reads)]
     lines += [s for s in scalar if s]
     if vector:
         lines.append('    with np.errstate(all="ignore"):')
         lines += ["        " + s for s in vector]
     if len(lines) == 1:
         lines.append("    pass")
+    return "\n".join(lines), ns
+
+
+def compile_groups(groups: Sequence[ShapeGroup], n_out: int, tag: str = "residual"):
+    """``generated_source`` compiled into the function ``fn(u, b, h, p, out)``."""
+    source, ns = generated_source(groups, n_out, tag)
     try:
-        code = compile("\n".join(lines), f"<generated {tag}>", "exec")
+        code = compile(source, f"<generated {tag}>", "exec")
     except (SyntaxError, RecursionError):
         # the source is well formed by construction; what compile rejects
         # is nesting deeper than Python's parser allows (200 parentheses)

@@ -9,8 +9,14 @@ an estimate of the remaining error, drops to it, and as diverged once
 theta >= 1.  An unconverged outcome is returned, not raised: the adaptive
 driver acts on it (``Stepper.integrate``), while the fixed-step driver and
 consistent initialization, which pass no rate tolerance, read it as before.
-A non-finite residual evaluation is the only hard failure and is reported
-to the caller for step rejection.
+A non-finite residual evaluation or correction is the only hard failure
+and is reported to the caller for step rejection.  The correction is
+screened as ``CompiledResidual.evaluate`` screens the residual, by its sum
+of squares, with the exact ``isfinite`` test only when the screen trips;
+a finite correction above ~1e154 overflows the screen, which numpy reports
+as a RuntimeWarning outside ``np.errstate(over="ignore")``.  Its infinity
+norm is BLAS ``idamax``'s entry, with none of numpy's reduction wrappers
+in the loop.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.blas import idamax
 
 from .codegen import CompiledResidual
 from .errors import NonFiniteResidual
@@ -65,9 +72,11 @@ def newton_solve(
         r = res.evaluate(uu)  # raises NonFiniteResidual
         delta = solve(f, r)
         uu -= delta
-        prev, corr_norm = corr_norm, float(np.abs(delta).max(initial=0.0))
-        if not math.isfinite(corr_norm):
+        # evaluate's screen; behind it idamax sees finite entries only, since
+        # BLAS builds differ on whether it skips a nan
+        if not math.isfinite(delta.dot(delta)) and not np.isfinite(delta).all():
             raise NonFiniteResidual("Newton correction went non-finite")
+        prev, corr_norm = corr_norm, abs(delta.item(idamax(delta)))
         if corr_norm <= ctol:
             return NewtonOutcome(uu, it, corr_norm, True, theta_max)
         if rate_tol is not None and it > 1:

@@ -52,7 +52,8 @@ _GROWTH = 3.0
 _SAFETY = 0.9
 _REJECT_DIVISOR = 4.0
 # the adaptive driver stops on a step below _H_FLOOR*tf (or 1e-3*hinit);
-# the default hinit stays 100 times above it, so three rejections fit
+# the default hinit stays 100 times above it, so three rejections fit,
+# unless an hmax below that caps it
 _H_FLOOR = 1e-14
 # adaptive Newton: the rate tolerance as a multiple of atol, and the largest
 # contraction rate and the range of h / h_LU under which an accepted step
@@ -73,9 +74,10 @@ class Status(enum.Enum):
 @dataclass
 class SolverOptions:
     """Integration controls.  Unset hinit/hmax take the suggested defaults
-    hinit = max(min(1e-6, tf*atol), 1e-12*tf), hmax = tf/20.  ``fixed_h``,
-    when set, must divide tf into whole steps, and selects the fixed-step
-    driver in ``integrate``.  The error test's rtol is 10*atol, not an option."""
+    hinit = max(min(1e-6, tf*atol), 1e-12*tf), capped at hmax, and
+    hmax = tf/20.  ``fixed_h``, when set, must divide tf into whole steps,
+    and selects the fixed-step driver in ``integrate``.  The error test's
+    rtol is 10*atol, not an option."""
 
     tf: float
     atol: float = 1e-6
@@ -97,10 +99,11 @@ class SolverOptions:
             steps = self.tf / self.fixed_h if self.fixed_h > 0 else math.nan
             if not (steps < math.inf and abs(round(steps) * self.fixed_h - self.tf) <= 1e-12 * self.tf):
                 raise ValueError("fixed_h must be positive and divide tf into whole steps")
-        if self.hinit is None:
-            self.hinit = max(min(1e-6, self.tf * self.atol), 100 * _H_FLOOR * self.tf)
         if self.hmax is None:
             self.hmax = self.tf / 20.0
+        if self.hinit is None:
+            # capped at hmax, given or not, so a default never makes a valid run invalid
+            self.hinit = min(max(min(1e-6, self.tf * self.atol), 100 * _H_FLOOR * self.tf), self.hmax)
         if not (0 < self.hinit <= self.hmax <= self.tf):
             raise ValueError("need 0 < hinit <= hmax <= tf")
         if self.ntot < 1 or self.iter < 1:
@@ -244,8 +247,10 @@ class Stepper:
     # -- bindings ---------------------------------------------------------
 
     def _bind(self, base: np.ndarray, h: float) -> None:
-        self.res.set_base(base)
-        self.res.set_h(h)
+        # bases are float arrays already: set_base's conversion is skipped
+        # on this once-per-solve path
+        self.res.b = base
+        self.res.h = float(h)
 
     def _factorize(self, base: np.ndarray, h: float) -> Factorization:
         """Assemble and factorize the Jacobian at (base, h)."""
@@ -273,7 +278,8 @@ class Stepper:
         out = newton_solve(self.res, f, self._uu0, self.options.iter, self.ctol, rate_tol)
         if rate_tol is not None and not out.converged:
             raise _Unconverged
-        return state_update(base, out.uu, self.kind), out.theta
+        # state_update's first block, without its checks: uu is Newton's own
+        return base + out.uu[:len(base)], out.theta
 
     # -- initialization and stepping ----------------------------------------
 

@@ -59,11 +59,14 @@ class MethodKind(enum.Enum):
 
     @property
     def order(self) -> int:
-        return {"eb": 1, "cn": 2, "imptrap": 2, "rad": 3}[self.value]
+        return _ORDER[self]
 
     @property
     def stage_multiplier(self) -> int:
         return 2 if self is MethodKind.RAD else 1
+
+
+_ORDER = {MethodKind.EB: 1, MethodKind.CN: 2, MethodKind.IMPTRAP: 2, MethodKind.RAD: 3}
 
 
 def _instantiate(e: ex.Expr, index: np.ndarray, r: int) -> ex.Expr:

@@ -213,6 +213,19 @@ def test_adaptive_run_whose_sum_of_steps_falls_an_ulp_short_of_tf_lands_on_tf(ca
     assert float(lines[-2].split(",")[0]) == 0.1
 
 
+def test_default_hinit_above_hmax_is_capped_not_refused(capsys):
+    code, out, _ = run(capsys, "solve", "decay", "--tf", "1e-5", "--atol", "0.1", "--stdout")
+    assert code == 0
+    assert out.splitlines()[-1].endswith("status=Success")
+    # hinit was never set, so the run starts at hmax; ntot then stops it
+    code, out, err = run(capsys, "solve", "ex2", "--tf", "1", "--hmax", "1e-9", "--ntot", "3", "--stdout")
+    assert code == 2 and "TooManySteps" in err
+    assert out.splitlines()[-1].startswith("# accepted=3,")
+    # an hinit that was set is not capped
+    code, _, err = run(capsys, "solve", "decay", "--tf", "1e-5", "--hinit", "1e-6", "--stdout")
+    assert code == 1 and "hinit <= hmax" in err
+
+
 def test_fixed_step_stops_at_ntot(capsys):
     code, out, err = run(capsys, "solve", "decay", "--tf", "1", "--fixed-h", "0.001",
                          "--ntot", "5", "--stdout")

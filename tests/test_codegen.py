@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from sparsedae import expr as ex
-from sparsedae.codegen import _VECTOR_MIN_ROWS, CompiledResidual, derived_groups, group_shapes
+from sparsedae.codegen import (_VECTOR_MIN_ROWS, CompiledResidual, derived_groups, generated_source,
+                               group_shapes)
 from sparsedae.errors import NonFiniteResidual
 from sparsedae.jacobian import JacobianAssembler, detect_pattern, differentiate
 from sparsedae.problems import example4, example5, example6, make_builtin
@@ -132,6 +133,25 @@ DOMAIN_SHAPES = {
 }
 
 
+def test_rows_that_read_entries_many_times_are_identical_either_way():
+    # each row reads u_i, u_(i+1) and b_i several times, and neighbouring
+    # rows share entries: locals read once must give the numpy statement's values
+    def build(n):
+        rows = [(ex.U(i) + ex.Param(f"Y0_{i}")) * (ex.U(i) + ex.Param(f"Y0_{i}"))
+                - ex.exp(ex.U(i + 1)) * ex.Param(f"Y0_{i}") + ex.U(i + 1) / ex.U(i)
+                for i in range(1, n + 1)]
+        return compiled(rows)
+    small, large = build(_VECTOR_MIN_ROWS - 1), build(N_ROWS)
+    assert not is_vectorized(small._fn) and is_vectorized(large._fn)
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        u, b = rng.uniform(0.1, 3.0, (2, N_ROWS + 1))
+        small.set_base(b)
+        large.set_base(b)
+        got = small.evaluate(u).copy()
+        assert np.array_equal(got, large.evaluate(u)[:small.n])
+
+
 def test_scalar_lines_and_numpy_statements_give_identical_values():
     # a row's value must not depend on how many rows share its shape
     rng = np.random.default_rng(3)
@@ -149,9 +169,10 @@ def test_scalar_lines_and_numpy_statements_give_identical_values():
                 res.evaluate(u)
 
 
-def evaluate_against_oracle(sysn, kind, seed):
-    """Compiled residual and Jacobian next to eval_expr at a random state.
-    The oracle differentiates every row on its own, per pattern entry."""
+def evaluate_against_oracle(sysn, kind, seed, vectorized=True):
+    """Compiled residual and Jacobian next to eval_expr at a random state,
+    after checking that both are (or both are not) numpy statements.  The
+    oracle differentiates every row on its own, per pattern entry."""
     rng = np.random.default_rng(seed)
     mr = build_residual(sysn, kind)
     res = CompiledResidual(mr.groups, mr.n, sysn.layout)
@@ -167,7 +188,7 @@ def evaluate_against_oracle(sysn, kind, seed):
     pat = detect_pattern(mr)
     asm = JacobianAssembler(pat, differentiate(pat), sysn.layout)
     a = asm.assemble(uu, res.b, h, res.p).to_dense()
-    assert is_vectorized(asm._fn) and is_vectorized(res._fn)
+    assert is_vectorized(asm._fn) == is_vectorized(res._fn) == vectorized
 
     rows = reference_rows(sysn, kind)
     got_r = res.evaluate(uu).copy()
@@ -185,6 +206,25 @@ def test_rational_models_are_bit_identical_to_the_oracle(build, kind):
     got_r, want_r, got_j, want_j = evaluate_against_oracle(build(), kind, seed=17)
     assert np.array_equal(got_r, want_r)
     assert np.array_equal(got_j, want_j)
+
+
+@pytest.mark.parametrize("kind", list(MethodKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("name", ["ex1pw", "ex2"])
+def test_scalar_lines_are_bit_identical_to_the_oracle(name, kind):
+    # small systems run as scalar lines over locals read once from u and b
+    got_r, want_r, got_j, want_j = evaluate_against_oracle(make_builtin(name), kind, seed=23,
+                                                           vectorized=False)
+    assert np.array_equal(got_r, want_r)
+    assert np.array_equal(got_j, want_j)
+
+
+def test_scalar_lines_read_each_entry_once():
+    sysn = make_builtin("ex2")
+    mr = build_residual(sysn, MethodKind.EB)
+    source, _ = generated_source(mr.groups, mr.n)
+    # u_2 and Y0_2 appear three times each in the EB row of x'
+    assert source.count("u[1]") == source.count("b[1]") == 1
+    assert "    u_1 = u[1]\n" in source and "    b_1 = b[1]\n" in source
 
 
 def test_exp_model_matches_the_oracle_to_a_few_ulp():

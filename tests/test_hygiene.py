@@ -152,9 +152,16 @@ def test_benchmark_tracer_finds_every_name_it_patches():
 
 
 # numpy's module-level reductions re-dispatch in Python before reaching the
-# ndarray method, which costs microseconds per call on the small arrays of
-# the Newton loop; the modules it runs through call the methods instead
+# ndarray method, and the ndarray methods .max, .min and .sum (like .all and
+# .any) run a Python wrapper of their own, in numpy._core._methods, before
+# the ufunc's reduce.  Each costs microseconds per call on the small arrays
+# of the Newton loop.  The integrate-path modules call no module-level
+# reduction, and newton.py, whose iteration runs tens of thousands of times
+# in a small system's run, calls none of those methods either: its norm is
+# BLAS idamax.  (Its .all() is the exact test behind the sum-of-squares
+# screen, so it runs only on a non-finite or overflowing correction.)
 NUMPY_REDUCTIONS = {"max", "min", "amax", "amin", "sum", "all", "any"}
+REDUCTION_METHODS = {"max", "min", "sum"}
 INTEGRATE_PATH = ["newton.py", "stepper.py", "codegen.py", "jacobian.py", "linalg.py"]
 
 
@@ -176,6 +183,26 @@ def test_the_scan_finds_a_numpy_reduction_call():
 def test_integrate_path_calls_no_numpy_reduction_wrapper(name):
     path = Path(sparsedae.__file__).parent / name
     assert numpy_reduction_calls(path.read_text(encoding="utf-8")) == []
+
+
+def reduction_method_calls(source: str):
+    """(line, name) for every call of a ``.max``, ``.min`` or ``.sum``
+    method on anything but the ``np`` module."""
+    return sorted((n.lineno, n.func.attr) for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                  and n.func.attr in REDUCTION_METHODS
+                  and not (isinstance(n.func.value, ast.Name) and n.func.value.id == "np"))
+
+
+def test_the_scan_finds_a_reduction_method_call():
+    src = ("x = float(np.abs(d).max(initial=0.0))\ny = max(a, b) + np.max(a)\n"
+           "z = d.sum() + self.out.min()\nw = d.dot(d) + np.isfinite(d).all()\n")
+    assert reduction_method_calls(src) == [(1, "max"), (3, "min"), (3, "sum")]
+
+
+def test_newton_iteration_calls_no_reduction_method():
+    path = Path(sparsedae.__file__).parent / "newton.py"
+    assert reduction_method_calls(path.read_text(encoding="utf-8")) == []
 
 
 def shape_group_constructions(source: str):

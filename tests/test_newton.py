@@ -88,6 +88,50 @@ def test_nonfinite_correction_raises():
         newton_solve(res, f, np.zeros(1), max_iter=5, ctol=1e-10)
 
 
+@pytest.mark.parametrize("row", [0, 1, 2], ids=["first", "middle", "last"])
+def test_correction_that_overflows_at_any_entry_raises(row):
+    # a dense diagonal LU with a 1e-300 pivot in one row: that row's
+    # correction overflows while the residual stays finite
+    pivots = [1.0, 1.0, 1.0]
+    pivots[row] = 1e-300
+    res = make_residual([p * ex.U(i) - 1e10 for i, p in enumerate(pivots, start=1)])
+    f = factorize(from_dense(np.diag(pivots)))
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteResidual, match="correction went non-finite"):
+        newton_solve(res, f, np.zeros(3), max_iter=5, ctol=1e-10)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("row", [0, 1, 2], ids=["first", "middle", "last"])
+def test_nonfinite_correction_entry_raises_wherever_it_sits(monkeypatch, row, value):
+    # the other entries are finite and larger than 1: a maximum that skipped
+    # a nan, as some BLAS builds' idamax does, would see only them
+    def spoiled_solve(f, r):
+        x = solve(f, r)
+        x[row] = value
+        return x
+
+    monkeypatch.setattr(newton_mod, "solve", spoiled_solve)
+    res = make_residual([ex.U(1) - 2.0, ex.U(2) - 3.0, ex.U(3) - 4.0])
+    f = factorize(from_dense(np.eye(3)))
+    for rate_tol in (None, 1e-8):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteResidual, match="correction went non-finite"):
+            newton_solve(res, f, np.zeros(3), max_iter=5, ctol=1e-10, rate_tol=rate_tol)
+
+
+def test_correction_too_large_to_square_is_measured_exactly():
+    # corrections near 1e200 overflow the sum-of-squares screen; the exact
+    # isfinite test clears them, and the norm is their largest magnitude
+    res = make_residual([ex.U(1) - 1e200, ex.U(2) + 3e200, ex.U(3) - 2e200])
+    f = factorize(from_dense(np.eye(3)))
+    with np.errstate(all="ignore"):
+        first = newton_solve(res, f, np.zeros(3), max_iter=1, ctol=1e-12)
+        out = newton_solve(res, f, np.zeros(3), max_iter=5, ctol=1e-12, rate_tol=1e-8)
+    assert not first.converged and first.correction_norm == 3e200
+    assert first.uu.tolist() == [1e200, -3e200, 2e200]
+    assert out.converged and out.iterations == 2 and out.correction_norm == 0.0
+    assert out.uu.tolist() == [1e200, -3e200, 2e200]
+
+
 def test_never_factorizes_only_solves(monkeypatch):
     calls = []
 

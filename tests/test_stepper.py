@@ -204,6 +204,22 @@ def test_default_hinit_lets_a_long_run_take_its_first_step():
     assert traj.final_time == 1e9
 
 
+def test_default_hinit_is_capped_at_hmax():
+    # min(1e-6, tf*atol) exceeds the default hmax = tf/20 once atol > 0.05 and
+    # tf < 2e-5; the default hinit must not make such a run invalid
+    opt = SolverOptions(tf=1e-5, atol=0.1)
+    assert opt.hinit == opt.hmax == 1e-5 / 20
+    traj = integrate(decay(), opt)
+    assert traj.status is Status.SUCCESS and traj.final_time == 1e-5
+    # a given hmax caps it too
+    assert SolverOptions(tf=1.0, hmax=1e-9).hinit == 1e-9
+    # where the default fits, it is unchanged
+    assert SolverOptions(tf=10.0, atol=1e-6, hmax=0.1).hinit == 1e-6
+    # a given hinit is not capped: above the default hmax it is still refused
+    with pytest.raises(ValueError, match="hinit <= hmax"):
+        SolverOptions(tf=1e-5, hinit=1e-6)
+
+
 def test_rejections_are_split_by_cause():
     traj = integrate(example2(), SolverOptions(tf=10.0, atol=1e-6, hmax=0.1, method=MethodKind.RAD,
                                                err_denominator="standard"))
