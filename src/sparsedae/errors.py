@@ -27,7 +27,7 @@ class EmptyRow(SparseDaeError):
 
 
 class SingularMatrix(SparseDaeError):
-    """LU factorization hit a pivot too small to proceed."""
+    """LU factorization hit an exactly zero pivot, also after the eps*I retry."""
 
     def __init__(self, column: int = -1, detail: str = ""):
         self.column = column

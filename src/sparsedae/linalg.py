@@ -8,8 +8,10 @@ threshold of 1.0.  On the grid Jacobians every row's largest entry is its
 diagonal, so after equilibration each pivot stays on the diagonal and the
 symmetric ordering survives factorization; unscaled, rows of very
 different magnitude push pivots off the diagonal and multiply the fill.
-Either way the external contract is the same: factorize once, then solve
-any number of right-hand sides against the frozen factors.
+Both paths call a pivot singular only when it is exactly zero, and then
+retry once with a tiny eps*I added.  Either way the external contract is
+the same: factorize once, then solve any number of right-hand sides
+against the frozen factors.
 
 A Factorization owns copies of what it needs; callers may reassemble the
 originating matrix freely afterwards.
@@ -31,7 +33,6 @@ import scipy.sparse.linalg
 from .errors import SingularMatrix
 
 _DENSE_MAX = 64
-_PIVOT_RTOL = 1e-14
 
 
 def entry_columns(indptr: np.ndarray) -> np.ndarray:
@@ -94,7 +95,7 @@ class SparseMatrix:
         return csc @ np.asarray(x, dtype=float)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Factorization:
     """Frozen LU factors of one assembled matrix.
 
@@ -118,49 +119,46 @@ def factorize(a: SparseMatrix) -> Factorization:
     diagonal pivot threshold of 1.0; ``solve`` applies D_r to the
     right-hand side, so x solves A x = b.
 
-    Raises SingularMatrix when a pivot falls below 1e-14 times its column's
-    magnitude (dense path) or when SuperLU reports exact singularity and a
-    last-resort tiny diagonal perturbation also fails.  The perturbation,
-    eps*I with eps = 1e-12*max(max|D_r A|, 1), is added to the equilibrated
-    matrix.  It exists for algebraically degenerate but consistently-posed
-    systems (pure-Neumann potential blocks whose Newton right-hand side is
-    zero); a Factorization built that way is flagged ``perturbed``.
+    Both paths share one singularity rule: a pivot is singular only when it
+    is exactly zero (LAPACK getrf's ``info > 0``, or SuperLU's "singular"
+    error).  Then the matrix being factored (A, or D_r A) is factored once
+    more with eps*I added, eps = 1e-12*max(max|M|, 1).  The retry exists for
+    algebraically degenerate but consistently-posed systems (pure-Neumann
+    potential blocks whose Newton right-hand side is zero); a Factorization
+    built that way is flagged ``perturbed``.  SingularMatrix is raised only
+    when the retry hits an exactly zero pivot too.
     """
-    if a.n <= _DENSE_MAX:
-        dense = a.to_dense()
-        col_mag = np.abs(dense).max(axis=0)
-        # LAPACK getrf, as lu_factor calls it, without its warning on an
-        # exactly zero pivot: the pivot test below reports that one
-        lu, piv, _ = scipy.linalg.lapack.dgetrf(dense)
-        diag = np.abs(np.diag(lu))
-        bad = np.where(diag < _PIVOT_RTOL * np.maximum(col_mag, 1e-300))[0]
-        if len(bad):
-            raise SingularMatrix(column=int(bad[0]) + 1)
-        return Factorization(n=a.n, _dense=(lu, piv))
-
-    # r_i = 1/max_j |a_ij|, or 1 for a row with no nonzero entry; a row
-    # whose largest entry is subnormal is scaled by 1/tiny, since its exact
-    # reciprocal overflows
-    rmax = np.zeros(a.n)
-    np.maximum.at(rmax, a.rowind, np.abs(a.values))
-    rmax[rmax == 0.0] = 1.0
-    r = 1.0 / np.maximum(rmax, np.finfo(float).tiny)
-    values = a.values * r[a.rowind]
-    csc = scipy.sparse.csc_matrix((values, a.rowind, a.indptr), shape=(a.n, a.n))
-    try:
-        lu = _superlu(csc)
-        return Factorization(n=a.n, _splu=lu, _row_scale=r)
-    except RuntimeError as err:
-        if "singular" not in str(err).lower():
-            raise
-    # pivot-perturbation retry
-    eps = 1e-12 * max(np.abs(values).max(), 1.0)
-    perturbed = csc + scipy.sparse.identity(a.n, format="csc") * eps
-    try:
-        lu = _superlu(perturbed)
-    except RuntimeError as err2:
-        raise SingularMatrix(detail=str(err2))
-    return Factorization(n=a.n, _splu=lu, perturbed=True, _row_scale=r)
+    dense = a.n <= _DENSE_MAX
+    if dense:
+        m, r = a.to_dense(), None
+    else:
+        # r_i = 1/max_j |a_ij|, or 1 for a row with no nonzero entry; a row
+        # whose largest entry is subnormal is scaled by 1/tiny, since its
+        # exact reciprocal overflows
+        rmax = np.zeros(a.n)
+        np.maximum.at(rmax, a.rowind, np.abs(a.values))
+        rmax[rmax == 0.0] = 1.0
+        r = 1.0 / np.maximum(rmax, np.finfo(float).tiny)
+        m = scipy.sparse.csc_matrix((a.values * r[a.rowind], a.rowind, a.indptr), shape=(a.n, a.n))
+    for perturbed in (False, True):
+        if perturbed:
+            eye = np.eye(a.n) if dense else scipy.sparse.identity(a.n, format="csc")
+            m = m + 1e-12 * max(abs(m).max(), 1.0) * eye
+        if dense:
+            # LAPACK getrf, as lu_factor calls it, without its warning on an
+            # exactly zero pivot; info > 0 is that pivot's 1-based column
+            lu, piv, column = scipy.linalg.lapack.dgetrf(m)
+            if column == 0:
+                return Factorization(n=a.n, _dense=(lu, piv), perturbed=perturbed)
+            detail = ""
+        else:
+            try:
+                return Factorization(n=a.n, _splu=_superlu(m), perturbed=perturbed, _row_scale=r)
+            except RuntimeError as err:
+                if "singular" not in str(err).lower():
+                    raise
+                column, detail = -1, str(err)
+    raise SingularMatrix(column=column, detail=detail)
 
 
 def _superlu(csc: scipy.sparse.csc_matrix):

@@ -326,17 +326,30 @@ def test_problem_flags_are_the_builtin_constructor_keywords():
     assert dests == set().union(*(builtin_keywords(name) for name in BUILTINS))
 
 
-def test_singular_dense_jacobian_exits_1_without_a_warning(capsys, tmp_path):
+def test_singular_dense_jacobian_takes_the_perturbed_retry_without_a_warning(capsys, tmp_path):
     # the h=0 Jacobian of the circle constraint at (1, 0) has an exactly zero
-    # pivot; a warning on the way to SingularMatrix is a traceback under -W error
+    # pivot; the eps*I retry factorizes it, and the run stays at (1, 0).  A
+    # warning on the way would be a traceback under -W error
     prob = tmp_path / "circle.prob"
     prob.write_text("[odes]\nx' = y\n[algebraic]\n0 = x^2 + y^2 - 1\n[init]\nx = 1\ny = 0\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "solve", str(prob), "--tf", "1", "--stdout")
-    assert code == 1
-    assert out == ""
-    assert "singular" in err
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-2:] == ["1,1,0", "# accepted=30, rejected=0, jac_updates=12, lu=12, status=Success"]
+
+
+@pytest.mark.parametrize("grid", [("2", "2"), ("4", "8")], ids=["dense", "sparse"])
+def test_singular_potential_block_gives_the_same_run_on_both_lu_paths(capsys, grid):
+    # Da = delta = 0 leaves ex6's potential block pure Neumann, singular in
+    # exact arithmetic; 24 unknowns take the dense LU, 112 SuperLU, and both
+    # keep the uniform steady state with the same counts
+    n, m = grid
+    code, out, _ = run(capsys, "solve", "ex6", "--N", n, "--M", m, "--Da", "0", "--delta", "0",
+                       "--tf", "0.5", "--hinit", "1e-5", "--err-denominator", "standard", "--stdout")
+    assert code == 0
+    assert out.splitlines()[-1] == "# accepted=27, rejected=0, jac_updates=8, lu=8, status=Success"
 
 
 def test_converge_table(capsys):

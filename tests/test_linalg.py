@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.linalg
+import scipy.sparse.linalg
 
 from sparsedae.errors import SingularMatrix
 from sparsedae.linalg import (
@@ -122,16 +123,19 @@ def test_permuted_matrix_still_solves():
     assert solve(f, np.array([3.0, 7.0])) == pytest.approx([7.0, 3.0])
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_matrix_reports_column():
+    # an exactly zero pivot in column 2 takes the eps*I retry, which
+    # factorizes without a warning
     a = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(SingularMatrix):
-        factorize(from_dense(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = factorize(from_dense(a))
+    assert f.perturbed
 
 
-def test_large_singular_perturbation_fallback():
+@pytest.mark.parametrize("n", [8, 80], ids=["dense", "sparse"])
+def test_large_singular_perturbation_fallback(n):
     # pure-Neumann style matrix: singular, but consistent rhs of zero
-    n = 80
     a = 2.0 * np.eye(n)
     a[np.arange(n - 1), np.arange(1, n)] = -1.0
     a[np.arange(1, n), np.arange(n - 1)] = -1.0
@@ -139,6 +143,38 @@ def test_large_singular_perturbation_fallback():
     f = factorize(from_dense(a))
     assert f.perturbed
     assert solve(f, np.zeros(n)) == pytest.approx(np.zeros(n))
+
+
+@pytest.mark.parametrize("n", [3, 80], ids=["dense", "sparse"])
+def test_singular_after_the_retry_raises_singular_matrix(monkeypatch, n):
+    # every attempt hits an exactly zero pivot: the plain one and the eps*I
+    # retry, then one SingularMatrix
+    attempts = []
+
+    def dgetrf(m):
+        attempts.append(np.diag(m).copy())
+        return m.copy(), np.arange(n, dtype=np.int32), 2
+
+    def splu(m, **kwargs):
+        attempts.append(m.diagonal())
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", dgetrf)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrix) as info:
+            factorize(from_dense(2.0 * np.eye(n)))
+    assert len(attempts) == 2
+    # the retry adds eps = 1e-12*max(max|M|, 1) to the matrix it factors:
+    # A on the dense path, the row-equilibrated D_r A = I on the sparse one
+    top = 2.0 if n == 3 else 1.0
+    assert np.array_equal(attempts[0], np.full(n, top))
+    assert np.array_equal(attempts[1], np.full(n, top + 1e-12 * top))
+    if n == 3:
+        assert info.value.column == 2 and "column 2" in str(info.value)
+    else:
+        assert "exactly singular" in str(info.value)
 
 
 def tridiagonal(n):

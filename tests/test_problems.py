@@ -123,9 +123,8 @@ def test_ex5_initial_data_parameter():
 def test_ex6_no_reaction_no_current_stays_uniform():
     # Da = delta = 0: no electrode kinetics, no applied flux, so the uniform
     # initial concentration is a steady state
-    # grid chosen above the dense-path cutoff: the potential block is pure
-    # Neumann (exactly singular) and only the sparse path carries the
-    # diagonal-perturbation fallback for that case
+    # the potential block is pure Neumann, singular in exact arithmetic; this
+    # grid is above the dense-path cutoff, and test_cli runs one below it
     sysn = example6(4, 8, da=0.0, delta=0.0)
     traj = integrate(sysn, SolverOptions(tf=0.5, atol=1e-7, hinit=1e-5,
                                          err_denominator="standard"))
