@@ -33,6 +33,8 @@ import scipy.sparse.linalg
 from .errors import SingularMatrix
 
 _DENSE_MAX = 64
+# bound once: the attribute lookups cost as much as a small solve's checks
+_DGETRS = scipy.linalg.lapack.dgetrs
 
 
 def entry_columns(indptr: np.ndarray) -> np.ndarray:
@@ -168,13 +170,14 @@ def _superlu(csc: scipy.sparse.csc_matrix):
 
 def solve(f: Factorization, b: np.ndarray) -> np.ndarray:
     """x = A^-1 b for the A that was factorized."""
-    b = np.asarray(b, dtype=float)
+    if type(b) is not np.ndarray or b.dtype != float:
+        b = np.asarray(b, dtype=float)
     if b.shape != (f.n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({f.n},)")
     if f._dense is not None:
         # LAPACK getrs, as lu_solve calls it, without lu_solve's per-call
         # input checks: the shape is checked above and the factors are ours
-        x, _ = scipy.linalg.lapack.dgetrs(*f._dense, b)
+        x, _ = _DGETRS(*f._dense, b)
         return x
     return f._splu.solve(b * f._row_scale)
 

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, TextIO, Tuple
 
 import numpy as np
+from scipy.linalg.blas import idamax
 
 from .codegen import CompiledResidual
 from .errors import InitializationFailed, NonFiniteResidual
@@ -186,18 +187,21 @@ class _Unconverged(Exception):
 
 def error_norm(y_err: np.ndarray, yref: np.ndarray, atol: float, rtol: float,
                denominator: str = "literal") -> float:
-    """Infinity norm of the weighted step-doubling error estimate.
+    """Infinity norm of the weighted step-doubling error estimate; inf when
+    any weighted component is not finite.
 
     The default ("literal") denominator is atol + |y_err_i|*rtol; the
     "standard" alternative uses the solution magnitude, atol + |yref_i|*rtol.
-    ODE and algebraic components are both included.
+    ODE and algebraic components are both included.  A component that
+    overflows makes the literal weight inf/inf = nan, so the norm is
+    screened by its sum of squares, as ``newton_solve`` screens a
+    correction, and its largest entry is BLAS ``idamax``'s.
     """
-    a = np.abs(np.asarray(y_err, dtype=float))
-    if denominator == "literal":
-        w = a / (atol + a * rtol)
-    else:
-        w = a / (atol + np.abs(np.asarray(yref, dtype=float)) * rtol)
-    return float(w.max(initial=0.0))
+    a = np.abs(y_err)
+    w = a / (atol + (a if denominator == "literal" else np.abs(yref)) * rtol)
+    if not math.isfinite(w.dot(w)) and not np.isfinite(w).all():
+        return math.inf
+    return w.item(idamax(w)) if len(w) else 0.0
 
 
 def next_h(h_old: float, err: float, p: int, hmax: float) -> float:
@@ -210,14 +214,11 @@ def next_h(h_old: float, err: float, p: int, hmax: float) -> float:
 
 
 def richardson(y_h: np.ndarray, y_h2: np.ndarray, p: int, extrapolate: bool = True) -> np.ndarray:
-    """(2^p * y_h2 - y_h) / (2^p - 1) on every component; the plain
-    two-half-steps value when extrapolation is disabled."""
-    y_h2 = np.asarray(y_h2, dtype=float)
+    """(2^p * y_h2 - y_h) / (2^p - 1) on every component; a copy of the
+    plain two-half-steps value when extrapolation is disabled.  Both are
+    float arrays of one length."""
     if not extrapolate:
         return y_h2.copy()
-    y_h = np.asarray(y_h, dtype=float)
-    if y_h.shape != y_h2.shape:
-        raise ValueError("length mismatch")
     w = float(2 ** p)
     return (w * y_h2 - y_h) / (w - 1.0)
 
@@ -360,9 +361,9 @@ class Stepper:
                 if not fresh:   # retry the same h against an LU of (state, h)
                     frozen = None
                     continue
-            elif attempt.state is not None and attempt.err > 1.0:
+            elif attempt.state is not None and not attempt.err <= 1.0:
                 traj.err_fails += 1
-            if attempt.err > 1.0:
+            if not attempt.err <= 1.0:   # a nan error rejects too
                 traj.rejected += 1
                 h = h / _REJECT_DIVISOR
                 landing = False

@@ -158,8 +158,10 @@ def test_benchmark_tracer_finds_every_name_it_patches():
 # of the Newton loop.  The integrate-path modules call no module-level
 # reduction, and newton.py, whose iteration runs tens of thousands of times
 # in a small system's run, calls none of those methods either: its norm is
-# BLAS idamax.  (Its .all() is the exact test behind the sum-of-squares
-# screen, so it runs only on a non-finite or overflowing correction.)
+# BLAS idamax.  Nor does stepper.py, whose step attempt runs thousands of
+# times: its error norm is idamax too.  (Their .all() is the exact test
+# behind the sum-of-squares screen, so it runs only on a non-finite or
+# overflowing vector.)
 NUMPY_REDUCTIONS = {"max", "min", "amax", "amin", "sum", "all", "any"}
 REDUCTION_METHODS = {"max", "min", "sum"}
 INTEGRATE_PATH = ["newton.py", "stepper.py", "codegen.py", "jacobian.py", "linalg.py"]
@@ -202,6 +204,11 @@ def test_the_scan_finds_a_reduction_method_call():
 
 def test_newton_iteration_calls_no_reduction_method():
     path = Path(sparsedae.__file__).parent / "newton.py"
+    assert reduction_method_calls(path.read_text(encoding="utf-8")) == []
+
+
+def test_step_attempt_calls_no_reduction_method():
+    path = Path(sparsedae.__file__).parent / "stepper.py"
     assert reduction_method_calls(path.read_text(encoding="utf-8")) == []
 
 

@@ -47,6 +47,36 @@ def test_error_norm_of_no_components_is_zero():
         assert error_norm(np.zeros(0), np.zeros(0), 1e-6, 1e-5, denominator) == 0.0
 
 
+@pytest.mark.parametrize("denominator", ["literal", "standard"])
+def test_error_norm_of_an_overflowing_difference_is_inf(denominator):
+    # y_h2 - y_h overflows to -inf: the literal weight is inf/inf = nan, and
+    # a nan norm would pass the error test (nan > 1 is False)
+    y_h, y_h2 = np.array([-1e308]), np.array([1e308])
+    with np.errstate(over="ignore"):
+        y_err = (y_h2 - y_h) / 3
+    with np.errstate(invalid="ignore"):
+        assert error_norm(y_err, y_h2, 1e-6, 1e-5, denominator) == math.inf
+
+
+def test_a_nan_error_estimate_rejects_the_step():
+    st = Stepper(decay(), SolverOptions(tf=1.0, atol=1e-6, hinit=0.01))
+    attempt = st.attempt_step
+    calls = []
+
+    def nan_once(*args):
+        out = attempt(*args)
+        calls.append(out.err)
+        if len(calls) == 1:
+            out.err = math.nan
+        return out
+
+    st.attempt_step = nan_once
+    traj = st.integrate()
+    assert traj.status is Status.SUCCESS
+    assert traj.rejected == traj.err_fails == 1
+    assert traj.times[1] == pytest.approx(0.01 / 4)
+
+
 def test_next_h_formula():
     assert next_h(0.1, 1e-4, 1, hmax=1.0) == pytest.approx(0.3)  # capped at 3x
     err = 0.5
