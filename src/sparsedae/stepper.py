@@ -271,16 +271,18 @@ class Stepper:
         return f
 
     def _solve_once(self, base: np.ndarray, h: float, f: Factorization,
-                    rate_tol: Optional[float]) -> Tuple[np.ndarray, float]:
-        """The state one Newton solve reaches from ``base``, and the solve's
-        largest contraction rate.  Given ``rate_tol``, raises _Unconverged
-        when the solve does not converge."""
+                    rate_tol: Optional[float],
+                    uu0: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
+        """The state one Newton solve reaches from ``base``, starting at the
+        increment ``uu0``, with the solve's converged increment and its largest
+        contraction rate.  Given ``rate_tol``, raises _Unconverged when the
+        solve does not converge."""
         self._bind(base, h)
-        out = newton_solve(self.res, f, self._uu0, self.options.iter, self.ctol, rate_tol)
+        out = newton_solve(self.res, f, uu0, self.options.iter, self.ctol, rate_tol)
         if rate_tol is not None and not out.converged:
             raise _Unconverged
         # state_update's first block, without its checks: uu is Newton's own
-        return base + out.uu[:len(base)], out.theta
+        return base + out.uu[:len(base)], out.uu, out.theta
 
     # -- initialization and stepping ----------------------------------------
 
@@ -304,13 +306,19 @@ class Stepper:
         frozen factorization ``f``.  Gives the new state, Richardson-combined
         per ``options.extrapolate``, the scalar error estimate and the largest
         contraction rate; no state on a non-finite residual.  Given
-        ``rate_tol``, Newton also stops on its rate and the attempt fails at
-        its first unconverged solve."""
+        ``rate_tol``, Newton also stops on its rate, the attempt fails at its
+        first unconverged solve, and the half steps start from the full
+        step's prediction; without it every solve starts from zero."""
         opt = self.options
+        zero = self._uu0
         try:
-            y_h, theta_h = self._solve_once(state, h, f, rate_tol)
-            mid, theta_1 = self._solve_once(state, 0.5 * h, f, rate_tol)
-            y_h2, theta_2 = self._solve_once(mid, 0.5 * h, f, rate_tol)
+            y_h, uu_h, theta_h = self._solve_once(state, h, f, rate_tol, zero)
+            # the full step predicts both half steps: the first takes about
+            # half its increment, the second about the rest, y_h - mid
+            mid, uu_1, theta_1 = self._solve_once(
+                state, 0.5 * h, f, rate_tol, zero if rate_tol is None else 0.5 * uu_h)
+            y_h2, _, theta_2 = self._solve_once(
+                mid, 0.5 * h, f, rate_tol, zero if rate_tol is None else uu_h - uu_1)
         except NonFiniteResidual:
             return Attempt()
         except _Unconverged:
