@@ -112,7 +112,7 @@ class Factorization:
     _row_scale: Optional[np.ndarray] = None
 
 
-def factorize(a: SparseMatrix) -> Factorization:
+def factorize(a: SparseMatrix, perturb: bool = False) -> Factorization:
     """PA = LU with partial pivoting.
 
     For n > 64, SuperLU factorizes D_r A, where D_r divides each row by its
@@ -128,7 +128,9 @@ def factorize(a: SparseMatrix) -> Factorization:
     algebraically degenerate but consistently-posed systems (pure-Neumann
     potential blocks whose Newton right-hand side is zero); a Factorization
     built that way is flagged ``perturbed``.  SingularMatrix is raised only
-    when the retry hits an exactly zero pivot too.
+    when the retry hits an exactly zero pivot too.  Given ``perturb``, eps*I
+    is added from the first try, so a matrix known to need it is factored
+    once.
     """
     dense = a.n <= _DENSE_MAX
     if dense:
@@ -142,7 +144,7 @@ def factorize(a: SparseMatrix) -> Factorization:
         rmax[rmax == 0.0] = 1.0
         r = 1.0 / np.maximum(rmax, np.finfo(float).tiny)
         m = scipy.sparse.csc_matrix((a.values * r[a.rowind], a.rowind, a.indptr), shape=(a.n, a.n))
-    for perturbed in (False, True):
+    for perturbed in (True,) if perturb else (False, True):
         if perturbed:
             eye = np.eye(a.n) if dense else scipy.sparse.identity(a.n, format="csc")
             m = m + 1e-12 * max(abs(m).max(), 1.0) * eye

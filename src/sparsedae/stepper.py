@@ -3,7 +3,12 @@
 Each step solves the method residual once with step h and twice with h/2,
 all three Newton solves sharing one frozen LU factorization.  The two
 results give the local error estimate; accepted steps are advanced with
-Richardson extrapolation.
+Richardson extrapolation.  The full step's solve starts from a zero
+increment uu_h.  In the adaptive driver it predicts both half steps: the
+first starts from 0.5*uu_h and the second from uu_h - uu_1, the part of the
+full step the first half did not cover, over all blocks (RAD's interior
+stage too).  The fixed-step driver and consistent initialization start
+every solve from zero, so the observed orders they verify are untouched.
 
 In the adaptive driver Newton stops on its contraction rate theta as well
 as on the absolute correction test (``newton.newton_solve``), and an
@@ -15,9 +20,13 @@ accepted step the LU is kept unless the step's largest theta exceeded 0.3
 or the next h is outside [0.5, 2] times the h it was factorized at
 (Hairer & Wanner, Solving ODEs II, IV.8; SUNDIALS IDA's retry on a stale
 Jacobian).  A non-finite residual, or a refreshed Jacobian that is not
-finite, rejects the step; both come up as ``NonFiniteResidual``.  Both
-integration loops run under ``np.errstate(all="ignore")``, so a domain
+finite, rejects the step; both come up as ``NonFiniteResidual``.  So does
+an error estimate that is not finite: ``error_norm`` gives inf for it.
+Both integration loops run under ``np.errstate(all="ignore")``, so a domain
 error in generated code shows up as a non-finite value, never as a warning.
+Once a refresh has needed the LU's eps*I retry (``linalg.factorize``),
+every later refresh of the Stepper adds eps*I from the first try;
+consistent initialization neither sets nor reads this.
 
 The fixed-step driver refactorizes every step and keeps Newton's absolute
 test alone, because order verification needs Newton's error far below the
@@ -119,11 +128,15 @@ class Trajectory:
 
     Counters cover the time-stepping loop; the factorization used by
     consistent initialization is reported separately in ``init_lu``.  Both
-    count LU factorizations actually computed, so a refresh whose Jacobian
-    is not finite adds none and a perturbed-pivot retry, at initialization
-    too, adds a second one.  ``conv_fails`` counts attempts abandoned on an
-    unconverged Newton solve, retried or rejected, and ``err_fails`` the
-    rejections by the error test (SUNDIALS IDA's ncfn and netf).
+    count LU factorizations actually computed: a refresh whose Jacobian is
+    not finite adds none, and an eps*I retry after an exactly zero pivot,
+    at initialization too, adds a second one.  Once a refresh has needed
+    the retry, later refreshes add eps*I from the first try and count one
+    each, so a Jacobian singular at every step gives
+    ``lu_count == jac_updates + 1``.  ``conv_fails`` counts attempts
+    abandoned on an unconverged Newton solve, retried or rejected, and
+    ``err_fails`` the rejections by the error test (SUNDIALS IDA's ncfn and
+    netf).
     """
 
     var_names: Tuple[str, ...]
@@ -244,6 +257,9 @@ class Stepper:
         self.n = residual.n
         self._uu0 = np.zeros(self.n)
         self.ctol = default_ctol(options.atol)
+        # set once a refresh needed the eps*I retry: every later refresh
+        # then adds eps*I from the first try
+        self._perturb = False
 
     # -- bindings ---------------------------------------------------------
 
@@ -253,21 +269,24 @@ class Stepper:
         self.res.b = base
         self.res.h = float(h)
 
-    def _factorize(self, base: np.ndarray, h: float) -> Factorization:
-        """Assemble and factorize the Jacobian at (base, h)."""
+    def _factorize(self, base: np.ndarray, h: float, perturb: bool = False) -> Factorization:
+        """Assemble and factorize the Jacobian at (base, h), with eps*I from
+        the first try given ``perturb``."""
         self._bind(base, h)
-        return factorize(self.assembler.assemble(self._uu0, self.res.b, h, self.res.p))
+        return factorize(self.assembler.assemble(self._uu0, self.res.b, h, self.res.p), perturb)
 
     def _refresh(self, base: np.ndarray, h: float, traj: Trajectory) -> Optional[Factorization]:
-        """``_factorize``, counted in ``traj``: one Jacobian update and one LU
-        (two when the pivot perturbation retry ran).  None, counting nothing,
-        when the Jacobian is not finite."""
+        """``_factorize``, counted in ``traj``: one Jacobian update and one LU,
+        or two when the eps*I retry ran.  Once it has run, every later
+        refresh adds eps*I from the first try.  None, counting nothing, when
+        the Jacobian is not finite."""
         try:
-            f = self._factorize(base, h)
+            f = self._factorize(base, h, self._perturb)
         except NonFiniteResidual:
             return None
         traj.jac_updates += 1
-        traj.lu_count += 1 + f.perturbed
+        traj.lu_count += 1 + (f.perturbed and not self._perturb)
+        self._perturb = f.perturbed
         return f
 
     def _solve_once(self, base: np.ndarray, h: float, f: Factorization,

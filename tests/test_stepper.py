@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from sparsedae import expr as ex
+from sparsedae import linalg
+from sparsedae import stepper as stepper_mod
 from sparsedae.errors import NonFiniteResidual
 from sparsedae.problemfile import parse_problem_text
 from sparsedae.problems import example1, example2, example5
@@ -285,22 +287,116 @@ def test_counters_one_lu_per_jacobian_update():
     assert traj.jac_updates <= traj.accepted + traj.rejected + 1
 
 
-def test_perturbed_initial_lu_counts_two():
-    # a pure-Neumann chain of 80 algebraic rows: singular, on the sparse
-    # path, so the initial LU takes the perturbed retry
-    n = 80
+def neumann_chain(n=80):
+    # a pure-Neumann chain of n algebraic rows: singular at every h, and on
+    # the sparse path for n > 64
     u = ex.U
     rows = ([ex.add(u(2), ex.neg(u(1)))]
             + [ex.add(u(i - 1), ex.mul(-2.0, u(i)), u(i + 1)) for i in range(2, n)]
             + [ex.add(u(n - 1), ex.neg(u(n)))])
-    sys_ = DaeSystem(ode_rhs=(), alg_residual=tuple(rows),
+    return DaeSystem(ode_rhs=(), alg_residual=tuple(rows),
                      var_names=tuple(f"u{i}" for i in range(1, n + 1)), y0z0=(1.0,) * n)
-    st = Stepper(sys_, SolverOptions(tf=0.1, method=MethodKind.EB))
+
+
+def test_perturbed_initial_lu_counts_two():
+    # the initial LU takes the perturbed retry; so does the first refresh,
+    # and every later refresh adds eps*I from the first try
+    st = Stepper(neumann_chain(), SolverOptions(tf=0.1, method=MethodKind.EB))
     assert st.initialize()[1].perturbed
     traj = st.integrate()
     assert traj.status is Status.SUCCESS
     assert traj.init_lu == 2
-    assert traj.lu_count == 2 * traj.jac_updates
+    assert traj.lu_count == traj.jac_updates + 1
+
+
+def test_remembered_retry_counts_the_lus_computed_and_changes_no_value(monkeypatch):
+    superlu_calls = []
+    superlu = linalg._superlu
+    monkeypatch.setattr(linalg, "_superlu", lambda m: superlu_calls.append(1) or superlu(m))
+    opts = SolverOptions(tf=0.1, method=MethodKind.EB)
+    traj = integrate(neumann_chain(), opts)
+    assert traj.jac_updates == 12
+    assert len(superlu_calls) == traj.init_lu + traj.lu_count == 2 + 13
+    # every refresh tried without eps*I first: the same values, at twice the LUs
+    monkeypatch.setattr(stepper_mod, "factorize", lambda a, _perturb=False: linalg.factorize(a))
+    superlu_calls.clear()
+    plain = integrate(neumann_chain(), opts)
+    assert len(superlu_calls) == 2 * (1 + plain.jac_updates)
+    assert plain.times == traj.times
+    assert np.array_equal(plain.final_state, traj.final_state)
+
+
+def test_initialization_does_not_remember_the_retry():
+    # the circle DAE's h=0 Jacobian is singular at (1, 0), its h>0 ones are not
+    sys_ = parse_problem_text("[odes]\nx' = y\n[algebraic]\n0 = x^2 + y^2 - 1\n[init]\nx = 1\ny = 0\n")
+    st = Stepper(sys_, SolverOptions(tf=1.0))
+    traj = st.integrate()
+    assert traj.status is Status.SUCCESS
+    assert traj.init_lu == 2
+    assert traj.lu_count == traj.jac_updates and not st._perturb
+
+
+def spy_newton(monkeypatch, st):
+    """Record each Newton solve's starting value and converged increment,
+    with None marking the start of each step attempt."""
+    log = []
+    solve = stepper_mod.newton_solve
+
+    def spy(res, f, uu0, *args):
+        out = solve(res, f, uu0, *args)
+        log.append((np.array(uu0), out.uu.copy(), out.converged))
+        return out
+
+    attempt = st.attempt_step
+
+    def marked(*args):
+        log.append(None)
+        return attempt(*args)
+
+    monkeypatch.setattr(stepper_mod, "newton_solve", spy)
+    st.attempt_step = marked
+    return log
+
+
+def attempts(log):
+    """The solves of each attempt, after initialization's."""
+    out = []
+    for entry in log:
+        if entry is None:
+            out.append([])
+        elif out:
+            out[-1].append(entry)
+    return out
+
+
+@pytest.mark.parametrize("kind", [MethodKind.IMPTRAP, MethodKind.RAD], ids=lambda k: k.name)
+def test_adaptive_half_steps_start_from_the_full_step(monkeypatch, kind):
+    st = Stepper(example2(), SolverOptions(tf=2.0, hmax=0.1, method=kind,
+                                           err_denominator="standard"))
+    log = spy_newton(monkeypatch, st)
+    traj = st.integrate()
+    assert traj.status is Status.SUCCESS
+    assert not log[0][0].any()   # initialization starts from zero
+    whole = [a for a in attempts(log) if len(a) == 3]
+    assert len(whole) >= traj.accepted
+    n = st.system.n_total
+    for (z, uu_h, _), (p1, uu_1, _), (p2, _, _) in whole:
+        assert len(z) == kind.stage_multiplier * n and not z.any()
+        assert np.array_equal(p1, 0.5 * uu_h)
+        assert np.array_equal(p2, uu_h - uu_1)
+    if kind is MethodKind.RAD:
+        # the interior stage block is predicted too
+        assert all(p1[n:].any() and p2[n:].any() for _, (p1, _, _), (p2, _, _) in whole)
+
+
+@pytest.mark.parametrize("kind", list(MethodKind), ids=lambda k: k.name)
+def test_fixed_step_and_initialization_start_from_zero(monkeypatch, kind):
+    st = Stepper(example2(), SolverOptions(tf=0.5, fixed_h=0.05, method=kind))
+    log = spy_newton(monkeypatch, st)
+    traj = st.integrate_fixed()
+    assert traj.accepted == 10
+    assert len(attempts(log)) == 10
+    assert [e[0].any() for e in log if e is not None] == [False] * 31
 
 
 def test_algebraic_invariant_tracks_tolerance():
