@@ -21,7 +21,7 @@ from .expr import Branch, Const, Expr, Param, Piecewise, U, diff, exp, free_unkn
 from .grammar import parse_expr
 from .jacobian import JacobianAssembler, SparsityPattern, detect_pattern, differentiate
 from .linalg import Factorization, SparseMatrix, factorize, solve, write_pattern
-from .newton import NewtonOutcome, default_ctol, newton_solve
+from .newton import NewtonOutcome, newton_solve
 from .problemfile import load_problem, parse_problem_text
 from .problems import (
     ORACLES,
@@ -47,12 +47,6 @@ from .stepper import (
     next_h,
     richardson,
 )
-from .system import (
-    DaeSystem,
-    MethodKind,
-    MethodResidual,
-    build_residual,
-    state_update,
-)
+from .system import DaeSystem, MethodKind, build_residual
 
 __version__ = "0.1.0"

@@ -260,7 +260,8 @@ def compile_groups(groups: Sequence[ShapeGroup], n_out: int, tag: str = "residua
 
 class CompiledResidual:
     """A method residual's shape groups compiled into one function, plus its
-    numeric bindings, ready for Newton.
+    numeric bindings, ready for Newton.  The groups number the rows 0..n-1
+    once each, so ``n``, the output length, is the sum of their row counts.
 
     ``set_base``/``set_h``/``set_params`` rebind values without touching the
     compiled structure.  ``evaluate`` raises NonFiniteResidual on any
@@ -272,14 +273,14 @@ class CompiledResidual:
     (the integrators ignore it) before the exact test clears them.
     """
 
-    def __init__(self, groups: Sequence[ShapeGroup], n: int, layout: Dict[str, int]):
-        self.n = n
+    def __init__(self, groups: Sequence[ShapeGroup], layout: Dict[str, int]):
+        self.n = n = sum(len(g.rows) for g in groups)
         self.layout = layout
         self._fn = compile_groups(groups, n)
         self.b = np.zeros(0)
         self.h = 0.0
         self.p = np.zeros(len(layout))
-        self._out = np.empty(self.n)
+        self._out = np.empty(n)
 
     def set_base(self, base: np.ndarray) -> None:
         self.b = np.asarray(base, dtype=float)

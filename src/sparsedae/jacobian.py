@@ -1,12 +1,13 @@
 """Sparsity detection and analytic sparse Jacobian assembly.
 
-The method residual comes grouped by shape (``MethodResidual.groups``), and
-everything here works per shape, not per row.  A row's support is the set of
-unknowns its slots name.  Derivatives are taken once per (shape, unknown
-slot), on the shape's first row: ``diff`` and the smart constructors depend
-only on tree structure, constants and which leaves are equal, all of which
-the shape records, so the derivative of every other row of the shape is the
-same expression over that row's leaves.
+The method residual is its shape groups (``system.build_residual``), which
+number the rows 0..n-1 once each, and everything here works per shape, not
+per row.  A row's support is the set of unknowns its slots name.
+Derivatives are taken once per (shape, unknown slot), on the shape's first
+row: ``diff`` and the smart constructors depend only on tree structure,
+constants and which leaves are equal, all of which the shape records, so
+the derivative of every other row of the shape is the same expression over
+that row's leaves.
 
 ``detect_pattern`` builds the sparse structure once, as index arrays: one
 ``np.lexsort`` of the (row, column) entries of every (shape, unknown slot)
@@ -23,7 +24,7 @@ reassembly and factorization symbolics can be reused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from . import expr as ex
 from .codegen import ShapeGroup, compile_groups, derived_groups
 from .errors import EmptyRow, NonFiniteResidual
 from .linalg import SparseMatrix, entry_columns
-from .system import MethodResidual
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,30 +62,31 @@ class SparsityPattern:
         return tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
 
 
-def detect_pattern(res: MethodResidual) -> SparsityPattern:
+def detect_pattern(groups: Sequence[ShapeGroup]) -> SparsityPattern:
     """The support of row i is free_unknowns(residual row i), read off the
-    residual's shape groups and put in CSC order with one lexsort.  Raises
-    EmptyRow for a row that references no unknown (structurally singular
-    system)."""
-    slots = [(g, k) for g in res.groups for k, name in enumerate(g.names) if name == "u"]
+    residual's shape groups, which number the n rows 0..n-1 once each, and
+    put in CSC order with one lexsort.  Raises EmptyRow for a row that
+    references no unknown (structurally singular system)."""
+    n = sum(len(g.rows) for g in groups)
+    slots = [(g, k) for g in groups for k, name in enumerate(g.names) if name == "u"]
     if not slots:
         raise EmptyRow(1)
     # entries block after block, one block per (shape, unknown slot)
     rows = np.concatenate([g.rows for g, _ in slots])
     cols = np.concatenate([g.index[:, k] for g, k in slots])
-    counts = np.bincount(rows, minlength=res.n)
-    if np.count_nonzero(counts) < res.n:
+    counts = np.bincount(rows, minlength=n)
+    if np.count_nonzero(counts) < n:
         raise EmptyRow(int(counts.argmin()) + 1)
     order = np.lexsort((rows, cols))
-    indptr = np.zeros(res.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=res.n), out=indptr[1:])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
     position = np.empty(len(order), dtype=np.int64)
     position[order] = np.arange(len(order))
     blocks, end = [], 0
     for g, k in slots:
         blocks.append((g, k, position[end:end + len(g.rows)]))
         end += len(g.rows)
-    return SparsityPattern(n=res.n, indptr=indptr, rowind=rows[order], blocks=tuple(blocks))
+    return SparsityPattern(n=n, indptr=indptr, rowind=rows[order], blocks=tuple(blocks))
 
 
 def differentiate(pat: SparsityPattern) -> Tuple[Tuple[ShapeGroup, ex.Expr, np.ndarray], ...]:

@@ -7,8 +7,8 @@ it also stops on the contraction rate theta_k = |d_k| / |d_k-1| (Hairer &
 Wanner, Solving ODEs II, IV.8): as converged once theta/(1-theta)*|d_k|,
 an estimate of the remaining error, drops to it, and as diverged once
 theta >= 1.  An unconverged outcome is returned, not raised: the adaptive
-driver acts on it (``Stepper.integrate``), while the fixed-step driver and
-consistent initialization, which pass no rate tolerance, read it as before.
+driver retries or rejects the step (``Stepper.integrate``), the fixed-step
+driver keeps it and counts it, and consistent initialization fails.
 A non-finite residual evaluation or correction is the only hard failure
 and is reported to the caller for step rejection.  The correction is
 screened as ``CompiledResidual.evaluate`` screens the residual, by its sum
@@ -40,13 +40,6 @@ class NewtonOutcome:
     correction_norm: float
     converged: bool
     theta: float = 0.0   # the largest contraction rate seen, given a rate tolerance
-
-
-def default_ctol(atol: float) -> float:
-    """Newton correction tolerance derived from the step tolerance."""
-    if atol <= 0:
-        raise ValueError("atol must be positive")
-    return 0.01 * atol
 
 
 def newton_solve(

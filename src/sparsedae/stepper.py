@@ -30,12 +30,13 @@ consistent initialization neither sets nor reads this.
 
 The fixed-step driver refactorizes every step and keeps Newton's absolute
 test alone, because order verification needs Newton's error far below the
-Richardson error.  Both drivers share one refresh (``_refresh``), the one
-place where Jacobian refreshes and LUs are counted, and one step
-(``attempt_step``).  ``integrate`` picks the driver: fixed-step when
-``SolverOptions.fixed_h`` is set, adaptive otherwise.  ``fixed_h`` is
-validated when ``SolverOptions`` is built.  The error test's rtol is fixed
-at 10*atol and is not an option.
+Richardson error.  It keeps a step whose Newton solves ran out of
+iterations, and counts it in ``Trajectory.conv_fails``.  Both drivers share
+one refresh (``_refresh``), the one place where Jacobian refreshes and LUs
+are counted, and one step (``attempt_step``).  ``integrate`` picks the
+driver: fixed-step when ``SolverOptions.fixed_h`` is set, adaptive
+otherwise.  ``fixed_h`` is validated when ``SolverOptions`` is built.  The
+error test's rtol is fixed at 10*atol and is not an option.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from .codegen import CompiledResidual
 from .errors import InitializationFailed, NonFiniteResidual
 from .jacobian import JacobianAssembler, detect_pattern, differentiate
 from .linalg import Factorization, factorize
-from .newton import default_ctol, newton_solve
-from .system import DaeSystem, MethodKind, build_residual, state_update
+from .newton import NewtonOutcome, newton_solve
+from .system import DaeSystem, MethodKind, build_residual
 
 _INIT_MAX_ITER = 100
 # step-size controller: next_h's growth cap and safety factor, and the
@@ -133,10 +134,11 @@ class Trajectory:
     at initialization too, adds a second one.  Once a refresh has needed
     the retry, later refreshes add eps*I from the first try and count one
     each, so a Jacobian singular at every step gives
-    ``lu_count == jac_updates + 1``.  ``conv_fails`` counts attempts
-    abandoned on an unconverged Newton solve, retried or rejected, and
-    ``err_fails`` the rejections by the error test (SUNDIALS IDA's ncfn and
-    netf).
+    ``lu_count == jac_updates + 1``.  ``conv_fails`` counts attempts with
+    an unconverged Newton solve: in the adaptive driver those abandoned,
+    retried or rejected; in the fixed-step driver, which keeps every
+    finite step, those kept with one.  ``err_fails`` counts the rejections
+    by the error test (SUNDIALS IDA's ncfn and netf).
     """
 
     var_names: Tuple[str, ...]
@@ -182,8 +184,10 @@ class Trajectory:
 @dataclass
 class Attempt:
     """What one step attempt gave.  ``state`` is None when it failed: on a
-    non-finite value, or on an unconverged Newton solve (``unconverged``).
-    ``theta`` is the largest Newton contraction rate of the step."""
+    non-finite value, or, given a rate tolerance, on an unconverged Newton
+    solve.  ``unconverged`` is set when a solve stopped unconverged, also
+    when the state was kept without a rate tolerance.  ``theta`` is the
+    largest Newton contraction rate of the step."""
 
     state: Optional[np.ndarray] = None
     err: float = math.inf
@@ -247,16 +251,16 @@ class Stepper:
         self.system = sys
         self.options = options
         self.kind = options.method
-        residual = build_residual(sys, self.kind)
+        groups = build_residual(sys, self.kind)
         # the residual's shape groups are compiled and reused by the pattern,
         # the derivatives and the Jacobian code
-        self.res = CompiledResidual(residual.groups, residual.n, sys.layout)
+        self.res = CompiledResidual(groups, sys.layout)
         self.res.set_params(sys.params)
-        pattern = detect_pattern(residual)
+        pattern = detect_pattern(groups)
         self.assembler = JacobianAssembler(pattern, differentiate(pattern), sys.layout)
-        self.n = residual.n
+        self.n = self.res.n
         self._uu0 = np.zeros(self.n)
-        self.ctol = default_ctol(options.atol)
+        self.ctol = 0.01 * options.atol   # Newton's correction tolerance
         # set once a refresh needed the eps*I retry: every later refresh
         # then adds eps*I from the first try
         self._perturb = False
@@ -271,9 +275,8 @@ class Stepper:
 
     def _factorize(self, base: np.ndarray, h: float, perturb: bool = False) -> Factorization:
         """Assemble and factorize the Jacobian at (base, h), with eps*I from
-        the first try given ``perturb``."""
-        self._bind(base, h)
-        return factorize(self.assembler.assemble(self._uu0, self.res.b, h, self.res.p), perturb)
+        the first try given ``perturb``.  The residual is not bound."""
+        return factorize(self.assembler.assemble(self._uu0, base, h, self.res.p), perturb)
 
     def _refresh(self, base: np.ndarray, h: float, traj: Trajectory) -> Optional[Factorization]:
         """``_factorize``, counted in ``traj``: one Jacobian update and one LU,
@@ -291,17 +294,16 @@ class Stepper:
 
     def _solve_once(self, base: np.ndarray, h: float, f: Factorization,
                     rate_tol: Optional[float],
-                    uu0: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
+                    uu0: np.ndarray) -> Tuple[np.ndarray, NewtonOutcome]:
         """The state one Newton solve reaches from ``base``, starting at the
-        increment ``uu0``, with the solve's converged increment and its largest
-        contraction rate.  Given ``rate_tol``, raises _Unconverged when the
-        solve does not converge."""
+        increment ``uu0``, and the solve's outcome.  Given ``rate_tol``,
+        raises _Unconverged when the solve does not converge."""
         self._bind(base, h)
         out = newton_solve(self.res, f, uu0, self.options.iter, self.ctol, rate_tol)
         if rate_tol is not None and not out.converged:
             raise _Unconverged
-        # state_update's first block, without its checks: uu is Newton's own
-        return base + out.uu[:len(base)], out.uu, out.theta
+        # the first block; RAD's interior stage is discarded
+        return base + out.uu[:len(base)], out
 
     # -- initialization and stepping ----------------------------------------
 
@@ -310,6 +312,7 @@ class Stepper:
         fresh factorization.  Returns the corrected state."""
         state0 = self.system.initial_state()
         f = self._factorize(state0, 0.0)
+        self._bind(state0, 0.0)
         ctol = min(self.ctol, 1e-10)
         out = newton_solve(self.res, f, self._uu0, _INIT_MAX_ITER, ctol)
         if not out.converged:
@@ -317,7 +320,7 @@ class Stepper:
                 f"h=0 Newton stalled (last correction {out.correction_norm:.3e}); "
                 "the algebraic constraints could not be satisfied from the given guesses"
             )
-        return state_update(state0, out.uu, self.kind), f
+        return state0 + out.uu[:len(state0)], f
 
     def attempt_step(self, state: np.ndarray, h: float, f: Factorization,
                      rate_tol: Optional[float] = None) -> Attempt:
@@ -331,13 +334,13 @@ class Stepper:
         opt = self.options
         zero = self._uu0
         try:
-            y_h, uu_h, theta_h = self._solve_once(state, h, f, rate_tol, zero)
+            y_h, full = self._solve_once(state, h, f, rate_tol, zero)
             # the full step predicts both half steps: the first takes about
             # half its increment, the second about the rest, y_h - mid
-            mid, uu_1, theta_1 = self._solve_once(
-                state, 0.5 * h, f, rate_tol, zero if rate_tol is None else 0.5 * uu_h)
-            y_h2, _, theta_2 = self._solve_once(
-                mid, 0.5 * h, f, rate_tol, zero if rate_tol is None else uu_h - uu_1)
+            mid, half1 = self._solve_once(
+                state, 0.5 * h, f, rate_tol, zero if rate_tol is None else 0.5 * full.uu)
+            y_h2, half2 = self._solve_once(
+                mid, 0.5 * h, f, rate_tol, zero if rate_tol is None else full.uu - half1.uu)
         except NonFiniteResidual:
             return Attempt()
         except _Unconverged:
@@ -346,7 +349,8 @@ class Stepper:
         y_err = (y_h2 - y_h) / (2 ** p - 1)
         err = error_norm(y_err, y_h2, opt.atol, 10.0 * opt.atol, opt.err_denominator)
         return Attempt(richardson(y_h, y_h2, p, opt.extrapolate), err,
-                       max(theta_h, theta_1, theta_2))
+                       max(full.theta, half1.theta, half2.theta),
+                       not (full.converged and half1.converged and half2.converged))
 
     def _start(self) -> Tuple[np.ndarray, Trajectory]:
         """The consistent initial state and a Trajectory holding it at t=0."""
@@ -425,12 +429,13 @@ class Stepper:
                 traj.status = Status.TOO_MANY_STEPS
                 break
             f = self._refresh(state, h, traj)
-            new = None if f is None else self.attempt_step(state, h, f).state
-            if new is None:
+            attempt = Attempt() if f is None else self.attempt_step(state, h, f)
+            traj.conv_fails += attempt.unconverged
+            if attempt.state is None:
                 traj.rejected += 1
                 traj.status = Status.STEP_UNDERFLOW
                 break
-            state = new
+            state = attempt.state
             traj.accepted += 1
             traj.record(opt.tf if k == nsteps - 1 else (k + 1) * h, state)
         return traj

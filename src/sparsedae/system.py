@@ -6,11 +6,14 @@ Only autonomous systems are supported; time-dependent systems must add the
 dummy ODE  y' = 1  themselves.
 
 For a chosen single-step method and step size h the system is lowered into
-residual equations in the increment unknowns uu (state_new = state_old + uu).
-The base state enters those residuals as named parameter slots ``Y0_k``, so
-the symbolic structure is built once and only numeric bindings change from
-step to step.  The same residual with h = 0 performs consistent
-initialization of the algebraic components.
+residual equations in the increment unknowns uu (state_new = state_old +
+uu[:N_t]; RAD's interior-stage block is discarded).  ``build_residual``
+returns them as plain shape groups, which ``jacobian`` and ``codegen`` read
+as they are: the row count is the groups' own.  The base state enters
+those residuals as named parameter slots ``Y0_k``, so the symbolic
+structure is built once and only numeric bindings change from step to
+step.  The same residual with h = 0 performs consistent initialization of
+the algebraic components.
 
 The f's and g's are grouped by shape once, when the system is constructed
 and validated.  Hand-written rows, given as tuples (problem files, the small
@@ -19,13 +22,13 @@ grid built-ins give ``StencilRows`` instead: one template row per stencil
 class over index tables, merged into shape groups by
 ``codegen.derived_groups`` without building a row; a row is built only when
 it is read.  Lowering runs once per source shape, not once per row.  Each
-method maps a leaf of the source equation to a fixed expression in that leaf's unknown and base-state slot, and adds
-the row's own unknown to an ODE row, so a lowered row's shape follows from
-its source shape, the method, and which slot, if any, names the row's own
-unknown.  Only the first row of each such part is lowered;
-``codegen.derived_groups`` instantiates it for the others by picking
-columns of the source table, the same path that instantiates the
-Jacobian's derivatives.
+method maps a leaf of the source equation to a fixed expression in that
+leaf's unknown and base-state slot, and adds the row's own unknown to an
+ODE row, so a lowered row's shape follows from its source shape, the
+method, and which slot, if any, names the row's own unknown.  Only the
+first row of each such part is lowered; ``codegen.derived_groups``
+instantiates it for the others by picking columns of the source table, the
+same path that instantiates the Jacobian's derivatives.
 """
 
 from __future__ import annotations
@@ -47,9 +50,10 @@ from .errors import UnsupportedSystem
 class MethodKind(enum.Enum):
     """The four single-step implicit methods.
 
-    order:  local accuracy order used by the error controller (1, 2, 2, 3).
-    stages: unknown-count multiplier (RAD solves endpoint + interior stage).
-    All four are A-stable; EB and RAD are additionally L-stable.
+    order: local accuracy order used by the error controller (1, 2, 2, 3).
+    RAD solves for the step endpoint and an interior stage, so its residual
+    has twice the system's rows.  All four are A-stable; EB and RAD are
+    additionally L-stable.
     """
 
     EB = "eb"
@@ -60,10 +64,6 @@ class MethodKind(enum.Enum):
     @property
     def order(self) -> int:
         return _ORDER[self]
-
-    @property
-    def stage_multiplier(self) -> int:
-        return 2 if self is MethodKind.RAD else 1
 
 
 _ORDER = {MethodKind.EB: 1, MethodKind.CN: 2, MethodKind.IMPTRAP: 2, MethodKind.RAD: 3}
@@ -125,14 +125,6 @@ class StencilRows(Sequence):
         block, member = self._where[operator.index(i)].tolist()
         s = self.stencils[block]
         return _instantiate(s.expr, s.index, member)
-
-    def __eq__(self, other):
-        # equal stencils, as two calls of one builder give, without building rows
-        if not isinstance(other, StencilRows):
-            return NotImplemented
-        return len(self.stencils) == len(other.stencils) and all(
-            a.expr == b.expr and np.array_equal(a.rows, b.rows) and np.array_equal(a.index, b.index)
-            for a, b in zip(self.stencils, other.stencils))
 
 
 def _group(ode: Sequence[ex.Expr], alg: Sequence[ex.Expr], layout: Dict[str, int]) -> List[ShapeGroup]:
@@ -223,23 +215,6 @@ class DaeSystem:
         return np.array(self.y0z0, dtype=float)
 
 
-@dataclass(frozen=True, eq=False)
-class MethodResidual:
-    """Symbolic residual of one method in the uu unknowns, as shape groups.
-
-    There are ``n = stage_multiplier * N_t`` rows.  The step size appears as
-    the parameter ``h`` and the base state as parameters ``Y0_1..Y0_Nt``;
-    the sparsity structure is therefore independent of their numeric values.
-    CN's explicit half f_i(base state) is part of its row, an expression over
-    the ``Y0_k`` slots alone, so every row reads only uu, the base state, h
-    and the system parameters.  ``groups`` hold the rows by shape, their
-    text written with the system's ``DaeSystem.layout`` parameter slots.
-    """
-
-    groups: Tuple[ShapeGroup, ...]
-    n: int
-
-
 def _base(k: int) -> ex.Expr:
     return ex.Param(f"{BASE_PREFIX}{k}")
 
@@ -275,8 +250,18 @@ def _lower(kind: MethodKind, e: ex.Expr, i: int, ode: bool, leaves: List[int],
     return [ex.U(i) - h * at(lambda j: ex.mul(0.5, ex.U(j)))]
 
 
-def build_residual(sys: DaeSystem, kind: MethodKind) -> MethodResidual:
-    """Lower (f, g) into the method's residual rows in uu, once per source shape.
+def build_residual(sys: DaeSystem, kind: MethodKind) -> Tuple[ShapeGroup, ...]:
+    """Lower (f, g) into the method's residual rows in uu, once per source
+    shape, and return them as shape groups.
+
+    The groups number the rows 0..n-1 once each, n = N_t, or 2*N_t for RAD
+    (endpoint block, then interior-stage block), so n is the sum of their
+    row counts.  Their text reads the system's ``DaeSystem.layout``
+    parameter slots.  The step size is the parameter ``h`` and the base
+    state the parameters ``Y0_1..Y0_Nt``, so the structure does not depend
+    on their values.  CN's explicit half f_i(base state) sits inside its
+    row, as an expression over the ``Y0_k`` slots alone, so every row reads
+    only uu, the base state, h and the system parameters.
 
     Each of the system's shape groups of f's is split by which slot, if
     any, is the row's own unknown i.  Only the first member of each part is
@@ -320,17 +305,5 @@ def build_residual(sys: DaeSystem, kind: MethodKind) -> MethodResidual:
             f"algebraic equation {min(blind) - n_ode + 1} references no algebraic variable; "
             f"{kind.value} cannot project it at the step endpoint"
         )
-    return MethodResidual(groups=tuple(derived_groups(blocks, sys.layout)), n=kind.stage_multiplier * n_t)
+    return tuple(derived_groups(blocks, sys.layout))
 
-
-def state_update(y0: np.ndarray, uu: np.ndarray, kind: MethodKind) -> np.ndarray:
-    """Advance the state: Y1 = Y0 + uu (first block; RAD's interior stage
-    block is discarded)."""
-    y0 = np.asarray(y0, dtype=float)
-    uu = np.asarray(uu, dtype=float)
-    n_t = len(y0)
-    if len(uu) != kind.stage_multiplier * n_t:
-        raise ValueError(
-            f"uu length {len(uu)} != {kind.stage_multiplier} * state length {n_t}"
-        )
-    return y0 + uu[:n_t]

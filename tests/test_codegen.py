@@ -25,7 +25,7 @@ def is_vectorized(fn) -> bool:
 
 def compiled(exprs, layout=None):
     layout = {} if layout is None else layout
-    return CompiledResidual(group_shapes(exprs, layout), len(exprs), layout)
+    return CompiledResidual(group_shapes(exprs, layout), layout)
 
 
 def run(exprs, u, params=None):
@@ -174,18 +174,18 @@ def evaluate_against_oracle(sysn, kind, seed, vectorized=True):
     after checking that both are (or both are not) numpy statements.  The
     oracle differentiates every row on its own, per pattern entry."""
     rng = np.random.default_rng(seed)
-    mr = build_residual(sysn, kind)
-    res = CompiledResidual(mr.groups, mr.n, sysn.layout)
+    groups = build_residual(sysn, kind)
+    res = CompiledResidual(groups, sysn.layout)
     res.set_params(sysn.params)
     base = np.asarray(sysn.y0z0) + 0.05 * rng.standard_normal(sysn.n_total)
     h = 0.01
     res.set_base(base)
     res.set_h(h)
-    uu = 0.05 * rng.standard_normal(mr.n)
+    uu = 0.05 * rng.standard_normal(res.n)
     bindings = {"h": h, **sysn.params}
     bindings.update({f"Y0_{k}": v for k, v in enumerate(base, start=1)})
 
-    pat = detect_pattern(mr)
+    pat = detect_pattern(groups)
     asm = JacobianAssembler(pat, differentiate(pat), sysn.layout)
     a = asm.assemble(uu, res.b, h, res.p).to_dense()
     assert is_vectorized(asm._fn) == is_vectorized(res._fn) == vectorized
@@ -220,8 +220,7 @@ def test_scalar_lines_are_bit_identical_to_the_oracle(name, kind):
 
 def test_scalar_lines_read_each_entry_once():
     sysn = make_builtin("ex2")
-    mr = build_residual(sysn, MethodKind.EB)
-    source, _ = generated_source(mr.groups, mr.n)
+    source, _ = generated_source(build_residual(sysn, MethodKind.EB), sysn.n_total)
     # u_2 and Y0_2 appear three times each in the EB row of x'
     assert source.count("u[1]") == source.count("b[1]") == 1
     assert "    u_1 = u[1]\n" in source and "    b_1 = b[1]\n" in source
@@ -243,9 +242,9 @@ def test_cn_explicit_half_vectorizes():
     shapes = {}
     sysn = example5(8, 8)
     for kind in (MethodKind.EB, MethodKind.CN):
-        mr = build_residual(sysn, kind)
-        res = CompiledResidual(mr.groups, mr.n, sysn.layout)
-        shapes[kind] = [len(g.rows) for g in mr.groups]
+        groups = build_residual(sysn, kind)
+        res = CompiledResidual(groups, sysn.layout)
+        shapes[kind] = [len(g.rows) for g in groups]
     assert is_vectorized(res._fn)
     assert shapes[MethodKind.CN] == shapes[MethodKind.EB]
     assert min(shapes[MethodKind.CN]) >= _VECTOR_MIN_ROWS
@@ -259,11 +258,10 @@ BUILTINS = {"ex1": {}, "ex1pw": {}, "ex2": {}, "ex3": {}, "decay": {},
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_shape_pattern_and_csc_structure_match_the_rows(name, kind):
     sysn = make_builtin(name, **BUILTINS[name])
-    mr = build_residual(sysn, kind)
-    pat = detect_pattern(mr)
+    pat = detect_pattern(build_residual(sysn, kind))
     assert pat.rows == tuple(tuple(ex.free_unknowns(r)) for r in reference_rows(sysn, kind))
     asm = JacobianAssembler(pat, differentiate(pat), sysn.layout)
     support = sorted((k - 1, i) for i, cols in enumerate(pat.rows) for k in cols)
     assert asm.matrix.rowind.tolist() == [row for _, row in support]
-    counts = np.bincount([col for col, _ in support], minlength=mr.n)
+    counts = np.bincount([col for col, _ in support], minlength=pat.n)
     assert asm.matrix.indptr.tolist() == [0] + np.cumsum(counts).tolist()

@@ -16,16 +16,14 @@ from sparsedae.system import DaeSystem, MethodKind, build_residual
 
 
 def test_pattern_simple_dae_backward_euler():
-    mr = build_residual(example1(), MethodKind.EB)
-    pat = detect_pattern(mr)
+    pat = detect_pattern(build_residual(example1(), MethodKind.EB))
     assert pat.n == 2
     assert pat.rows == ((1, 2), (1, 2))
     assert pat.nnz == 4
 
 
 def ex1_eb_assembler():
-    mr = build_residual(example1(), MethodKind.EB)
-    pat = detect_pattern(mr)
+    pat = detect_pattern(build_residual(example1(), MethodKind.EB))
     return JacobianAssembler(pat, differentiate(pat), {})
 
 
@@ -48,8 +46,7 @@ def test_pattern_is_h_and_state_independent():
 def test_banded_pattern_of_tridiagonal_discretization():
     n = 8
     sysn = example4(n)
-    mr = build_residual(sysn, MethodKind.EB)
-    pat = detect_pattern(mr)
+    pat = detect_pattern(build_residual(sysn, MethodKind.EB))
     # interior stencil rows touch at most 4 unknowns; nnz grows linearly
     for r in range(2, n):  # interior ODE rows
         assert len(pat.rows[r - 1]) <= 4
@@ -64,9 +61,9 @@ def test_empty_row_rejected():
         var_names=("a", "b"),
         y0z0=(1.0, 0.0),
     )
-    mr = build_residual(bad, MethodKind.EB)
+    groups = build_residual(bad, MethodKind.EB)
     with pytest.raises(EmptyRow):
-        detect_pattern(mr)
+        detect_pattern(groups)
     # no row touches an unknown
     none = DaeSystem(ode_rhs=(), alg_residual=(ex.Const(1.0),), var_names=("a",), y0z0=(0.0,))
     with pytest.raises(EmptyRow):
@@ -94,8 +91,7 @@ def test_derivatives_match_finite_differences():
 
 
 def test_assembler_reuses_structure_buffers():
-    mr = build_residual(example1(), MethodKind.IMPTRAP)
-    pat = detect_pattern(mr)
+    pat = detect_pattern(build_residual(example1(), MethodKind.IMPTRAP))
     blocks = differentiate(pat)
     asm = JacobianAssembler(pat, blocks, {})
     b = np.array([0.0, 1.0])
@@ -113,8 +109,7 @@ def test_assembler_reuses_structure_buffers():
 def test_nonfinite_jacobian_raises_nonfinite_residual():
     # d/dy of ln(y) is 1/y: at y = 0 the EB entry 1 - h/y is not finite
     sysd = DaeSystem(ode_rhs=(ex.ln(ex.U(1)),), alg_residual=(), var_names=("y",), y0z0=(0.0,))
-    mr = build_residual(sysd, MethodKind.EB)
-    pat = detect_pattern(mr)
+    pat = detect_pattern(build_residual(sysd, MethodKind.EB))
     asm = JacobianAssembler(pat, differentiate(pat), {})
     with np.errstate(all="ignore"), pytest.raises(NonFiniteResidual, match="row 1, col 1"):
         asm.assemble(np.zeros(1), np.zeros(1), 0.1, np.zeros(0))

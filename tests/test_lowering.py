@@ -15,14 +15,15 @@ from sparsedae import expr as ex
 from sparsedae.codegen import CompiledResidual, group_shapes
 from sparsedae.jacobian import JacobianAssembler, detect_pattern, differentiate
 from sparsedae.problems import example5, example6, make_builtin
-from sparsedae.system import DaeSystem, MethodKind, MethodResidual, build_residual
+from sparsedae.system import DaeSystem, MethodKind, build_residual
 
 from lowering_reference import reference_rows
 
 
-def compiled(sysn: DaeSystem, mr: MethodResidual, monkeypatch, rng):
-    """The generated residual and Jacobian source, the CSC structure, and
-    the residual and Jacobian values at a random point."""
+def compiled(sysn: DaeSystem, groups, monkeypatch, rng):
+    """The generated residual and Jacobian source of the method residual
+    ``groups``, the CSC structure, and the residual and Jacobian values at
+    a random point."""
     sources = []
 
     def recording_compile(source, filename, mode):
@@ -30,14 +31,14 @@ def compiled(sysn: DaeSystem, mr: MethodResidual, monkeypatch, rng):
         return compile(source, filename, mode)
 
     monkeypatch.setattr(codegen, "compile", recording_compile, raising=False)
-    res = CompiledResidual(mr.groups, mr.n, sysn.layout)
-    pat = detect_pattern(mr)
+    res = CompiledResidual(groups, sysn.layout)
+    pat = detect_pattern(groups)
     asm = JacobianAssembler(pat, differentiate(pat), sysn.layout)
     monkeypatch.undo()
     res.set_params(sysn.params)
     res.set_base(np.asarray(sysn.y0z0) + 0.05 * rng.standard_normal(sysn.n_total))
     res.set_h(0.01)
-    uu = 0.05 * rng.standard_normal(mr.n)
+    uu = 0.05 * rng.standard_normal(res.n)
     r = res.evaluate(uu).copy()
     values = asm.assemble(uu, res.b, res.h, res.p).values.copy()
     return sources, asm.matrix.indptr, asm.matrix.rowind, r, values
@@ -66,15 +67,14 @@ SYSTEMS["alg-own-index"] = lambda: DaeSystem(
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_lowering_per_shape_matches_the_per_row_reference(name, kind, monkeypatch):
     sysn = SYSTEMS[name]()
-    mr = build_residual(sysn, kind)
-    ref_rows = reference_rows(sysn, kind)
-    ref = MethodResidual(groups=tuple(group_shapes(ref_rows, sysn.layout)), n=len(ref_rows))
-    for got, want in zip(mr.groups, ref.groups):
+    groups = build_residual(sysn, kind)
+    ref = tuple(group_shapes(reference_rows(sysn, kind), sysn.layout))
+    for got, want in zip(groups, ref):
         assert (got.text, got.expr, got.names) == (want.text, want.expr, want.names)
         assert np.array_equal(got.rows, want.rows) and np.array_equal(got.index, want.index)
-    assert len(mr.groups) == len(ref.groups)
+    assert len(groups) == len(ref)
 
-    got = compiled(sysn, mr, monkeypatch, np.random.default_rng(3))
+    got = compiled(sysn, groups, monkeypatch, np.random.default_rng(3))
     want = compiled(sysn, ref, monkeypatch, np.random.default_rng(3))
     assert got[0] == want[0] and len(got[0]) == 2
     for a, b in zip(got[1:], want[1:]):
@@ -87,5 +87,5 @@ def test_own_slot_splits_one_source_shape():
     sysn = SYSTEMS["own-slot-differs"]()
     assert len(group_shapes(sysn.ode_rhs, sysn.layout)) == 1
     for kind in MethodKind:
-        mr = build_residual(sysn, kind)
-        assert [g.rows.tolist() for g in mr.groups][:2] == [[0], [1]]
+        groups = build_residual(sysn, kind)
+        assert [g.rows.tolist() for g in groups][:2] == [[0], [1]]

@@ -8,14 +8,14 @@ from sparsedae import newton as newton_mod
 from sparsedae.codegen import CompiledResidual, group_shapes
 from sparsedae.errors import NonFiniteResidual
 from sparsedae.linalg import factorize, solve
-from sparsedae.newton import NewtonOutcome, default_ctol, newton_solve
+from sparsedae.newton import NewtonOutcome, newton_solve
 
 from matrix_helpers import from_dense
 
 
 def make_residual(exprs, params=None):
     layout = {name: k for k, name in enumerate(sorted(params or {}))}
-    res = CompiledResidual(group_shapes(exprs, layout), len(exprs), layout)
+    res = CompiledResidual(group_shapes(exprs, layout), layout)
     res.set_params(params or {})
     return res
 
@@ -76,7 +76,8 @@ def test_early_exit_on_small_correction():
 def test_nonfinite_residual_raises():
     res = make_residual([ex.ln(ex.U(1))])
     f = factorize(from_dense(np.array([[1.0]])))
-    with pytest.raises(NonFiniteResidual):
+    # outside the integrators' errstate numpy warns of the log's domain error
+    with pytest.raises(NonFiniteResidual), pytest.warns(RuntimeWarning):
         newton_solve(res, f, np.array([-0.5]), max_iter=5, ctol=1e-10)
 
 
@@ -153,12 +154,6 @@ def test_uu0_length_validated():
     f = factorize(from_dense(np.array([[1.0]])))
     with pytest.raises(ValueError):
         newton_solve(res, f, np.zeros(2), max_iter=5, ctol=1e-10)
-
-
-def test_default_ctol():
-    assert default_ctol(1e-6) == pytest.approx(1e-8)
-    with pytest.raises(ValueError):
-        default_ctol(0.0)
 
 
 def test_parameters_enter_through_bindings():

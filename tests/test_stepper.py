@@ -120,8 +120,10 @@ def test_nonfinite_step_reports_infinite_error():
     st = Stepper(sysd, SolverOptions(tf=1.0, atol=1e-6, method=MethodKind.EB,
                                      hinit=1e-3, iter=50))
     state, f = st.initialize()
-    # a huge step drives the iterate negative and ln out of its domain
-    out = st.attempt_step(np.array([0.5]), 1.0, f)
+    # a huge step drives the iterate negative and ln out of its domain;
+    # outside the integrators' errstate numpy warns of it
+    with pytest.warns(RuntimeWarning):
+        out = st.attempt_step(np.array([0.5]), 1.0, f)
     assert out.err == math.inf and out.state is None and not out.unconverged
 
 
@@ -380,8 +382,9 @@ def test_adaptive_half_steps_start_from_the_full_step(monkeypatch, kind):
     whole = [a for a in attempts(log) if len(a) == 3]
     assert len(whole) >= traj.accepted
     n = st.system.n_total
+    assert st.n == (2 if kind is MethodKind.RAD else 1) * n
     for (z, uu_h), (p1, uu_1), (p2, _) in whole:
-        assert len(z) == kind.stage_multiplier * n and not z.any()
+        assert len(z) == st.n and not z.any()
         assert np.array_equal(p1, 0.5 * uu_h)
         assert np.array_equal(p2, uu_h - uu_1)
     if kind is MethodKind.RAD:
@@ -431,6 +434,28 @@ def test_fixed_step_driver():
     with pytest.raises(ValueError):
         integrate_fixed(decay(), SolverOptions(tf=1.0, atol=1e-8, fixed_h=0.3,
                                                hinit=0.3, hmax=0.5))
+
+
+@pytest.mark.parametrize("kind", [MethodKind.IMPTRAP, MethodKind.EB], ids=lambda k: k.name)
+def test_fixed_step_counts_the_steps_kept_with_an_unconverged_solve(kind):
+    # Van der Pol at h = 0.1 with 5 iterations: 205 (IMPTRAP) and 247 (EB)
+    # of the 300 step solves stop unconverged, at least one in every step;
+    # the driver keeps each step and counts it
+    traj = integrate_fixed(example2(), SolverOptions(tf=10.0, fixed_h=0.1, method=kind))
+    assert traj.status is Status.SUCCESS
+    assert traj.accepted == traj.conv_fails == 100
+    assert traj.rejected == traj.err_fails == 0
+
+
+def test_fixed_step_order_runs_converge_every_solve():
+    # criterion 04's runs: 18,032 Newton solves, none unconverged
+    for kind in MethodKind:
+        for extrapolate in (False, True):
+            for h in (0.02, 0.01, 0.005, 0.0025):
+                traj = integrate_fixed(example1(), SolverOptions(
+                    tf=1.0, atol=1e-12, hinit=h, hmax=1.0, fixed_h=h,
+                    ntot=2000, iter=12, method=kind, extrapolate=extrapolate))
+                assert traj.conv_fails == 0, (kind, extrapolate, h)
 
 
 def test_integrate_honours_fixed_h():

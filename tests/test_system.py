@@ -1,5 +1,6 @@
 """Method residual construction and the increment formulation."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -10,17 +11,10 @@ from sparsedae import expr as ex
 from sparsedae import system
 from sparsedae.codegen import CompiledResidual, group_shapes
 from sparsedae.errors import UnsupportedSystem
-from sparsedae.problems import example6
+from sparsedae.jacobian import JacobianAssembler, detect_pattern, differentiate
+from sparsedae.problems import BUILTINS, example6, make_builtin
 from sparsedae.stepper import SolverOptions, Stepper
-from sparsedae.system import (
-    DaeSystem,
-    MethodKind,
-    MethodResidual,
-    Stencil,
-    StencilRows,
-    build_residual,
-    state_update,
-)
+from sparsedae.system import DaeSystem, MethodKind, Stencil, StencilRows, build_residual
 
 from expr_reference import free_params
 
@@ -57,10 +51,11 @@ def test_reserved_parameter_names_rejected(name):
         )
 
 
-def eval_rows(mr: MethodResidual, uu, y0, h):
-    """The rows at (uu, y0, h), evaluated by the compiled residual that
-    Newton reads (the systems here have no parameters)."""
-    res = CompiledResidual(mr.groups, mr.n, {})
+def eval_rows(groups, uu, y0, h):
+    """The method residual ``groups``' rows at (uu, y0, h), evaluated by the
+    compiled residual that Newton reads (the systems here have no
+    parameters)."""
+    res = CompiledResidual(groups, {})
     res.set_base(np.asarray(y0, dtype=float))
     res.set_h(h)
     return res.evaluate(np.asarray(uu, dtype=float)).tolist()
@@ -68,15 +63,49 @@ def eval_rows(mr: MethodResidual, uu, y0, h):
 
 def test_method_properties():
     assert [k.order for k in MethodKind] == [1, 2, 2, 3]
-    assert [k.stage_multiplier for k in MethodKind] == [1, 1, 1, 2]
 
 
-def test_row_counts():
-    sysd = simple_dae()
-    for kind in MethodKind:
-        mr = build_residual(sysd, kind)
-        assert mr.n == kind.stage_multiplier * 2
-        assert sorted(i for g in mr.groups for i in g.rows.tolist()) == list(range(mr.n))
+# the grids the built-ins are checked at, and the SHA-256 of each built-in's
+# generated residual and Jacobian source there, over the methods in
+# MethodKind order: a change that alters a generated line must update them
+SMALL = {"ex4": dict(n=4), "ex5": dict(n=4, m=5), "ex6": dict(n=4, m=8)}
+SOURCE_SHA256 = {
+    "ex1": "d928f27bbd1a38f6cb4501593c0bdd6c0a1c723d4f802f6326455c717838ade0",
+    "ex1pw": "6103ca2ab8cf5f7725e8397a91bdc8ef1fae3b3e99e48b3862b8bb3cd6ac1b1f",
+    "ex2": "ea1c43a416adb3e3d2f47670f01936de9455980691ddc99bb3b2c085383a087c",
+    "ex3": "5d25a562573bd5d77a24fa6ee14dc1fbf932aa3ed9740da0ee186c781191a7f7",
+    "ex4": "61edf264026da355d9e38f4dc38570a9fca2c87d5734b94e7d51135e05794ce5",
+    "ex5": "73871d14cef1753922edb1268fc28a5c5490499a917ab40d93fcb7ea4c8ef621",
+    "ex6": "a2705baad45c8aeeff5719779cb4831e1620e1121eaa33d0df9797db0ac63b99",
+    "decay": "b1cbaf4e3a1c2f092534cc8141a0a692d572a00c77a4d32f6147f24e78f2f96c",
+}
+
+
+def test_row_counts(monkeypatch):
+    # the method residual is its shape groups: they number the rows 0..n-1
+    # once each, n = N_t (2*N_t for RAD), and the compiled residual and the
+    # pattern read n off them
+    sources = []
+    generated = codegen.generated_source
+
+    def recording(*args):
+        source, ns = generated(*args)
+        sources.append(source)
+        return source, ns
+
+    monkeypatch.setattr(codegen, "generated_source", recording)
+    for name in ["simple_dae", *BUILTINS]:
+        sysn = simple_dae() if name == "simple_dae" else make_builtin(name, **SMALL.get(name, {}))
+        sources.clear()
+        for kind in MethodKind:
+            groups = build_residual(sysn, kind)
+            n = (2 if kind is MethodKind.RAD else 1) * sysn.n_total
+            assert sorted(i for g in groups for i in g.rows.tolist()) == list(range(n)), (name, kind)
+            pat = detect_pattern(groups)
+            assert CompiledResidual(groups, sysn.layout).n == pat.n == n
+            JacobianAssembler(pat, differentiate(pat), sysn.layout)
+        if name in SOURCE_SHA256:
+            assert hashlib.sha256("".join(sources).encode()).hexdigest() == SOURCE_SHA256[name], name
 
 
 def test_h_zero_root_moves_only_algebraic():
@@ -84,22 +113,19 @@ def test_h_zero_root_moves_only_algebraic():
     sysd = simple_dae()
     y0 = [0.6, 0.8]
     for kind in MethodKind:
-        mr = build_residual(sysd, kind)
-        uu = [0.0] * (kind.stage_multiplier * 2)
-        assert eval_rows(mr, uu, y0, 0.0) == pytest.approx([0.0] * len(uu))
+        uu = [0.0] * (4 if kind is MethodKind.RAD else 2)
+        assert eval_rows(build_residual(sysd, kind), uu, y0, 0.0) == pytest.approx([0.0] * len(uu))
 
 
 def test_backward_euler_rows_by_hand():
     # row 1: uu1 - h*(uu2 + z0); row 2: (uu1+y0)^2 + (uu2+z0)^2 - 1
-    mr = build_residual(simple_dae(), MethodKind.EB)
-    got = eval_rows(mr, [0.1, -0.2], [0.0, 1.0], 0.5)
+    got = eval_rows(build_residual(simple_dae(), MethodKind.EB), [0.1, -0.2], [0.0, 1.0], 0.5)
     assert got[0] == pytest.approx(0.1 - 0.5 * 0.8)
     assert got[1] == pytest.approx(0.1 ** 2 + 0.8 ** 2 - 1.0)
 
 
 def test_midpoint_ode_row_uses_half_increment():
-    mr = build_residual(simple_dae(), MethodKind.IMPTRAP)
-    got = eval_rows(mr, [0.1, -0.2], [0.0, 1.0], 0.5)
+    got = eval_rows(build_residual(simple_dae(), MethodKind.IMPTRAP), [0.1, -0.2], [0.0, 1.0], 0.5)
     # f at uu/2 + Y0: z = -0.1 + 1.0
     assert got[0] == pytest.approx(0.1 - 0.5 * 0.9)
     # constraint is projected at the endpoint, not the midpoint
@@ -108,33 +134,23 @@ def test_midpoint_ode_row_uses_half_increment():
 
 def test_cn_explicit_term_reads_the_base_state():
     # row 1: uu1 - h/2*f(uu + Y0) - h/2*f(Y0) with f = z: z0 - 0.2 and z0
-    mr = build_residual(simple_dae(), MethodKind.CN)
-    first = next(g.expr for g in mr.groups if g.rows[0] == 0)
+    groups = build_residual(simple_dae(), MethodKind.CN)
+    first = next(g.expr for g in groups if g.rows[0] == 0)
     assert free_params(first) == {"h", "Y0_2"}
-    got = eval_rows(mr, [0.1, -0.2], [0.0, 1.0], 0.5)
+    got = eval_rows(groups, [0.1, -0.2], [0.0, 1.0], 0.5)
     assert got[0] == pytest.approx(0.1 - 0.25 * 0.8 - 0.25 * 1.0)
 
 
 def test_two_stage_rows_by_hand():
-    mr = build_residual(ode_only(), MethodKind.RAD)
-    assert mr.n == 2
     uu = [0.2, -0.1]
     y0 = [1.0]
     h = 0.3
-    got = eval_rows(mr, uu, y0, h)
+    got = eval_rows(build_residual(ode_only(), MethodKind.RAD), uu, y0, h)
+    assert len(got) == 2
     # endpoint block: 5/2 uu1 - 9/2 uu2 - h*f(uu1 + y0)
     assert got[0] == pytest.approx(2.5 * 0.2 - 4.5 * (-0.1) - h * (-(0.2 + 1.0)))
     # interior block: 1/2 uu1 + 3/2 uu2 - h*f(uu2 + y0)
     assert got[1] == pytest.approx(0.5 * 0.2 + 1.5 * (-0.1) - h * (-(-0.1 + 1.0)))
-
-
-def test_state_update_takes_first_block():
-    y0 = np.array([1.0, 2.0])
-    assert state_update(y0, np.array([0.1, 0.2]), MethodKind.EB) == pytest.approx([1.1, 2.2])
-    got = state_update(y0, np.array([0.1, 0.2, 9.0, 9.0]), MethodKind.RAD)
-    assert got == pytest.approx([1.1, 2.2])
-    with pytest.raises(ValueError):
-        state_update(y0, np.array([0.1]), MethodKind.EB)
 
 
 def test_endpoint_projection_needs_algebraic_reference():
@@ -200,8 +216,6 @@ def test_stencil_rows_are_built_from_the_template_when_read():
     assert rows[-1] == rows[2]
     with pytest.raises(IndexError):
         rows[3]
-    assert rows == StencilRows([stencil([[0, 1], [1, 2], [2, 0]])])
-    assert rows != StencilRows([stencil([[0, 1], [1, 2], [2, 1]])])
 
 
 @pytest.mark.parametrize("index, row", [
