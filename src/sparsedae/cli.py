@@ -30,7 +30,7 @@ from .jacobian import detect_pattern
 from .linalg import write_pattern
 from .problemfile import load_problem, numbered_lines, read_assignments
 from .problems import BUILTINS, ORACLES, builtin_keywords, make_builtin, probe
-from .stepper import SolverOptions, Status, integrate, integrate_fixed
+from .stepper import SolverOptions, Status, integrate
 from .system import MethodKind, build_residual
 
 
@@ -150,6 +150,9 @@ def cmd_solve(args) -> int:
 
     _write_output(args, write, default_out="solution.csv")
     print(traj.message, file=sys.stderr)
+    if options.fixed_h is not None and traj.conv_fails:
+        print(f"kept {traj.conv_fails} of {traj.accepted} fixed steps with an unconverged "
+              "Newton solve (raise --iter)", file=sys.stderr)
     return 0 if traj.status is Status.SUCCESS else 2
 
 
@@ -212,7 +215,7 @@ def cmd_orders(args) -> int:
                 )
                 # SolverOptions has validated h as fixed_h, so tf / h is finite
                 opt.ntot = max(options.ntot, round(options.tf / h) + 10)
-                traj = integrate_fixed(sys_, opt)
+                traj = integrate(sys_, opt)
                 if traj.status is not Status.SUCCESS:
                     raise SparseDaeError(f"{method.value} h={h:g}: integration stopped: {traj.message}")
                 exact = oracle(options.tf)

@@ -110,6 +110,7 @@ class Factorization:
     _splu: Optional[object] = None
     perturbed: bool = False
     _row_scale: Optional[np.ndarray] = None
+    lus: int = 1   # the LUs factorize ran: 2 after its eps*I retry
 
 
 def factorize(a: SparseMatrix, perturb: bool = False) -> Factorization:
@@ -127,10 +128,10 @@ def factorize(a: SparseMatrix, perturb: bool = False) -> Factorization:
     more with eps*I added, eps = 1e-12*max(max|M|, 1).  The retry exists for
     algebraically degenerate but consistently-posed systems (pure-Neumann
     potential blocks whose Newton right-hand side is zero); a Factorization
-    built that way is flagged ``perturbed``.  SingularMatrix is raised only
-    when the retry hits an exactly zero pivot too.  Given ``perturb``, eps*I
-    is added from the first try, so a matrix known to need it is factored
-    once.
+    built that way is flagged ``perturbed`` and counts ``lus`` = 2.
+    SingularMatrix is raised only when the retry hits an exactly zero pivot
+    too.  Given ``perturb``, eps*I is added from the first try, so a matrix
+    known to need it is factored once, with ``lus`` = 1.
     """
     dense = a.n <= _DENSE_MAX
     if dense:
@@ -144,7 +145,7 @@ def factorize(a: SparseMatrix, perturb: bool = False) -> Factorization:
         rmax[rmax == 0.0] = 1.0
         r = 1.0 / np.maximum(rmax, np.finfo(float).tiny)
         m = scipy.sparse.csc_matrix((a.values * r[a.rowind], a.rowind, a.indptr), shape=(a.n, a.n))
-    for perturbed in (True,) if perturb else (False, True):
+    for lus, perturbed in enumerate((True,) if perturb else (False, True), 1):
         if perturbed:
             eye = np.eye(a.n) if dense else scipy.sparse.identity(a.n, format="csc")
             m = m + 1e-12 * max(abs(m).max(), 1.0) * eye
@@ -153,11 +154,11 @@ def factorize(a: SparseMatrix, perturb: bool = False) -> Factorization:
             # exactly zero pivot; info > 0 is that pivot's 1-based column
             lu, piv, column = scipy.linalg.lapack.dgetrf(m)
             if column == 0:
-                return Factorization(n=a.n, _dense=(lu, piv), perturbed=perturbed)
+                return Factorization(n=a.n, _dense=(lu, piv), perturbed=perturbed, lus=lus)
             detail = ""
         else:
             try:
-                return Factorization(n=a.n, _splu=_superlu(m), perturbed=perturbed, _row_scale=r)
+                return Factorization(n=a.n, _splu=_superlu(m), perturbed=perturbed, _row_scale=r, lus=lus)
             except RuntimeError as err:
                 if "singular" not in str(err).lower():
                     raise

@@ -32,11 +32,11 @@ The fixed-step driver refactorizes every step and keeps Newton's absolute
 test alone, because order verification needs Newton's error far below the
 Richardson error.  It keeps a step whose Newton solves ran out of
 iterations, and counts it in ``Trajectory.conv_fails``.  Both drivers share
-one refresh (``_refresh``), the one place where Jacobian refreshes and LUs
-are counted, and one step (``attempt_step``).  ``integrate`` picks the
-driver: fixed-step when ``SolverOptions.fixed_h`` is set, adaptive
-otherwise.  ``fixed_h`` is validated when ``SolverOptions`` is built.  The
-error test's rtol is fixed at 10*atol and is not an option.
+one refresh (``_refresh``), which counts Jacobian refreshes and adds up
+each LU's ``Factorization.lus``, and one step (``attempt_step``).
+``Stepper.integrate`` picks the driver: fixed-step when
+``SolverOptions.fixed_h`` is set, adaptive otherwise.  The error test's
+rtol is fixed at 10*atol and is not an option.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ class SolverOptions:
     """Integration controls.  Unset hinit/hmax take the suggested defaults
     hinit = max(min(1e-6, tf*atol), 1e-12*tf), capped at hmax, and
     hmax = tf/20.  ``fixed_h``, when set, must divide tf into whole steps,
-    and selects the fixed-step driver in ``integrate``.  The error test's
-    rtol is 10*atol, not an option."""
+    and selects the fixed-step driver.  The error test's rtol is 10*atol,
+    not an option."""
 
     tf: float
     atol: float = 1e-6
@@ -129,12 +129,8 @@ class Trajectory:
 
     Counters cover the time-stepping loop; the factorization used by
     consistent initialization is reported separately in ``init_lu``.  Both
-    count LU factorizations actually computed: a refresh whose Jacobian is
-    not finite adds none, and an eps*I retry after an exactly zero pivot,
-    at initialization too, adds a second one.  Once a refresh has needed
-    the retry, later refreshes add eps*I from the first try and count one
-    each, so a Jacobian singular at every step gives
-    ``lu_count == jac_updates + 1``.  ``conv_fails`` counts attempts with
+    add up each computed LU's ``Factorization.lus``; a refresh whose
+    Jacobian is not finite adds none.  ``conv_fails`` counts attempts with
     an unconverged Newton solve: in the adaptive driver those abandoned,
     retried or rejected; in the fixed-step driver, which keeps every
     finite step, those kept with one.  ``err_fails`` counts the rejections
@@ -250,8 +246,7 @@ class Stepper:
     def __init__(self, sys: DaeSystem, options: SolverOptions):
         self.system = sys
         self.options = options
-        self.kind = options.method
-        groups = build_residual(sys, self.kind)
+        groups = build_residual(sys, options.method)
         # the residual's shape groups are compiled and reused by the pattern,
         # the derivatives and the Jacobian code
         self.res = CompiledResidual(groups, sys.layout)
@@ -279,16 +274,16 @@ class Stepper:
         return factorize(self.assembler.assemble(self._uu0, base, h, self.res.p), perturb)
 
     def _refresh(self, base: np.ndarray, h: float, traj: Trajectory) -> Optional[Factorization]:
-        """``_factorize``, counted in ``traj``: one Jacobian update and one LU,
-        or two when the eps*I retry ran.  Once it has run, every later
-        refresh adds eps*I from the first try.  None, counting nothing, when
-        the Jacobian is not finite."""
+        """``_factorize``, counted in ``traj``: one Jacobian update and the
+        LU's ``lus``.  Once the eps*I retry has run, every later refresh adds
+        eps*I from the first try.  None, counting nothing, when the Jacobian
+        is not finite."""
         try:
             f = self._factorize(base, h, self._perturb)
         except NonFiniteResidual:
             return None
         traj.jac_updates += 1
-        traj.lu_count += 1 + (f.perturbed and not self._perturb)
+        traj.lu_count += f.lus
         self._perturb = f.perturbed
         return f
 
@@ -345,7 +340,7 @@ class Stepper:
             return Attempt()
         except _Unconverged:
             return Attempt(unconverged=True)
-        p = self.kind.order
+        p = opt.method.order
         y_err = (y_h2 - y_h) / (2 ** p - 1)
         err = error_norm(y_err, y_h2, opt.atol, 10.0 * opt.atol, opt.err_denominator)
         return Attempt(richardson(y_h, y_h2, p, opt.extrapolate), err,
@@ -355,7 +350,7 @@ class Stepper:
     def _start(self) -> Tuple[np.ndarray, Trajectory]:
         """The consistent initial state and a Trajectory holding it at t=0."""
         state, f = self.initialize()
-        traj = Trajectory(var_names=self.system.var_names, init_lu=1 + f.perturbed)
+        traj = Trajectory(var_names=self.system.var_names, init_lu=f.lus)
         traj.record(0.0, state)
         return state, traj
 
@@ -363,9 +358,12 @@ class Stepper:
 
     @np.errstate(all="ignore")
     def integrate(self) -> Trajectory:
+        """The run to options.tf: fixed-step given options.fixed_h, else adaptive."""
+        if self.options.fixed_h is not None:
+            return self._integrate_fixed()
         opt = self.options
         state, traj = self._start()
-        p = self.kind.order
+        p = opt.method.order
         rate_tol = _RATE_TOL * opt.atol
         h_floor = max(_H_FLOOR * opt.tf, 1e-3 * opt.hinit)
         # a step that would end within h_floor of tf lands on tf: the rest
@@ -412,16 +410,13 @@ class Stepper:
                 frozen = None
         return traj
 
-    @np.errstate(all="ignore")
-    def integrate_fixed(self) -> Trajectory:
-        """Fixed-step mode for order verification: Jacobian refreshed every
-        step, extrapolation per options.  Stops with TOO_MANY_STEPS after
-        ``ntot`` steps, as ``integrate`` does, and with STEP_UNDERFLOW, one
-        step rejected, when a step leaves the domain, since h cannot shrink."""
+    def _integrate_fixed(self) -> Trajectory:
+        """``integrate``'s fixed-step mode, for order verification: Jacobian
+        refreshed every step, extrapolation per options.  Stops with
+        TOO_MANY_STEPS after ``ntot`` steps, as the adaptive mode does, and
+        with STEP_UNDERFLOW, one step rejected, when a step leaves the domain."""
         opt = self.options
         h = opt.fixed_h
-        if h is None:
-            raise ValueError("fixed_h must be set")
         nsteps = round(opt.tf / h)
         state, traj = self._start()
         for k in range(nsteps):
@@ -442,12 +437,12 @@ class Stepper:
 
 
 def integrate(sys: DaeSystem, options: SolverOptions) -> Trajectory:
-    """Integration of ``sys`` from t=0 to options.tf: fixed-step when
-    options.fixed_h is set, adaptive otherwise."""
-    st = Stepper(sys, options)
-    return st.integrate() if options.fixed_h is None else st.integrate_fixed()
+    """``Stepper(sys, options).integrate()``."""
+    return Stepper(sys, options).integrate()
 
 
 def integrate_fixed(sys: DaeSystem, options: SolverOptions) -> Trajectory:
-    """Fixed-step integration (options.fixed_h) for convergence studies."""
-    return Stepper(sys, options).integrate_fixed()
+    """``integrate`` for convergence studies; ValueError unless fixed_h is set."""
+    if options.fixed_h is None:
+        raise ValueError("fixed_h must be set")
+    return Stepper(sys, options).integrate()

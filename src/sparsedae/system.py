@@ -17,18 +17,18 @@ the algebraic components.
 
 The f's and g's are grouped by shape once, when the system is constructed
 and validated.  Hand-written rows, given as tuples (problem files, the small
-built-ins, tests), are walked one by one by ``codegen.group_shapes``.  The
-grid built-ins give ``StencilRows`` instead: one template row per stencil
-class over index tables, merged into shape groups by
-``codegen.derived_groups`` without building a row; a row is built only when
-it is read.  Lowering runs once per source shape, not once per row.  Each
+built-ins, tests), are walked by ``codegen.group_shapes``.  The grid
+built-ins give ``StencilRows`` instead: one template row per stencil class
+over index tables, so a row is built only when it is read.  Both kinds
+become blocks of one ``codegen.derived_groups`` call, which merges them into
+shape groups.  Lowering runs once per source shape, not once per row.  Each
 method maps a leaf of the source equation to a fixed expression in that
-leaf's unknown and base-state slot, and adds the row's own unknown to an
-ODE row, so a lowered row's shape follows from its source shape, the
-method, and which slot, if any, names the row's own unknown.  Only the
-first row of each such part is lowered; ``codegen.derived_groups``
-instantiates it for the others by picking columns of the source table, the
-same path that instantiates the Jacobian's derivatives.
+leaf's unknown and base-state slot, and adds the row's own unknown to an ODE
+row, so a lowered row's shape follows from its source shape, the method, and
+which slot, if any, names the row's own unknown.  Only the first row of each
+such part is lowered; ``codegen.derived_groups`` instantiates it for the
+others by picking columns of the source table, the same path that
+instantiates the Jacobian's derivatives.
 """
 
 from __future__ import annotations
@@ -128,17 +128,18 @@ class StencilRows(Sequence):
 
 
 def _group(ode: Sequence[ex.Expr], alg: Sequence[ex.Expr], layout: Dict[str, int]) -> List[ShapeGroup]:
-    """The shape groups of ``ode + alg``: row tuples walked row by row, stencil
-    rows merged from their templates."""
-    if not isinstance(ode, StencilRows) and not isinstance(alg, StencilRows):
-        return group_shapes(tuple(ode) + tuple(alg), layout)
-    blocks = []
+    """The shape groups of ``ode + alg``: stencil rows from their templates and
+    the other rows walked in one ``group_shapes`` call, merged by ``derived_groups``."""
+    blocks, walked = [], ()
     for rows, offset in ((ode, 0), (alg, len(ode))):
-        if not isinstance(rows, StencilRows):
-            if len(rows):
-                raise ValueError("ode_rhs and alg_residual must both be stencil rows when either is")
-            continue
-        blocks += [(("u",) * s.index.shape[1], s.index, s.expr, s.rows + offset) for s in rows.stencils]
+        if isinstance(rows, StencilRows):
+            blocks += [(("u",) * s.index.shape[1], s.index, s.expr, s.rows + offset) for s in rows.stencils]
+        else:
+            walked += tuple(rows)
+    if walked:
+        # the walked rows are one run: both parts, or the one not given as stencils
+        start = len(ode) if isinstance(ode, StencilRows) else 0
+        blocks += [(g.names, g.index, g.expr, g.rows + start) for g in group_shapes(walked, layout)]
     return derived_groups(blocks, layout)
 
 
@@ -146,8 +147,8 @@ def _group(ode: Sequence[ex.Expr], alg: Sequence[ex.Expr], layout: Dict[str, int
 class DaeSystem:
     """Ordered ODE + algebraic residual equations over one state vector.
 
-    ode_rhs[i] is f_i, alg_residual[j] is g_j (equation g_j = 0), given
-    both as tuples of rows or both as ``StencilRows``.  Both may
+    ode_rhs[i] is f_i, alg_residual[j] is g_j (equation g_j = 0), each
+    given as a tuple of rows or as ``StencilRows``.  Both may
     reference any state index 1..N_t and declared parameter names.  y0z0
     holds initial values for ODE variables and initial *guesses* for
     algebraic ones.  Parameter names may not be ``h`` or start with

@@ -58,6 +58,20 @@ def test_solve_writes_csv_file(capsys, tmp_path):
     assert "# accepted=" in text
 
 
+@pytest.mark.parametrize("flags, kept", [
+    (("--fixed-h", "0.1"), "kept 100 of 100 fixed steps with an unconverged Newton solve (raise --iter)"),
+    (("--fixed-h", "0.1", "--iter", "12"), None),   # every solve converges
+    ((), None),                                     # an adaptive run rejects such steps
+])
+def test_solve_counts_the_fixed_steps_kept_unconverged(capsys, flags, kept):
+    code, out, err = run(capsys, "solve", "ex2", "--tf", "10", *flags, "--stdout")
+    assert code == 0
+    assert out.splitlines()[-1].startswith("# accepted=")
+    lines = err.splitlines()
+    assert lines[0].startswith("integration Success; number of failed steps=")
+    assert lines[1:] == ([kept] if kept else [])
+
+
 def test_solve_problem_file_and_observable(capsys, tmp_path):
     prob = tmp_path / "vdp.prob"
     prob.write_text(VDP)
@@ -406,7 +420,7 @@ def test_orders_needs_two_distinct_positive_step_sizes(capsys, monkeypatch, h_li
     def no_integration(*_):
         raise AssertionError("integrated")
 
-    monkeypatch.setattr(cli, "integrate_fixed", no_integration)
+    monkeypatch.setattr(cli, "integrate", no_integration)
     code, out, err = run(capsys, "orders", "decay", "--tf", "1", "--method", "eb",
                          "--h-list", h_list, "--stdout")
     assert (code, out) == (1, "")

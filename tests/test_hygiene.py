@@ -8,12 +8,14 @@ the acceptance criteria; a definition that only unit tests read belongs in
 the tests.  ``__init__.py`` is left out of the import scan, and is no reader
 in the definition scan, because its imports are the package's re-exports.
 The names the benchmark's tracer patches by string are checked by running
-its ``install`` in a child process.  ``ShapeGroup``s are built only in
+its ``install`` in a child process, and the ones its worker reads by
+running one traced round there.  ``ShapeGroup``s are built only in
 ``codegen``, from their own shape text, so a group's ``text`` always
 describes its slots.
 """
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -149,6 +151,23 @@ def test_benchmark_tracer_finds_every_name_it_patches():
     proc = subprocess.run([sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_traced_benchmark_round_counts_every_lu():
+    # the worker reads Stepper.integrate, Trajectory.lu_count and init_lu,
+    # which install() alone does not reach; one traced round runs them
+    root = Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "worker.py"), "--workload",
+                           "vdp-4methods", "--seed", "1", "--round", "0", "--trace", "1"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    ops = out["ops"]
+    assert [(op["failed"], op.get("status")) for op in ops] == [(False, "Success")] * 4, proc.stderr
+    # with no eps*I retry, each factorize call is one LU
+    assert out["layers"]["linalg.perturbed_factorizations"] == 0
+    assert out["layers"]["linalg.factorize_calls"] == sum(op["lus"] for op in ops)
 
 
 # numpy's module-level reductions re-dispatch in Python before reaching the

@@ -139,10 +139,19 @@ def test_large_singular_perturbation_fallback(n):
     a = 2.0 * np.eye(n)
     a[np.arange(n - 1), np.arange(1, n)] = -1.0
     a[np.arange(1, n), np.arange(n - 1)] = -1.0
+    regular = factorize(from_dense(a))
+    assert (regular.perturbed, regular.lus) == (False, 1)
     a[0, 0] = a[-1, -1] = 1.0  # row sums all zero -> exactly singular
     f = factorize(from_dense(a))
     assert f.perturbed
+    assert f.lus == 2   # the plain LU and the eps*I retry
     assert solve(f, np.zeros(n)) == pytest.approx(np.zeros(n))
+    # eps*I from the first try: one LU, the same factors
+    known = factorize(from_dense(a), perturb=True)
+    assert (known.perturbed, known.lus) == (True, 1)
+    assert (known._dense is None) == (f._dense is None) == (n > 64)
+    b = np.arange(n, dtype=float) - (n - 1) / 2
+    assert np.array_equal(solve(known, b), solve(f, b))
 
 
 @pytest.mark.parametrize("n", [3, 80], ids=["dense", "sparse"])

@@ -163,7 +163,7 @@ def test_nonfinite_jacobian_in_fixed_step_mode_stops_the_run(monkeypatch):
         return assemble(*args)
 
     monkeypatch.setattr(st.assembler, "assemble", third_fails)
-    traj = st.integrate_fixed()
+    traj = st.integrate()
     assert traj.status is Status.STEP_UNDERFLOW
     assert (traj.accepted, traj.rejected, traj.jac_updates) == (1, 1, 1)
     assert traj.times == [0.0, 0.5]
@@ -396,7 +396,7 @@ def test_adaptive_half_steps_start_from_the_full_step(monkeypatch, kind):
 def test_fixed_step_and_initialization_start_from_zero(monkeypatch, kind):
     st = Stepper(example2(), SolverOptions(tf=0.5, fixed_h=0.05, method=kind))
     log = spy_newton(monkeypatch, st)
-    traj = st.integrate_fixed()
+    traj = st.integrate()
     assert traj.accepted == 10
     assert len(attempts(log)) == 10
     assert [e[0].any() for e in log if e is not None] == [False] * 31
@@ -434,6 +434,8 @@ def test_fixed_step_driver():
     with pytest.raises(ValueError):
         integrate_fixed(decay(), SolverOptions(tf=1.0, atol=1e-8, fixed_h=0.3,
                                                hinit=0.3, hmax=0.5))
+    with pytest.raises(ValueError, match="fixed_h must be set"):
+        integrate_fixed(decay(), SolverOptions(tf=1.0))
 
 
 @pytest.mark.parametrize("kind", [MethodKind.IMPTRAP, MethodKind.EB], ids=lambda k: k.name)
@@ -464,6 +466,18 @@ def test_integrate_honours_fixed_h():
     assert traj.status is Status.SUCCESS
     assert traj.accepted == 4 and traj.times == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert np.array_equal(traj.final_state, integrate_fixed(decay(), opt).final_state)
+
+
+def test_stepper_integrate_honours_fixed_h():
+    # the method the benchmark and most callers use picks the driver too:
+    # ten fixed steps, not an adaptive run from the default hinit
+    opt = SolverOptions(tf=1, fixed_h=0.1)
+    traj = Stepper(example2(), opt).integrate()
+    fixed = integrate_fixed(example2(), opt)
+    assert traj.status is Status.SUCCESS
+    assert traj.accepted == traj.jac_updates == 10 and traj.times[1] == 0.1
+    assert traj.times == fixed.times
+    assert all(np.array_equal(a, b) for a, b in zip(traj.states, fixed.states))
 
 
 def test_csv_output_shape():

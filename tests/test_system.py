@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,10 +82,9 @@ SOURCE_SHA256 = {
 }
 
 
-def test_row_counts(monkeypatch):
-    # the method residual is its shape groups: they number the rows 0..n-1
-    # once each, n = N_t (2*N_t for RAD), and the compiled residual and the
-    # pattern read n off them
+def recorded_sources(monkeypatch):
+    """The list that every generated residual and Jacobian source is
+    appended to from now on."""
     sources = []
     generated = codegen.generated_source
 
@@ -94,6 +94,14 @@ def test_row_counts(monkeypatch):
         return source, ns
 
     monkeypatch.setattr(codegen, "generated_source", recording)
+    return sources
+
+
+def test_row_counts(monkeypatch):
+    # the method residual is its shape groups: they number the rows 0..n-1
+    # once each, n = N_t (2*N_t for RAD), and the compiled residual and the
+    # pattern read n off them
+    sources = recorded_sources(monkeypatch)
     for name in ["simple_dae", *BUILTINS]:
         sysn = simple_dae() if name == "simple_dae" else make_builtin(name, **SMALL.get(name, {}))
         sources.clear()
@@ -234,9 +242,24 @@ def test_stencil_rows_must_number_the_rows_once_each():
         StencilRows([stencil([[0, 1], [1, 2]], rows=[0, 2])])
     with pytest.raises(ValueError, match="ascend"):
         StencilRows([stencil([[0, 1], [1, 2]], rows=[1, 0])])
-    with pytest.raises(ValueError, match="both be stencil rows"):
-        DaeSystem(ode_rhs=StencilRows([stencil([[0, 1]])]), alg_residual=(ex.U(2) - 1.0,),
-                  var_names=("x", "z"), y0z0=(0.0, 1.0))
+
+
+@pytest.mark.parametrize("part", ["ode_rhs", "alg_residual"])
+def test_stencil_rows_mix_with_hand_written_rows(monkeypatch, part):
+    # either part may be given as its rows while the other stays stencils:
+    # every method's residual and Jacobian source is the all-stencil one
+    sources = recorded_sources(monkeypatch)
+    stencils = make_builtin("ex5", n=4, m=4)
+    mixed = replace(stencils, **{part: tuple(getattr(stencils, part))})
+    assert not isinstance(getattr(mixed, part), StencilRows)
+    for kind in MethodKind:
+        for sysn in (stencils, mixed):
+            groups = build_residual(sysn, kind)
+            CompiledResidual(groups, sysn.layout)
+            pat = detect_pattern(groups)
+            JacobianAssembler(pat, differentiate(pat), sysn.layout)
+        assert sources[-2:] == sources[-4:-2], kind
+    assert len(sources) == 4 * len(MethodKind)   # a residual and a Jacobian each
 
 
 def test_stencil_rows_are_grouped_from_their_templates(monkeypatch):
