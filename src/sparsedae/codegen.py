@@ -7,9 +7,9 @@ function.
 
 Discretized PDE rows are a few stencil *shapes* repeated thousands of
 times.  The shape of an expression is its generated source with every
-unknown (``u``) and base-state (``Y0_k`` -> ``b``) leaf replaced by a slot
-number.  Slots are numbered by first appearance, so the aliasing pattern is
-part of the shape: ``u_i*u_i`` and ``u_i*u_j`` never share one.
+unknown (``U`` -> ``u``) and base-state (``Base`` -> ``b``) leaf replaced by
+a slot number.  Slots are numbered by first appearance, so the aliasing
+pattern is part of the shape: ``u_i*u_i`` and ``u_i*u_j`` never share one.
 ``group_shapes`` walks each expression once and groups them by shape into
 ``ShapeGroup``s, which hold every member's leaf indices as one row of an
 index table.  In the solve path only hand-written source equations are
@@ -44,10 +44,12 @@ Generated functions share a single calling convention::
 
     fn(u, b, h, p, out)
 
-where ``u`` is the unknown vector (0-based ndarray), ``b`` the base-state
-values bound to the Y0_* parameter slots, ``h`` the step size, ``p`` the
-system's parameter values at the slots of its layout (``DaeSystem.layout``,
-a dict from each name to its slot), and ``out`` the output buffer.
+where ``u`` is the unknown vector (0-based ndarray), ``b`` the base state
+that the ``Base`` leaves read, ``h`` the step size (the ``H`` leaf), ``p``
+the system's parameter values at the slots of its layout
+(``DaeSystem.layout``, a dict from each name to its slot), and ``out`` the
+output buffer.  Every ``Param`` is looked up in the layout, so an
+undeclared name raises KeyError.
 
 Beyond reading each entry once, no common-subexpression elimination is
 attempted.
@@ -62,8 +64,6 @@ import numpy as np
 
 from . import expr as ex
 from .errors import NonFiniteResidual, UnsupportedSystem
-
-BASE_PREFIX = "Y0_"
 
 # Rows per shape from which one numpy statement beats scalar lines; measured
 # break-even for a five-point-stencil shape is about 10 rows.
@@ -88,11 +88,11 @@ def _shape(e: ex.Expr, layout: Dict[str, int], slots: Dict[tuple, int]) -> str:
         return "{%d}" % slots.setdefault(("u", e.index - 1), len(slots))
     if t is ex.Const:
         return repr(e.value)
+    if t is ex.Base:
+        return "{%d}" % slots.setdefault(("b", e.index - 1), len(slots))
+    if t is ex.StepSize:
+        return "h"
     if t is ex.Param:
-        if e.name == "h":
-            return "h"
-        if e.name.startswith(BASE_PREFIX) and e.name[len(BASE_PREFIX):].isdecimal():
-            return "{%d}" % slots.setdefault(("b", int(e.name[len(BASE_PREFIX):]) - 1), len(slots))
         return f"p[{layout[e.name]}]"
     if t is ex.Add:
         return "(" + " + ".join([_shape(a, layout, slots) for a in e.terms]) + ")"

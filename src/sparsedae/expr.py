@@ -1,9 +1,12 @@
 """Symbolic scalar expression trees.
 
 Expressions are built over 1-based unknown indices (the ``uu`` vector solved
-for at each time step) and late-bound named parameters.  The node set is
-deliberately small: arithmetic, integer/real powers, exp, ln, and piecewise
-branches whose conditions compare a subexpression against a constant.
+for at each time step) and late-bound named parameters.  A method residual
+also reads the state the step starts from, entry by entry (``Base``), and
+the step size (``H``); they are leaves of their own, not parameters, so no
+parameter name is reserved for them.  The node set is deliberately small:
+arithmetic, integer/real powers, exp, ln, and piecewise branches whose
+conditions compare a subexpression against a constant.
 
 Trees are immutable; construction goes through the smart constructors
 (``add``, ``mul``, ...) which do local constant folding and zero/one
@@ -80,6 +83,18 @@ class Param(Expr):
 
 
 @dataclass(frozen=True)
+class Base(Expr):
+    """Entry k (1-based) of the base state, the state a step starts from."""
+
+    index: int
+
+
+@dataclass(frozen=True)
+class StepSize(Expr):
+    """The step size h; ``H`` is its one instance."""
+
+
+@dataclass(frozen=True)
 class Add(Expr):
     terms: tuple
 
@@ -139,6 +154,7 @@ class Piecewise(Expr):
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
+H = StepSize()
 
 
 def const(value: float) -> Const:
@@ -309,7 +325,7 @@ def diff(e: Expr, k: int) -> Expr:
     # exact type tests: no node class is subclassed, and setup of a small
     # system spends a visible share of its time here
     t = type(e)
-    if t is Const or t is Param:
+    if t is Const or t is Param or t is Base or t is StepSize:
         return ZERO
     if t is U:
         return ONE if e.index == k else ZERO
@@ -395,7 +411,7 @@ def substitute(e: Expr, mapping: Mapping[int, Expr]) -> Expr:
     t = type(e)
     if t is U:
         return mapping.get(e.index, e)
-    if t is Const or t is Param:
+    if t is Const or t is Param or t is Base or t is StepSize:
         return e
     if t is Add:
         return add(*[substitute(a, mapping) for a in e.terms])

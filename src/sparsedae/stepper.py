@@ -4,11 +4,10 @@ Each step solves the method residual once with step h and twice with h/2,
 all three Newton solves sharing one frozen LU factorization.  The two
 results give the local error estimate; accepted steps are advanced with
 Richardson extrapolation.  The full step's solve starts from a zero
-increment uu_h.  In the adaptive driver it predicts both half steps: the
-first starts from 0.5*uu_h and the second from uu_h - uu_1, the part of the
-full step the first half did not cover, over all blocks (RAD's interior
-stage too).  The fixed-step driver and consistent initialization start
-every solve from zero, so the observed orders they verify are untouched.
+increment uu_h, and predicts both half steps: the first starts from
+0.5*uu_h and the second from uu_h - uu_1, the part of the full step the
+first half did not cover, over all blocks (RAD's interior stage too).  Both
+drivers predict them so; consistent initialization starts from zero.
 
 In the adaptive driver Newton stops on its contraction rate theta as well
 as on the absolute correction test (``newton.newton_solve``), and an
@@ -322,20 +321,17 @@ class Stepper:
         """One full step and two half steps from ``state``, all against the
         frozen factorization ``f``.  Gives the new state, Richardson-combined
         per ``options.extrapolate``, the scalar error estimate and the largest
-        contraction rate; no state on a non-finite residual.  Given
-        ``rate_tol``, Newton also stops on its rate, the attempt fails at its
-        first unconverged solve, and the half steps start from the full
-        step's prediction; without it every solve starts from zero."""
+        contraction rate; no state on a non-finite residual.  The full step
+        starts from zero and the half steps from its prediction.  Given
+        ``rate_tol``, Newton also stops on its rate and the attempt fails at
+        its first unconverged solve."""
         opt = self.options
-        zero = self._uu0
         try:
-            y_h, full = self._solve_once(state, h, f, rate_tol, zero)
+            y_h, full = self._solve_once(state, h, f, rate_tol, self._uu0)
             # the full step predicts both half steps: the first takes about
             # half its increment, the second about the rest, y_h - mid
-            mid, half1 = self._solve_once(
-                state, 0.5 * h, f, rate_tol, zero if rate_tol is None else 0.5 * full.uu)
-            y_h2, half2 = self._solve_once(
-                mid, 0.5 * h, f, rate_tol, zero if rate_tol is None else full.uu - half1.uu)
+            mid, half1 = self._solve_once(state, 0.5 * h, f, rate_tol, 0.5 * full.uu)
+            y_h2, half2 = self._solve_once(mid, 0.5 * h, f, rate_tol, full.uu - half1.uu)
         except NonFiniteResidual:
             return Attempt()
         except _Unconverged:

@@ -9,11 +9,11 @@ For a chosen single-step method and step size h the system is lowered into
 residual equations in the increment unknowns uu (state_new = state_old +
 uu[:N_t]; RAD's interior-stage block is discarded).  ``build_residual``
 returns them as plain shape groups, which ``jacobian`` and ``codegen`` read
-as they are: the row count is the groups' own.  The base state enters
-those residuals as named parameter slots ``Y0_k``, so the symbolic
-structure is built once and only numeric bindings change from step to
-step.  The same residual with h = 0 performs consistent initialization of
-the algebraic components.
+as they are: the row count is the groups' own.  The base state and the
+step size enter those residuals as the leaves ``expr.Base(k)`` and
+``expr.H``, so the symbolic structure is built once and only numeric
+bindings change from step to step.  The same residual with h = 0 performs
+consistent initialization of the algebraic components.
 
 The f's and g's are grouped by shape once, when the system is constructed
 and validated.  Hand-written rows, given as tuples (problem files, the small
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import enum
 import operator
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Tuple
@@ -43,7 +42,7 @@ from typing import Dict, List, NamedTuple, Tuple
 import numpy as np
 
 from . import expr as ex
-from .codegen import BASE_PREFIX, ShapeGroup, derived_groups, group_shapes
+from .codegen import ShapeGroup, derived_groups, group_shapes
 from .errors import UnsupportedSystem
 
 
@@ -149,13 +148,13 @@ class DaeSystem:
 
     ode_rhs[i] is f_i, alg_residual[j] is g_j (equation g_j = 0), each
     given as a tuple of rows or as ``StencilRows``.  Both may
-    reference any state index 1..N_t and declared parameter names.  y0z0
-    holds initial values for ODE variables and initial *guesses* for
-    algebraic ones.  Parameter names may not be ``h`` or start with
-    ``Y0_``: the method residuals use those for the step size and the base
-    state.  Construction numbers the parameters in sorted order, into the
-    dict ``layout`` from name to slot, groups the equations by shape once,
-    into ``groups`` over those slots, and validates their parameters and
+    reference any state index 1..N_t and any declared parameter name; the
+    base state and the step size are not parameters but the lowering's own
+    leaves (``build_residual``).  y0z0 holds initial values for ODE
+    variables and initial *guesses* for algebraic ones.  Construction
+    numbers the parameters in sorted order, into the dict ``layout`` from
+    name to slot, groups the equations by shape once, into ``groups`` over
+    those slots, and validates their parameters (by the layout lookup) and
     unknown indices from that walk; every method residual reads them.
     """
 
@@ -178,21 +177,11 @@ class DaeSystem:
             raise ValueError("variable names must be unique")
         if len(self.y0z0) != n_t:
             raise ValueError("y0z0 length must equal N_ode + N_ae")
-        reserved = sorted(n for n in self.params if n == "h" or n.startswith(BASE_PREFIX))
-        if reserved:
-            raise ValueError(f"parameter name {reserved[0]!r} is reserved for the "
-                             f"step size h or a base-state slot {BASE_PREFIX}k")
         layout = {name: k for k, name in enumerate(sorted(self.params))}
         try:
             groups = tuple(_group(self.ode_rhs, self.alg_residual, layout))
         except KeyError as e:
             raise ValueError(f"undeclared parameter {e.args[0]!r}") from None
-        for g in groups:
-            # h and Y0_k skip the layout lookup; h is a token (np.where holds an h)
-            if re.search(r"\bh\b", g.text):
-                raise ValueError("undeclared parameter 'h'")
-            if "b" in g.names:
-                raise ValueError(f"undeclared parameter '{BASE_PREFIX}{g.index[0, g.names.index('b')] + 1}'")
         index = np.concatenate([g.index.ravel() for g in groups])
         if index.size and (index.min() < 0 or index.max() >= n_t):
             bad = index[(index < 0) | (index >= n_t)]
@@ -216,20 +205,16 @@ class DaeSystem:
         return np.array(self.y0z0, dtype=float)
 
 
-def _base(k: int) -> ex.Expr:
-    return ex.Param(f"{BASE_PREFIX}{k}")
-
-
 def _lower(kind: MethodKind, e: ex.Expr, i: int, ode: bool, leaves: List[int],
            n_t: int) -> List[ex.Expr]:
     """The method's rows for equation ``e`` of row ``i`` (1-based) over the
     unknowns ``leaves``: f_i's when ``ode``, else g's.  RAD's second row goes
     in the interior-stage block."""
-    h = ex.Param("h")
+    h = ex.H
 
     def at(state):
-        # e with each state_j -> state(j) + Y0_j
-        return ex.substitute(e, {j: ex.add(state(j), _base(j)) for j in leaves})
+        # e with each state_j -> state(j) + base_j
+        return ex.substitute(e, {j: ex.add(state(j), ex.Base(j)) for j in leaves})
 
     def interior(j):
         return ex.U(j + n_t)
@@ -246,8 +231,8 @@ def _lower(kind: MethodKind, e: ex.Expr, i: int, ode: bool, leaves: List[int],
     if kind is MethodKind.CN:
         # the explicit half f_i(Y0) reads no unknown, so its derivatives fold to zero
         return [ex.U(i) - ex.mul(0.5, h) * at(ex.U)
-                - ex.mul(0.5, h) * ex.substitute(e, {j: _base(j) for j in leaves})]
-    # IMPTRAP: f at the midpoint, state_j -> uu_j/2 + Y0_j
+                - ex.mul(0.5, h) * ex.substitute(e, {j: ex.Base(j) for j in leaves})]
+    # IMPTRAP: f at the midpoint, state_j -> uu_j/2 + base_j
     return [ex.U(i) - h * at(lambda j: ex.mul(0.5, ex.U(j)))]
 
 
@@ -258,11 +243,12 @@ def build_residual(sys: DaeSystem, kind: MethodKind) -> Tuple[ShapeGroup, ...]:
     The groups number the rows 0..n-1 once each, n = N_t, or 2*N_t for RAD
     (endpoint block, then interior-stage block), so n is the sum of their
     row counts.  Their text reads the system's ``DaeSystem.layout``
-    parameter slots.  The step size is the parameter ``h`` and the base
-    state the parameters ``Y0_1..Y0_Nt``, so the structure does not depend
-    on their values.  CN's explicit half f_i(base state) sits inside its
-    row, as an expression over the ``Y0_k`` slots alone, so every row reads
-    only uu, the base state, h and the system parameters.
+    parameter slots.  The step size is the leaf ``expr.H`` and entry k of
+    the base state the leaf ``expr.Base(k)``, so the structure does not
+    depend on their values, and a system parameter of any name stays a
+    parameter.  CN's explicit half f_i(base state) sits inside its row, as
+    an expression over the ``Base`` leaves alone, so every row reads only
+    uu, the base state, h and the system parameters.
 
     Each of the system's shape groups of f's is split by which slot, if
     any, is the row's own unknown i.  Only the first member of each part is

@@ -3,9 +3,10 @@
 The library evaluates residuals and Jacobians only through generated code
 (``sparsedae.codegen``).  ``eval_expr`` walks an expression tree with Python
 floats instead, so tests use it as an oracle for the parser, the symbolic
-derivatives and the compiled functions.  ``free_params`` lists a tree's
-parameters, and ``format_expr`` prints a tree in the grammar's syntax, so
-that printing and parsing back checks the parser.
+derivatives and the compiled functions.  ``symbols`` lists a tree's
+leaves other than constants and ``free_params`` its parameters' names, and
+``format_expr`` prints a tree in the grammar's syntax, so that printing and
+parsing back checks the parser.
 """
 
 import dataclasses
@@ -17,18 +18,22 @@ from sparsedae.errors import NonFiniteValue, SparseDaeError
 
 
 class UnboundSymbol(SparseDaeError):
-    """An unknown index or parameter name has no value bound to it."""
+    """An unknown index, base-state entry, parameter name or the step size
+    has no value bound to it."""
 
 
-def eval_expr(e: ex.Expr, uu: Sequence[float], params: Mapping[str, float]) -> float:
-    """Numeric value of ``e`` at the 1-based unknown vector ``uu``.
+def eval_expr(e: ex.Expr, uu: Sequence[float], params: Mapping[str, float],
+              base: Sequence[float] = (), h: Optional[float] = None) -> float:
+    """Numeric value of ``e`` at the 1-based unknown vector ``uu``, with
+    ``Base(k)`` read from the 1-based ``base`` and ``H`` bound to ``h``.
 
-    Raises UnboundSymbol for a missing unknown index or parameter name and
-    NonFiniteValue for overflow, ln of a non-positive argument, or division
-    by zero.  Deterministic and side-effect free.
+    Raises UnboundSymbol for a missing unknown index, base-state entry,
+    parameter name or step size and NonFiniteValue for overflow, ln of a
+    non-positive argument, or division by zero.  Deterministic and
+    side-effect free.
     """
     try:
-        v = _eval(e, uu, params)
+        v = _eval(e, uu, params, base, h)
     except (ZeroDivisionError, OverflowError):
         raise NonFiniteValue("evaluation overflowed or divided by zero")
     except ValueError:
@@ -38,41 +43,49 @@ def eval_expr(e: ex.Expr, uu: Sequence[float], params: Mapping[str, float]) -> f
     return v
 
 
-def _eval(e: ex.Expr, uu, params) -> float:
+def _eval(e: ex.Expr, uu, params, base, h) -> float:
     if isinstance(e, ex.Const):
         return e.value
     if isinstance(e, ex.U):
         if not 1 <= e.index <= len(uu):
             raise UnboundSymbol(f"unknown index {e.index} outside 1..{len(uu)}")
         return float(uu[e.index - 1])
+    if isinstance(e, ex.Base):
+        if not 1 <= e.index <= len(base):
+            raise UnboundSymbol(f"base-state entry {e.index} outside 1..{len(base)}")
+        return float(base[e.index - 1])
+    if isinstance(e, ex.StepSize):
+        if h is None:
+            raise UnboundSymbol("the step size is not bound")
+        return float(h)
     if isinstance(e, ex.Param):
         try:
             return float(params[e.name])
         except KeyError:
             raise UnboundSymbol(f"parameter {e.name!r} is not bound")
     if isinstance(e, ex.Add):
-        return sum(_eval(t, uu, params) for t in e.terms)
+        return sum(_eval(t, uu, params, base, h) for t in e.terms)
     if isinstance(e, ex.Mul):
         v = 1.0
         for f in e.factors:
-            v *= _eval(f, uu, params)
+            v *= _eval(f, uu, params, base, h)
         return v
     if isinstance(e, ex.Div):
-        return _eval(e.num, uu, params) / _eval(e.den, uu, params)
+        return _eval(e.num, uu, params, base, h) / _eval(e.den, uu, params, base, h)
     if isinstance(e, ex.Pow):
-        return _eval(e.base, uu, params) ** e.exponent
+        return _eval(e.base, uu, params, base, h) ** e.exponent
     if isinstance(e, ex.Neg):
-        return -_eval(e.arg, uu, params)
+        return -_eval(e.arg, uu, params, base, h)
     if isinstance(e, ex.ExpF):
-        return math.exp(_eval(e.arg, uu, params))
+        return math.exp(_eval(e.arg, uu, params, base, h))
     if isinstance(e, ex.LnF):
-        return math.log(_eval(e.arg, uu, params))
+        return math.log(_eval(e.arg, uu, params, base, h))
     if isinstance(e, ex.Piecewise):
         for b in e.branches:
-            t = _eval(b.test, uu, params)
+            t = _eval(b.test, uu, params, base, h)
             if _compare(t, b.op, b.threshold):
-                return _eval(b.value, uu, params)
-        return _eval(e.default, uu, params)
+                return _eval(b.value, uu, params, base, h)
+        return _eval(e.default, uu, params, base, h)
     raise TypeError(f"unhandled node {type(e).__name__}")
 
 
@@ -86,17 +99,23 @@ def _compare(lhs: float, op: str, rhs: float) -> bool:
     return lhs >= rhs
 
 
-def free_params(e) -> set:
-    """Names of the parameters in ``e``, an expression or a piecewise Branch."""
-    if isinstance(e, ex.Param):
-        return {e.name}
+def symbols(e) -> set:
+    """The leaves of ``e``, an expression or a piecewise Branch, other than
+    constants: its unknowns, parameters, base-state entries and step size."""
+    if isinstance(e, (ex.U, ex.Param, ex.Base, ex.StepSize)):
+        return {e}
     found = set()
     for f in dataclasses.fields(e):
         value = getattr(e, f.name)
         for child in value if isinstance(value, tuple) else (value,):
             if isinstance(child, (ex.Expr, ex.Branch)):
-                found |= free_params(child)
+                found |= symbols(child)
     return found
+
+
+def free_params(e) -> set:
+    """Names of the parameters in ``e``, an expression or a piecewise Branch."""
+    return {s.name for s in symbols(e) if isinstance(s, ex.Param)}
 
 
 def _fmt_num(v: float) -> str:

@@ -13,8 +13,8 @@ from sparsedae.system import DaeSystem, MethodKind
 def reference_rows(sys: DaeSystem, kind: MethodKind):
     """Each row lowered on its own, with substitutions over every unknown."""
     n_t = sys.n_total
-    h = ex.Param("h")
-    base = {j: ex.Param(f"Y0_{j}") for j in range(1, n_t + 1)}
+    h = ex.H
+    base = {j: ex.Base(j) for j in range(1, n_t + 1)}
     end = {j: ex.add(ex.U(j), base[j]) for j in range(1, n_t + 1)}
     rows = []
     if kind is MethodKind.EB:

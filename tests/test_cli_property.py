@@ -12,8 +12,8 @@ from sparsedae.cli import main
 
 # a two-variable system: x is an ODE variable, y an ODE or algebraic one;
 # the pools mix well-posed, stiff, singular, non-finite (folded, overflowing at
-# run time, or in a piecewise branch) and reserved-name lines,
-# and the junk pool a repeated parameter
+# run time, or in a piecewise branch) lines and lines naming h and Y0_1, which
+# are ordinary parameters, and the junk pool a repeated parameter
 X_ODES = ["x' = -k*x", "x' = y", "x' = -k*x + y", "x' = -x^0.5 - 1", "x' = ln(x)",
           "x' = exp(1000) * x", "x' = exp(1000*x)", "x' = piecewise(x < 0.5, -x, x >= 2, 1, 2*x)",
           "x' = piecewise(x < 0, ln(x), x)", "x' = -x / y", "x' = 1 / (x - x)", "x' = -h*x",

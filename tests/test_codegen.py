@@ -110,8 +110,7 @@ def test_derived_groups_map_leaves_per_names_of_a_shared_index_table():
     # columns hold 0, so the leaf u_1 is column 0 for the first block and
     # column 1 for the second
     index = np.array([[0, 0], [2, 5]])
-    y0 = ex.Param("Y0_1")
-    assert derived((("u", "b"), index, ex.U(1) + y0, [0, 1]),
+    assert derived((("u", "b"), index, ex.U(1) + ex.Base(1), [0, 1]),
                    (("b", "u"), index, 2.0 * ex.U(1), [2, 3])) == [
         (("u", "b"), [[0, 0], [2, 5]], [0, 1]),
         (("u",), [[0], [5]], [2, 3])]
@@ -137,8 +136,8 @@ def test_rows_that_read_entries_many_times_are_identical_either_way():
     # each row reads u_i, u_(i+1) and b_i several times, and neighbouring
     # rows share entries: locals read once must give the numpy statement's values
     def build(n):
-        rows = [(ex.U(i) + ex.Param(f"Y0_{i}")) * (ex.U(i) + ex.Param(f"Y0_{i}"))
-                - ex.exp(ex.U(i + 1)) * ex.Param(f"Y0_{i}") + ex.U(i + 1) / ex.U(i)
+        rows = [(ex.U(i) + ex.Base(i)) * (ex.U(i) + ex.Base(i))
+                - ex.exp(ex.U(i + 1)) * ex.Base(i) + ex.U(i + 1) / ex.U(i)
                 for i in range(1, n + 1)]
         return compiled(rows)
     small, large = build(_VECTOR_MIN_ROWS - 1), build(N_ROWS)
@@ -182,8 +181,6 @@ def evaluate_against_oracle(sysn, kind, seed, vectorized=True):
     res.set_base(base)
     res.set_h(h)
     uu = 0.05 * rng.standard_normal(res.n)
-    bindings = {"h": h, **sysn.params}
-    bindings.update({f"Y0_{k}": v for k, v in enumerate(base, start=1)})
 
     pat = detect_pattern(groups)
     asm = JacobianAssembler(pat, differentiate(pat), sysn.layout)
@@ -192,10 +189,10 @@ def evaluate_against_oracle(sysn, kind, seed, vectorized=True):
 
     rows = reference_rows(sysn, kind)
     got_r = res.evaluate(uu).copy()
-    want_r = np.array([eval_expr(r, uu, bindings) for r in rows])
+    want_r = np.array([eval_expr(r, uu, sysn.params, base, h) for r in rows])
     cells = [(i, k) for i, cols in enumerate(pat.rows, start=1) for k in cols]
     got_j = np.array([a[i - 1, k - 1] for i, k in cells])
-    want_j = np.array([eval_expr(ex.diff(rows[i - 1], k), uu, bindings) for i, k in cells])
+    want_j = np.array([eval_expr(ex.diff(rows[i - 1], k), uu, sysn.params, base, h) for i, k in cells])
     return got_r, want_r, got_j, want_j
 
 
@@ -221,7 +218,7 @@ def test_scalar_lines_are_bit_identical_to_the_oracle(name, kind):
 def test_scalar_lines_read_each_entry_once():
     sysn = make_builtin("ex2")
     source, _ = generated_source(build_residual(sysn, MethodKind.EB), sysn.n_total)
-    # u_2 and Y0_2 appear three times each in the EB row of x'
+    # u_2 and the base entry b_2 appear three times each in the EB row of x'
     assert source.count("u[1]") == source.count("b[1]") == 1
     assert "    u_1 = u[1]\n" in source and "    b_1 = b[1]\n" in source
 
@@ -236,7 +233,7 @@ def test_exp_model_matches_the_oracle_to_a_few_ulp():
 
 
 def test_cn_explicit_half_vectorizes():
-    # each CN ODE row carries f_i at its own base state; its Y0 leaves are
+    # each CN ODE row carries f_i at its own base state; its Base leaves are
     # gathered like the implicit half's, so the rows still share a shape,
     # CN has EB's shapes and every row of ex5 8x8 is in a vectorized group
     shapes = {}

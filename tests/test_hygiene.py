@@ -247,3 +247,43 @@ def test_the_scan_finds_a_shape_group_construction():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "codegen.py"], ids=lambda p: p.name)
 def test_shape_groups_are_built_only_in_codegen(path):
     assert shape_group_constructions(path.read_text(encoding="utf-8")) == []
+
+
+def internal_leaves_by_name(source: str):
+    """Lines that build a parameter named ``h`` or ``Y0_...``, compare a
+    ``.name`` with ``"h"``, or hold a ``"Y0_"`` string outside a docstring:
+    the step size and the base state are the leaves ``expr.H`` and
+    ``expr.Base``, never parameter names."""
+    tree = ast.parse(source)
+    docstrings = {id(n.body[0].value) for n in ast.walk(tree)
+                  if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                  and n.body and isinstance(n.body[0], ast.Expr) and isinstance(n.body[0].value, ast.Constant)}
+
+    def named(n):
+        return isinstance(n, ast.Constant) and isinstance(n.value, str) and (
+            n.value == "h" or "Y0_" in n.value)
+
+    found = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None)) == "Param":
+            if any(map(named, n.args[:1] + [k.value for k in n.keywords])):
+                found.add(n.lineno)
+        elif isinstance(n, ast.Compare):
+            operands = [n.left] + n.comparators
+            if any(getattr(x, "attr", None) == "name" for x in operands) and any(map(named, operands)):
+                found.add(n.lineno)
+        elif named(n) and "Y0_" in n.value and id(n) not in docstrings:
+            found.add(n.lineno)
+    return sorted(found)
+
+
+def test_the_scan_finds_an_internal_leaf_built_or_parsed_by_name():
+    src = ('"""Y0_k in a docstring."""\nh = ex.Param("h")\nb = Param(f"Y0_{k}")\n'
+           'if e.name == "h":\n    pass\nPREFIX = "Y0_"\nk = ex.Param("k")\nreturn "h"\n'
+           'b = ex.Base(1)\nc = ex.Param(name="Y0_1")\n')
+    assert internal_leaves_by_name(src) == [2, 3, 4, 6, 10]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_internal_leaf_is_built_or_parsed_by_name(path):
+    assert internal_leaves_by_name(path.read_text(encoding="utf-8")) == []

@@ -100,7 +100,7 @@ def test_assembler_reuses_structure_buffers():
     m2 = asm.assemble(np.zeros(2), b, 0.5, np.zeros(0))
     assert m2 is m1
     assert np.array_equal(m2.indptr, indptr) and np.array_equal(m2.rowind, rowind)
-    # row 1 is U(1) - h*(U(2)/2 + Y0_2), so its d/dU(2) entry follows h
+    # row 1 is U(1) - h*(U(2)/2 + Base(2)), so its d/dU(2) entry follows h
     fresh = JacobianAssembler(pat, blocks, {}).assemble(np.zeros(2), b, 0.5, np.zeros(0))
     assert not np.array_equal(m2.values, values)
     assert np.array_equal(m2.values, fresh.values)

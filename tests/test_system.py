@@ -14,10 +14,10 @@ from sparsedae.codegen import CompiledResidual, group_shapes
 from sparsedae.errors import UnsupportedSystem
 from sparsedae.jacobian import JacobianAssembler, detect_pattern, differentiate
 from sparsedae.problems import BUILTINS, example6, make_builtin
-from sparsedae.stepper import SolverOptions, Stepper
+from sparsedae.stepper import SolverOptions, Status, Stepper
 from sparsedae.system import DaeSystem, MethodKind, Stencil, StencilRows, build_residual
 
-from expr_reference import free_params
+from expr_reference import symbols
 
 
 def simple_dae():
@@ -39,17 +39,27 @@ def ode_only():
     )
 
 
-@pytest.mark.parametrize("name", ["h", "Y0_1", "Y0_k"])
-def test_reserved_parameter_names_rejected(name):
-    # h is the step size and Y0_k the base-state slots of every method residual
-    with pytest.raises(ValueError, match="reserved"):
-        DaeSystem(
-            ode_rhs=(ex.neg(ex.Param(name) * ex.U(1)),),
-            alg_residual=(),
-            var_names=("x",),
-            y0z0=(1.0,),
-            params={name: 2.0},
+@pytest.mark.parametrize("name", ["h", "Y0_1"])
+def test_step_size_and_base_state_names_are_ordinary_parameters(name):
+    # the method residuals' step size and base state are leaves of their
+    # own, so a parameter of either name is an ordinary parameter; renamed
+    # past "m", it takes the other slot of the layout
+    def vdp(k):
+        p = ex.Param(k)
+        return DaeSystem(
+            ode_rhs=(ex.U(2), p * (1.0 - ex.U(1) * ex.U(1)) * ex.U(2) - ex.Param("m") * ex.U(1)),
+            alg_residual=(ex.U(3) - p * ex.U(1),),
+            var_names=("x", "y", "z"),
+            y0z0=(2.0, 0.0, 0.0),
+            params={k: 2.0, "m": 1.0},
         )
+    named, renamed = vdp(name), vdp("zeta")
+    assert named.layout[name] == 0 and renamed.layout["zeta"] == 1
+    for kind in MethodKind:
+        options = SolverOptions(tf=1.0, method=kind)
+        got, want = Stepper(named, options).integrate(), Stepper(renamed, options).integrate()
+        assert got.status is Status.SUCCESS and got.accepted == want.accepted
+        assert got.final_state.tobytes() == want.final_state.tobytes(), kind
 
 
 def eval_rows(groups, uu, y0, h):
@@ -144,7 +154,7 @@ def test_cn_explicit_term_reads_the_base_state():
     # row 1: uu1 - h/2*f(uu + Y0) - h/2*f(Y0) with f = z: z0 - 0.2 and z0
     groups = build_residual(simple_dae(), MethodKind.CN)
     first = next(g.expr for g in groups if g.rows[0] == 0)
-    assert free_params(first) == {"h", "Y0_2"}
+    assert symbols(first) == {ex.U(1), ex.U(2), ex.H, ex.Base(2)}
     got = eval_rows(groups, [0.1, -0.2], [0.0, 1.0], 0.5)
     assert got[0] == pytest.approx(0.1 - 0.25 * 0.8 - 0.25 * 1.0)
 
@@ -183,9 +193,9 @@ def test_system_validation():
     with pytest.raises(ValueError):
         DaeSystem(ode_rhs=(ex.Param("k") * ex.U(1),), alg_residual=(),
                   var_names=("x",), y0z0=(0.0,))  # undeclared parameter
-    # h would silently be the step size, Y0_1 the base state, and U(0) would
-    # read the last unknown; a piecewise's text holds np.where, so h is
-    # matched as a token
+    # h and Y0_1 are ordinary parameter names, refused when undeclared like
+    # any other, also inside a piecewise branch; U(0) would read the last
+    # unknown
     h_in_branch = ex.piecewise((ex.Branch(ex.U(1), "<", 0.0, ex.Param("h")),), ex.U(1))
     for leaf, named in [(ex.Param("h"), "'h'"), (h_in_branch, "'h'"), (ex.Param("Y0_1"), "'Y0_1'"),
                         (ex.Param("Y0_x"), "'Y0_x'"), (ex.U(0), "index 0"), (ex.U(3), "index 3")]:
