@@ -18,6 +18,7 @@ Diagnostics go to stderr; data goes to stdout only with --stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -73,13 +74,8 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
 def _add_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="key=value config file; flags override it")
     p.add_argument("--method", default=None, choices=[k.value for k in MethodKind])
-    p.add_argument("--tf", type=float, default=None)
-    p.add_argument("--atol", type=float, default=None)
-    p.add_argument("--hinit", type=float, default=None)
-    p.add_argument("--hmax", type=float, default=None)
-    p.add_argument("--ntot", type=int, default=None)
-    p.add_argument("--iter", type=int, default=None)
-    p.add_argument("--fixed-h", type=float, default=None)
+    for field in ("tf", "atol", "hinit", "hmax", "ntot", "iter", "fixed_h"):
+        p.add_argument("--" + field.replace("_", "-"), type=SOLVER_OPTIONS[field])
     p.add_argument("--no-extrapolate", dest="extrapolate", action="store_const", const=False)
     p.add_argument("--err-denominator", default=None, choices=["literal", "standard"])
 
@@ -192,13 +188,13 @@ def cmd_converge(args) -> int:
 def cmd_orders(args) -> int:
     if args.problem not in ORACLES:
         raise SparseDaeError(f"orders needs a problem with an exact-solution oracle: {sorted(ORACLES)}")
-    oracle = ORACLES[args.problem]
     h_list = [float(s) for s in args.h_list.split(",")]
     if len(set(h_list)) < 2 or min(h_list) <= 0:
         raise SparseDaeError("--h-list needs at least two distinct positive step sizes to fit a slope")
     sys_ = _build_problem(args)
     values = _option_values(args)
     options = SolverOptions(**values)
+    exact = ORACLES[args.problem](options.tf)
     out_lines = ["method,extrapolated,h,endpoint_error"]
     slopes = []
     for method in ([options.method] if "method" in values else list(MethodKind)):
@@ -207,18 +203,13 @@ def cmd_orders(args) -> int:
             for h in h_list:
                 # truncation-error study: iterate well below the smallest
                 # endpoint error so the Newton floor never shows in the slopes
-                opt = SolverOptions(
-                    tf=options.tf, atol=min(options.atol, 1e-12), hinit=h,
-                    hmax=options.tf, ntot=options.ntot,
-                    iter=max(options.iter, 12), method=method,
-                    extrapolate=extrapolate, fixed_h=h,
-                )
-                # SolverOptions has validated h as fixed_h, so tf / h is finite
-                opt.ntot = max(options.ntot, round(options.tf / h) + 10)
+                opt = dataclasses.replace(options, atol=min(options.atol, 1e-12),
+                                          iter=max(options.iter, 12), method=method,
+                                          extrapolate=extrapolate, fixed_h=h)
                 traj = integrate(sys_, opt)
                 if traj.status is not Status.SUCCESS:
-                    raise SparseDaeError(f"{method.value} h={h:g}: integration stopped: {traj.message}")
-                exact = oracle(options.tf)
+                    hint = " (raise --ntot)" if traj.status is Status.TOO_MANY_STEPS else ""
+                    raise SparseDaeError(f"{method.value} h={h:g}: integration stopped: {traj.message}{hint}")
                 err = float(np.max(np.abs(traj.final_state[: len(exact)] - exact)))
                 errs.append(err)
                 out_lines.append(f"{method.value},{extrapolate},{h:.17g},{err:.17g}")
@@ -233,7 +224,7 @@ def cmd_orders(args) -> int:
 
 def cmd_pattern(args) -> int:
     sys_ = _build_problem(args)
-    method = MethodKind(args.method or "imptrap")
+    method = MethodKind(args.method or SolverOptions.method)
     pat = detect_pattern(build_residual(sys_, method))
     _write_output(args, lambda fh: write_pattern(pat.n, pat.indptr, pat.rowind, fh))
     return 0

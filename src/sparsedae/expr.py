@@ -1,10 +1,10 @@
 """Symbolic scalar expression trees.
 
 Expressions are built over 1-based unknown indices (the ``uu`` vector solved
-for at each time step) and late-bound named parameters.  A method residual
-also reads the state the step starts from, entry by entry (``Base``), and
-the step size (``H``); they are leaves of their own, not parameters, so no
-parameter name is reserved for them.  The node set is deliberately small:
+for at each time step) and late-bound named parameters.  The state a step
+starts from, entry by entry (``Base``), and the step size (``H``) are leaves
+of their own, not parameters, which only a method residual reads: a source
+equation of a ``DaeSystem`` may not.  The node set is deliberately small:
 arithmetic, integer/real powers, exp, ln, and piecewise branches whose
 conditions compare a subexpression against a constant.
 
@@ -375,34 +375,39 @@ def diff(e: Expr, k: int) -> Expr:
 
 def free_unknowns(e: Expr) -> list:
     """Sorted, duplicate-free list of unknown indices appearing in ``e``."""
-    unknowns: set = set()
-    _collect(e, unknowns)
-    return sorted(unknowns)
+    return sorted(leaf.index for leaf in free_leaves(e) if type(leaf) is U)
 
 
-def _collect(e: Expr, unknowns: set) -> None:
+def free_leaves(e: Expr) -> set:
+    """The set of ``U``, ``Base`` and ``StepSize`` leaves appearing in ``e``."""
+    leaves: set = set()
+    _collect(e, leaves)
+    return leaves
+
+
+def _collect(e: Expr, leaves: set) -> None:
     # exact type tests, as in ``diff``
     t = type(e)
-    if t is U:
-        unknowns.add(e.index)
+    if t is U or t is Base or t is StepSize:
+        leaves.add(e)
     elif t is Add:
         for a in e.terms:
-            _collect(a, unknowns)
+            _collect(a, leaves)
     elif t is Mul:
         for a in e.factors:
-            _collect(a, unknowns)
+            _collect(a, leaves)
     elif t is Div:
-        _collect(e.num, unknowns)
-        _collect(e.den, unknowns)
+        _collect(e.num, leaves)
+        _collect(e.den, leaves)
     elif t is Pow:
-        _collect(e.base, unknowns)
+        _collect(e.base, leaves)
     elif t is Neg or t is ExpF or t is LnF:
-        _collect(e.arg, unknowns)
+        _collect(e.arg, leaves)
     elif t is Piecewise:
         for b in e.branches:
-            _collect(b.test, unknowns)
-            _collect(b.value, unknowns)
-        _collect(e.default, unknowns)
+            _collect(b.test, leaves)
+            _collect(b.value, leaves)
+        _collect(e.default, leaves)
 
 
 def substitute(e: Expr, mapping: Mapping[int, Expr]) -> Expr:

@@ -164,16 +164,13 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def summary(self) -> str:
-        return (f"# accepted={self.accepted}, rejected={self.rejected}, "
-                f"jac_updates={self.jac_updates}, lu={self.lu_count}, "
-                f"status={self.status.value}")
-
     def write_csv(self, fh: TextIO) -> None:
         fh.write("t," + ",".join(self.var_names) + "\n")
+        row = ",".join(["%.17g"] * (1 + len(self.var_names))) + "\n"
         for t, s in zip(self.times, self.states):
-            fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in s) + "\n")
-        fh.write(self.summary() + "\n")
+            fh.write(row % (t, *s.tolist()))
+        fh.write(f"# accepted={self.accepted}, rejected={self.rejected}, jac_updates={self.jac_updates}, "
+                 f"lu={self.lu_count}, status={self.status.value}\n")
 
 
 @dataclass
@@ -362,11 +359,9 @@ class Stepper:
         p = opt.method.order
         rate_tol = _RATE_TOL * opt.atol
         h_floor = max(_H_FLOOR * opt.tf, 1e-3 * opt.hinit)
-        # a step that would end within h_floor of tf lands on tf: the rest
-        # would be a step below the floor
-        t, h = 0.0, min(opt.hinit, opt.tf)
-        landing = h >= opt.tf - h_floor
-        h = opt.tf if landing else h
+        # a step that would end within h_floor of tf lands on tf, as h == tf - t
+        # (the rest would be a step below the floor); only a rejection then changes h
+        t, h = 0.0, opt.tf if opt.hinit >= opt.tf - h_floor else opt.hinit
         frozen: Optional[Factorization] = None   # None: refresh before the next attempt
         h_lu = h           # the h frozen was factorized at
 
@@ -391,17 +386,15 @@ class Stepper:
             if not attempt.err <= 1.0:   # a nan error rejects too
                 traj.rejected += 1
                 h = h / _REJECT_DIVISOR
-                landing = False
                 frozen = None
                 continue
 
             state = attempt.state
-            t = opt.tf if landing else t + h
+            t = opt.tf if h == opt.tf - t else t + h
             traj.accepted += 1
             traj.record(t, state)
             h = next_h(h, attempt.err, p, opt.hmax)
-            landing = h >= opt.tf - t - h_floor
-            h = opt.tf - t if landing else h
+            h = opt.tf - t if h >= opt.tf - t - h_floor else h
             if attempt.theta > _THETA_REFRESH or not _H_RATIO_MIN <= h / h_lu <= _H_RATIO_MAX:
                 frozen = None
         return traj

@@ -17,9 +17,9 @@ consistent initialization of the algebraic components.
 
 The f's and g's are grouped by shape once, when the system is constructed
 and validated.  Hand-written rows, given as tuples (problem files, the small
-built-ins, tests), are walked by ``codegen.group_shapes``.  The grid
-built-ins give ``StencilRows`` instead: one template row per stencil class
-over index tables, so a row is built only when it is read.  Both kinds
+built-ins, tests), are walked by one ``codegen.group_shapes`` call per part.
+The grid built-ins give ``StencilRows`` instead: one template row per stencil
+class over index tables, so a row is built only when it is read.  Both kinds
 become blocks of one ``codegen.derived_groups`` call, which merges them into
 shape groups.  Lowering runs once per source shape, not once per row.  Each
 method maps a leaf of the source equation to a fixed expression in that
@@ -127,18 +127,23 @@ class StencilRows(Sequence):
 
 
 def _group(ode: Sequence[ex.Expr], alg: Sequence[ex.Expr], layout: Dict[str, int]) -> List[ShapeGroup]:
-    """The shape groups of ``ode + alg``: stencil rows from their templates and
-    the other rows walked in one ``group_shapes`` call, merged by ``derived_groups``."""
-    blocks, walked = [], ()
+    """The shape groups of ``ode + alg``, each part at its offset: stencils from
+    their templates, rows by the part's own ``group_shapes`` call, which
+    refuses a tree too deep to walk.  A template or row that reads ``expr.H``
+    or ``expr.Base`` is then refused, before ``derived_groups`` merges them."""
+    blocks = []
     for rows, offset in ((ode, 0), (alg, len(ode))):
         if isinstance(rows, StencilRows):
+            sources = [(int(s.rows[0]), s.expr) for s in rows.stencils]
             blocks += [(("u",) * s.index.shape[1], s.index, s.expr, s.rows + offset) for s in rows.stencils]
         else:
-            walked += tuple(rows)
-    if walked:
-        # the walked rows are one run: both parts, or the one not given as stencils
-        start = len(ode) if isinstance(ode, StencilRows) else 0
-        blocks += [(g.names, g.index, g.expr, g.rows + start) for g in group_shapes(walked, layout)]
+            sources = enumerate(rows)
+            blocks += [(g.names, g.index, g.expr, g.rows + offset) for g in group_shapes(rows, layout)]
+        for i, e in sources:
+            kinds = {type(leaf) for leaf in ex.free_leaves(e)} - {ex.U}
+            if kinds:
+                what = "step size" if ex.StepSize in kinds else "base state"
+                raise ValueError(f"equation {offset + i + 1} reads the {what}; only a method residual may")
     return derived_groups(blocks, layout)
 
 
@@ -147,10 +152,10 @@ class DaeSystem:
     """Ordered ODE + algebraic residual equations over one state vector.
 
     ode_rhs[i] is f_i, alg_residual[j] is g_j (equation g_j = 0), each
-    given as a tuple of rows or as ``StencilRows``.  Both may
-    reference any state index 1..N_t and any declared parameter name; the
-    base state and the step size are not parameters but the lowering's own
-    leaves (``build_residual``).  y0z0 holds initial values for ODE
+    given as a tuple of rows or as ``StencilRows``.  Both may reference any
+    state index 1..N_t and any declared parameter name, but not the base
+    state or the step size, the lowering's own leaves (``build_residual``):
+    ValueError names such an equation.  y0z0 holds initial values for ODE
     variables and initial *guesses* for algebraic ones.  Construction
     numbers the parameters in sorted order, into the dict ``layout`` from
     name to slot, groups the equations by shape once, into ``groups`` over
@@ -182,6 +187,8 @@ class DaeSystem:
             groups = tuple(_group(self.ode_rhs, self.alg_residual, layout))
         except KeyError as e:
             raise ValueError(f"undeclared parameter {e.args[0]!r}") from None
+        except RecursionError:   # a stencil template deeper than _group's walk can go
+            raise UnsupportedSystem("expression nested too deeply to walk") from None
         index = np.concatenate([g.index.ravel() for g in groups])
         if index.size and (index.min() < 0 or index.max() >= n_t):
             bad = index[(index < 0) | (index >= n_t)]

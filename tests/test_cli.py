@@ -440,6 +440,36 @@ def test_orders_step_size_that_does_not_divide_tf_exits_1(capsys, h_list):
     assert "fixed_h" in err
 
 
+def test_orders_stops_at_ntot(capsys):
+    # 1e-300 divides tf into 1e300 whole steps; the run stops at the default
+    # ntot, long before the second step size
+    code, out, err = run(capsys, "orders", "decay", "--tf", "1", "--method", "eb",
+                         "--h-list", "1e-300,0.5", "--stdout")
+    assert (code, out) == (1, "")
+    assert "h=1e-300: integration stopped: integration TooManySteps" in err
+    assert "--ntot" in err
+
+
+# the output of this sweep before orders obeyed --ntot, which then ran 2010 steps
+ORDERS_5E_4 = """\
+method,extrapolated,h,endpoint_error
+eb,False,0.00050000000000000001,4.5980140648826939e-05
+eb,False,0.001,9.1950704694310215e-05
+eb,True,0.00050000000000000001,1.5316826418310114e-08
+eb,True,0.001,6.1221384406451307e-08
+# slope eb raw = 1.000
+# slope eb extrapolated = 1.999
+"""
+
+
+def test_orders_step_sizes_below_tf_over_ntot_need_a_larger_ntot(capsys):
+    argv = ["orders", "decay", "--tf", "1", "--method", "eb", "--h-list", "5e-4,1e-3", "--stdout"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "h=0.0005: integration stopped" in err and "--ntot" in err
+    assert run(capsys, *argv, "--ntot", "2000") == (0, ORDERS_5E_4, "")
+
+
 def test_orders_exact_endpoint_prints_nan_slope_without_a_warning(capsys):
     # at h = 2e-9 the endpoint error is exactly 0, which has no logarithm
     with warnings.catch_warnings():
@@ -469,6 +499,14 @@ def test_pattern_matrix_market(capsys):
     assert code == 0
     assert out == ("%%MatrixMarket matrix coordinate pattern general\n"
                    "2 2 4\n1 1\n2 1\n1 2\n2 2\n")
+
+
+def test_pattern_defaults_to_the_solver_options_method(capsys):
+    default = run(capsys, "pattern", "ex1")
+    assert default[0] == 0
+    assert default == run(capsys, "pattern", "ex1", "--method", SolverOptions.method.value)
+    assert default == run(capsys, "pattern", "ex1", "--method", "imptrap")
+    assert default != run(capsys, "pattern", "ex1", "--method", "rad")
 
 
 def test_pattern_reads_back_as_the_detected_pattern(capsys):

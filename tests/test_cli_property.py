@@ -1,4 +1,5 @@
-"""Property: any problem-file text and flags end in exit code 0, 1 or 2."""
+"""Property: any problem-file text and flags, and any study command over the
+built-ins, end in exit code 0, 1 or 2."""
 
 import contextlib
 import io
@@ -89,4 +90,34 @@ def test_problem_files_and_flags_exit_0_1_or_2(command, text, flags):
             argv += ["--method", flags["--method"]]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
+    assert code in (0, 1, 2)
+
+
+# orders: ex2 has no oracle, and 1e-300 divides tf = 1 into more whole steps
+# than --ntot allows; converge: ex1 is not a grid problem and N = 0 or 1 is
+# too coarse a grid
+H_LIST = st.lists(st.sampled_from(["0.5", "0.25", "0.3", "1e-300", "0", "nan", "x"]), min_size=1, max_size=3)
+N_LIST = st.lists(st.sampled_from(["2", "3", "4", "0", "1", "x"]), min_size=1, max_size=3)
+METHOD = st.lists(st.sampled_from(["eb", "cn", "imptrap", "rad"]), max_size=1)
+
+
+@st.composite
+def study_argv(draw):
+    if draw(st.booleans()):
+        argv = ["orders", draw(st.sampled_from(["decay", "ex1", "ex2"])), "--tf", "1",
+                "--ntot", draw(st.sampled_from(["5", "20"])), "--h-list", ",".join(draw(H_LIST))]
+        return argv + [flag for m in draw(METHOD) for flag in ("--method", m)]
+    return ["converge", draw(st.sampled_from(["ex4", "ex5", "ex1"])), "--tf", "0.01", "--ntot", "20",
+            "--n-list", ",".join(draw(N_LIST))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=study_argv())
+# every method to tf, then a run stopped by --ntot, then a run that succeeds
+@example(argv=["orders", "ex1", "--tf", "1", "--ntot", "5", "--h-list", "0.5,0.25"])
+@example(argv=["orders", "decay", "--tf", "1", "--ntot", "5", "--method", "eb", "--h-list", "1e-300,0.5"])
+@example(argv=["converge", "ex4", "--tf", "0.01", "--ntot", "20", "--hinit", "5e-4", "--n-list", "2,3"])
+def test_study_commands_exit_0_1_or_2(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
     assert code in (0, 1, 2)

@@ -87,6 +87,12 @@ def test_free_unknowns_sorted_unique():
     assert ex.free_unknowns(ex.pow_(ex.U(3), 2.5)) == [3]
 
 
+def test_free_leaves_are_the_unknowns_the_base_state_and_the_step_size():
+    e = ex.H * ex.Base(2) + ex.U(1) * ex.Param("k") - ex.exp(ex.U(1) / ex.Base(3))
+    assert ex.free_leaves(e) == {ex.H, ex.Base(2), ex.Base(3), ex.U(1)}
+    assert ex.free_unknowns(e) == [1]
+
+
 def test_substitute_shifts_indices():
     e = ex.U(1) + ex.exp(ex.U(2))
     s = ex.substitute(e, {1: ex.U(5), 2: ex.U(6) * 0.5})

@@ -18,6 +18,7 @@ from sparsedae.stepper import (
     SolverOptions,
     Status,
     Stepper,
+    Trajectory,
     error_norm,
     integrate,
     integrate_fixed,
@@ -496,6 +497,28 @@ def test_csv_output_shape():
     assert lines[0] == "t,y"
     assert len(lines) == len(traj.times) + 2  # header + rows + summary
     assert lines[-1].startswith("# accepted=")
+
+
+def test_csv_rows_are_byte_identical_to_one_f_string_per_value():
+    def oracle(traj, fh):
+        # the formatter write_csv replaced: one f-string per value
+        fh.write("t," + ",".join(traj.var_names) + "\n")
+        for t, s in zip(traj.times, traj.states):
+            fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in s) + "\n")
+        fh.write(f"# accepted={traj.accepted}, rejected={traj.rejected}, jac_updates={traj.jac_updates}, "
+                 f"lu={traj.lu_count}, status={traj.status.value}\n")
+
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 1 / 3, 2.0 ** 60]
+    rng = np.random.default_rng(7)
+    traj = Trajectory(var_names=tuple(f"v{k}" for k in range(len(special) + 20)), accepted=3,
+                      rejected=1, jac_updates=2, lu_count=4, status=Status.TOO_MANY_STEPS)
+    for t in (0.0, 1e-300, 0.1, 1 / 3):
+        traj.record(t, np.concatenate([rng.permutation(special),
+                                       rng.standard_normal(20) * 10.0 ** rng.integers(-300, 300, 20)]))
+    got, want = io.StringIO(), io.StringIO()
+    traj.write_csv(got)
+    oracle(traj, want)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_ntot_limit_reported():

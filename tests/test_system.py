@@ -213,11 +213,47 @@ def test_each_system_is_grouped_once(monkeypatch):
 
     monkeypatch.setattr(system, "group_shapes", counted)
     sysd = simple_dae()
-    assert len(calls) == 1
+    # one call per part given as rows: the f's, then the g's
+    assert len(calls) == 2
     for kind in MethodKind:
         build_residual(sysd, kind)
     Stepper(sysd, SolverOptions(tf=1.0))
-    assert len(calls) == 1
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("form", ["tuple", "stencil"])
+@pytest.mark.parametrize("part, equation", [("ode", 2), ("alg", 4)])
+@pytest.mark.parametrize("leaf, what", [(ex.H, "step size"), (ex.Base(2), "base state")], ids=["H", "Base"])
+def test_source_equations_may_not_read_the_step_size_or_the_base_state(form, part, equation, leaf, what):
+    # f = (-x, -c*y) and g = (z - x, w - c*y) over (x, y, z, w); the second
+    # row of one part reads c, which is the constant 2 or the leaf
+    def rows(exprs, columns):
+        if form == "tuple":
+            return tuple(exprs)
+        return StencilRows([Stencil(e, np.array([r]), np.array([cols]))
+                            for r, (e, cols) in enumerate(zip(exprs, columns))])
+
+    def build(c_ode, c_alg):
+        x, y, z, w = (ex.U(k) for k in range(1, 5))
+        return DaeSystem(ode_rhs=rows([-x, -(c_ode * y)], [[0], [1]]),
+                         alg_residual=rows([z - x, w - c_alg * y], [[2, 0], [3, 1]]),
+                         var_names=("x", "y", "z", "w"), y0z0=(1.0, 1.0, 1.0, 2.0))
+
+    two = ex.const(2.0)
+    build(two, two)
+    with pytest.raises(ValueError, match=f"equation {equation} reads the {what}"):
+        build(leaf, two) if part == "ode" else build(two, leaf)
+
+
+def test_a_stencil_template_too_deep_to_walk_is_unsupported():
+    # the walk that refuses expr.H and expr.Base meets a stencil template
+    # before derived_groups' shape walk, which refuses a tree this deep
+    e = ex.U(1)
+    for _ in range(1500):
+        e = ex.neg(ex.exp(e))
+    with pytest.raises(UnsupportedSystem, match="nested too deeply"):
+        DaeSystem(ode_rhs=StencilRows([Stencil(e, np.array([0]), np.array([[0]]))]), alg_residual=(),
+                  var_names=("x",), y0z0=(1.0,))
 
 
 def stencil(index, rows=None):
