@@ -132,6 +132,14 @@ def _write_output(args, write: Callable[[TextIO], None], default_out: Optional[s
     return False
 
 
+def _require_success(traj, run: str) -> None:
+    """Raise SparseDaeError naming ``run`` unless its integration reached tf;
+    a run that ``--ntot`` stopped says so."""
+    if traj.status is not Status.SUCCESS:
+        hint = " (raise --ntot)" if traj.status is Status.TOO_MANY_STEPS else ""
+        raise SparseDaeError(f"{run}: integration stopped: {traj.message}{hint}")
+
+
 def cmd_solve(args) -> int:
     sys_ = _build_problem(args)
     options = SolverOptions(**_option_values(args))
@@ -165,8 +173,7 @@ def cmd_converge(args) -> int:
             obs_names = args.observable or sorted(sys_.observables)
         _check_observables(sys_, obs_names)
         traj = integrate(sys_, options)
-        if traj.status is not Status.SUCCESS:
-            raise SparseDaeError(f"N={n}: integration stopped: {traj.message}")
+        _require_success(traj, f"N={n}")
         rows.append([n] + [probe(traj.final_state, sys_, o) for o in obs_names])
 
     monotone = all(all(np.diff(col) > 0) or all(np.diff(col) < 0)
@@ -207,9 +214,7 @@ def cmd_orders(args) -> int:
                                           iter=max(options.iter, 12), method=method,
                                           extrapolate=extrapolate, fixed_h=h)
                 traj = integrate(sys_, opt)
-                if traj.status is not Status.SUCCESS:
-                    hint = " (raise --ntot)" if traj.status is Status.TOO_MANY_STEPS else ""
-                    raise SparseDaeError(f"{method.value} h={h:g}: integration stopped: {traj.message}{hint}")
+                _require_success(traj, f"{method.value} h={h:g}")
                 err = float(np.max(np.abs(traj.final_state[: len(exact)] - exact)))
                 errs.append(err)
                 out_lines.append(f"{method.value},{extrapolate},{h:.17g},{err:.17g}")

@@ -4,15 +4,18 @@ Infix syntax with ``+ - * / ^``, functions ``exp``, ``ln`` and
 ``piecewise(cond1, e1, ..., default)``, where a condition compares an
 expression against a numeric constant with one of ``< <= > >=``.
 
-Unknowns are written as their declared variable names; any other identifier
-parses as a late-bound parameter.
+An identifier is looked up in the caller's table from each name to its
+leaf (an unknown ``U(k)`` or a parameter ``Param(name)``); the caller decides
+what each name means, and a name its table does not hold is a syntax error.
+Running out of input where an operand or a ``)`` is due names the end of the
+expression.
 """
 
 from __future__ import annotations
 
 import operator
 import re
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from . import expr as ex
 
@@ -47,6 +50,11 @@ def _tokenize(text: str):
     return tokens
 
 
+def _shown(kind: str, val) -> str:
+    """The token ``(kind, val)`` as an error message names it."""
+    return "end of expression" if kind == "end" else f"token {val!r}"
+
+
 # binary operator -> (precedence, node builder); a higher precedence binds tighter
 _BINARY = {"+": (1, operator.add), "-": (1, operator.sub),
            "*": (2, operator.mul), "/": (2, operator.truediv)}
@@ -63,10 +71,10 @@ class _Parser:
     ``depth`` is the number of parser calls a method runs nested in; ``unary``,
     which every nesting passes through, enforces ``_MAX_DEPTH``."""
 
-    def __init__(self, tokens, var_index: Mapping[str, int]):
+    def __init__(self, tokens, names: Mapping[str, ex.Expr]):
         self.toks = tokens
         self.i = 0
-        self.var_index = var_index
+        self.names = names
 
     def peek_op(self) -> Optional[str]:
         kind, val = self.toks[self.i]
@@ -87,7 +95,7 @@ class _Parser:
     def close(self, node):
         """``node``, once the ``)`` that must follow it is consumed."""
         if not self.accept((")",)):
-            raise ExprSyntaxError(f"expected ')', got {self.toks[self.i][1]!r}")
+            raise ExprSyntaxError(f"expected ')', got {_shown(*self.toks[self.i])}")
         return node
 
     def expr(self, depth: int, level: int = 0) -> ex.Expr:
@@ -117,9 +125,11 @@ class _Parser:
         if (kind, val) == ("op", "("):
             return self.close(self.expr(depth + 1))
         if kind != "name":
-            raise ExprSyntaxError(f"unexpected token {val!r}")
+            raise ExprSyntaxError(f"unexpected {_shown(kind, val)}")
         if not self.accept(("(",)):
-            return ex.U(self.var_index[val]) if val in self.var_index else ex.Param(val)
+            if val not in self.names:
+                raise ExprSyntaxError(f"unknown name {val!r}")
+            return self.names[val]
         if val == "piecewise":
             return self.piecewise(depth + 1)
         if val not in _FUNCTIONS:
@@ -151,11 +161,10 @@ class _Parser:
         return (node, op, sign * val)
 
 
-def parse_expr(text: str, var_names: Optional[Sequence[str]] = None) -> ex.Expr:
-    """Parse ``text``; names in ``var_names`` become unknowns (1-based, in
-    list order), all other identifiers become parameters."""
-    var_index = {name: i + 1 for i, name in enumerate(var_names or [])}
-    p = _Parser(_tokenize(text), var_index)
+def parse_expr(text: str, names: Mapping[str, ex.Expr]) -> ex.Expr:
+    """Parse ``text``; each identifier is its leaf in ``names``, and one that
+    ``names`` does not hold raises ExprSyntaxError."""
+    p = _Parser(_tokenize(text), names)
     try:
         node = p.expr(1)
     except RecursionError:

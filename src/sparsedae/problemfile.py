@@ -9,14 +9,20 @@ Sections::
                                      for algebraic variables)
 
 Variable order follows the file: ODE variables in [odes] order, then the
-remaining [init] names in their order (the algebraic variables).  Names in
-[params], and in [init], must be unique.
+remaining [init] names in their order (the algebraic variables).  The reader
+resolves every name once, into one table from each identifier to its leaf:
+``U(k)`` for the k-th variable, ``Param(name)`` for a [params] name.  The
+expression parser only looks names up in it.  A name may be set once in
+[params] and once in [init], and an ODE variable defined once; a [params]
+name may not also be a variable, and a name the table does not hold is an
+error at the line that uses it.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
+from . import expr as ex
 from .errors import ProblemFileError
 from .grammar import ExprSyntaxError, parse_expr
 from .system import DaeSystem
@@ -78,8 +84,11 @@ def _split_sections(lines):
 def parse_problem_text(text: str) -> DaeSystem:
     sections = _split_sections(text.splitlines())
     params = read_assignments(sections["params"])
+    init = read_assignments(sections["init"])
 
-    ode_defs: List[Tuple[int, str, str]] = []
+    # identifier -> its leaf: the unknowns, numbered as var_names, then the parameters
+    names: Dict[str, ex.Expr] = {}
+    ode_defs: List[Tuple[int, str]] = []
     for no, line in sections["odes"]:
         lhs, _, rhs = line.partition("=")
         if not _:
@@ -87,24 +96,29 @@ def parse_problem_text(text: str) -> DaeSystem:
         lhs = lhs.strip()
         if not lhs.endswith("'"):
             raise ProblemFileError(no, "ODE left-hand side must end with '")
-        ode_defs.append((no, lhs[:-1].strip(), rhs.strip()))
-
-    init = read_assignments(sections["init"])
-
-    ode_names = [name for _, name, _ in ode_defs]
-    for no, name, _ in ode_defs:
+        name = lhs[:-1].strip()
+        if name in names:
+            raise ProblemFileError(no, f"ODE variable {name!r} is defined twice")
         if name not in init:
             raise ProblemFileError(no, f"ODE variable {name!r} has no [init] entry")
-    alg_names = [n for n in init if n not in set(ode_names)]
-    var_names = ode_names + alg_names
+        names[name] = ex.U(len(names) + 1)
+        ode_defs.append((no, rhs.strip()))
+    for name in init:   # then the algebraic variables, in [init] order
+        names.setdefault(name, ex.U(len(names) + 1))
+    var_names = tuple(names)
+    for name in params:
+        if name in names:
+            no = next(no for no, line in sections["params"] if line.partition("=")[0].strip() == name)
+            raise ProblemFileError(no, f"parameter {name!r} is also a variable")
+        names[name] = ex.Param(name)
 
     def parse_rhs(no: int, text_: str):
         try:
-            return parse_expr(text_, var_names)
+            return parse_expr(text_, names)
         except ExprSyntaxError as e:
             raise ProblemFileError(no, str(e))
 
-    ode_rhs = tuple(parse_rhs(no, rhs) for no, _, rhs in ode_defs)
+    ode_rhs = tuple(parse_rhs(no, rhs) for no, rhs in ode_defs)
 
     alg: List = []
     for no, line in sections["algebraic"]:
@@ -113,18 +127,19 @@ def parse_problem_text(text: str) -> DaeSystem:
             raise ProblemFileError(no, "expected 'expr = 0'")
         alg.append(parse_rhs(no, lhs.strip()) - parse_rhs(no, rhs.strip()))
 
-    if len(alg) != len(alg_names):
+    n_alg = len(var_names) - len(ode_defs)
+    if len(alg) != n_alg:
         raise ProblemFileError(
             0,
-            f"{len(alg)} algebraic equations but {len(alg_names)} algebraic "
-            f"variables ({alg_names}); counts must match",
+            f"{len(alg)} algebraic equations but {n_alg} algebraic "
+            f"variables ({list(var_names[len(ode_defs):])}); counts must match",
         )
 
     try:
         return DaeSystem(
             ode_rhs=ode_rhs,
             alg_residual=tuple(alg),
-            var_names=tuple(var_names),
+            var_names=var_names,
             y0z0=tuple(init[n] for n in var_names),
             params=params,
         )

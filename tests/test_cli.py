@@ -204,6 +204,13 @@ def test_unexpected_character_in_a_problem_file_exits_1_with_its_line(capsys, tm
     assert "line 2: unexpected character" in err
 
 
+def test_truncated_right_hand_side_exits_1_naming_the_end_of_the_expression(capsys, tmp_path):
+    prob = tmp_path / "cut.prob"
+    prob.write_text("[odes]\nx' = \n[init]\nx = 1\n")
+    code, out, err = run(capsys, "solve", str(prob), "--tf", "1", "--stdout")
+    assert (code, out, err) == (1, "", "error: line 2: unexpected end of expression\n")
+
+
 def test_undeclared_step_size_in_a_problem_file_exits_1(capsys, tmp_path):
     # an exit 0 would mean h silently became the step size
     prob = tmp_path / "h.prob"
@@ -448,6 +455,13 @@ def test_orders_stops_at_ntot(capsys):
     assert (code, out) == (1, "")
     assert "h=1e-300: integration stopped: integration TooManySteps" in err
     assert "--ntot" in err
+
+
+def test_converge_says_that_ntot_stopped_it(capsys):
+    code, out, err = run(capsys, "converge", "ex4", "--tf", "0.01", "--ntot", "20", "--n-list", "2")
+    assert (code, out) == (1, "")
+    assert err == ("error: N=2: integration stopped: integration TooManySteps; "
+                   "number of failed steps=0 (raise --ntot)\n")
 
 
 # the output of this sweep before orders obeyed --ntot, which then ran 2010 steps

@@ -13,15 +13,16 @@ from sparsedae.cli import main
 
 # a two-variable system: x is an ODE variable, y an ODE or algebraic one;
 # the pools mix well-posed, stiff, singular, non-finite (folded, overflowing at
-# run time, or in a piecewise branch) lines and lines naming h and Y0_1, which
-# are ordinary parameters, and the junk pool a repeated parameter
+# run time, or in a piecewise branch) and truncated lines and lines naming h and
+# Y0_1, which are ordinary parameters; x's ODE may be defined twice, a parameter
+# may share a variable's name, and the junk pool holds a repeated parameter
 X_ODES = ["x' = -k*x", "x' = y", "x' = -k*x + y", "x' = -x^0.5 - 1", "x' = ln(x)",
           "x' = exp(1000) * x", "x' = exp(1000*x)", "x' = piecewise(x < 0.5, -x, x >= 2, 1, 2*x)",
           "x' = piecewise(x < 0, ln(x), x)", "x' = -x / y", "x' = 1 / (x - x)", "x' = -h*x",
-          "x' = -Y0_1*x"]
+          "x' = -Y0_1*x", "x' = ", "x' = 2 *", "x' = exp(x"]
 Y_ODES = ["y' = x", "y' = -k*y", "y' = k*(1 - x^2)*y - x"]
 Y_ALGS = ["0 = x^2 + y^2 - 1", "y = k*x", "y^2 = x + 1", "0 = ln(y) + x", "0 = x", "0 = 1"]
-PARAMS = ["h = 2", "Y0_1 = 5", "Y0_x = 1", "k2 = 3", "k = 4"]
+PARAMS = ["h = 2", "Y0_1 = 5", "Y0_x = 1", "k2 = 3", "k = 4", "x = 1", "y = 2"]
 NUMBERS = ["1", "0.5", "2", "0", "-1", "1e300", "nan", "inf"]
 JUNK = st.one_of(st.sampled_from(["[grid]", "= 3", "# comment", "x' = 1", "z = 1", "k = abc", "[init]",
                                   "k = 4"]),
@@ -32,7 +33,7 @@ JUNK = st.one_of(st.sampled_from(["[grid]", "= 3", "# comment", "x' = 1", "z = 1
 def problem_text(draw) -> str:
     lines = ["[params]", "k = " + draw(st.sampled_from(NUMBERS))]
     lines += draw(st.lists(st.sampled_from(PARAMS), max_size=1))
-    lines += ["[odes]", draw(st.sampled_from(X_ODES))]
+    lines += ["[odes]"] + draw(st.lists(st.sampled_from(X_ODES), min_size=1, max_size=2))
     if draw(st.booleans()):
         lines.append(draw(st.sampled_from(Y_ODES)))
     else:
@@ -75,6 +76,11 @@ FLAGS = st.fixed_dictionaries({}, optional={
          flags={"--tf": "inf", "--fixed-h": "0.5"})
 # the taken branch is ln of a negative
 @example(command="solve", text="[odes]\nx' = piecewise(x < 0, ln(x), x)\n[init]\nx = -1\n", flags={})
+# an ODE defined twice, a parameter that is also a variable, a truncated right-hand side
+@example(command="solve", text="[odes]\nx' = -x\nx' = 1\n[init]\nx = 1\n", flags={})
+@example(command="pattern", text="[params]\ny = 2\n[odes]\nx' = y\n[algebraic]\ny = x\n[init]\nx = 1\ny = 1\n",
+         flags={})
+@example(command="solve", text="[odes]\nx' = -x^\n[init]\nx = 1\n", flags={})
 def test_problem_files_and_flags_exit_0_1_or_2(command, text, flags):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "p.prob")

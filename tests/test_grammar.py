@@ -11,7 +11,13 @@ from sparsedae.grammar import _MAX_DEPTH, ExprSyntaxError, parse_expr
 from expr_reference import eval_expr, format_expr, free_params
 
 
-VARS = ["x", "y", "z"]
+# the table a caller passes: each name -> its leaf
+VARS = {"x": ex.U(1), "y": ex.U(2), "z": ex.U(3)}
+
+
+def with_params(e):
+    """VARS and a ``Param`` entry for each parameter of ``e``."""
+    return {**VARS, **{name: ex.Param(name) for name in free_params(e)}}
 
 
 def ev(text, u, params=None):
@@ -27,10 +33,20 @@ def test_precedence_and_associativity():
 
 
 def test_variables_vs_parameters():
-    e = parse_expr("mu * x + y", VARS)
+    e = parse_expr("mu * x + y", {**VARS, "mu": ex.Param("mu")})
     assert ex.free_unknowns(e) == [1, 2]
     assert free_params(e) == {"mu"}
     assert eval_expr(e, [2.0, 1.0, 0.0], {"mu": 3.0}) == 7.0
+    # the table decides: the same text over another table
+    assert parse_expr("mu * x", {"mu": ex.U(2), "x": ex.U(1)}) == ex.U(2) * ex.U(1)
+    leaf = ex.Param("k")
+    assert parse_expr("k", {"k": leaf}) is leaf
+    # a name the table does not hold is an error, not a parameter
+    for text, name in (("mu * x", "mu"), ("x + y[1]", "y[1]"), ("exp", "exp"),
+                       ("piecewise(x < 0, k, x)", "k")):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text, VARS)
+        assert str(err.value) == f"unknown name {name!r}"
 
 
 def test_functions():
@@ -55,13 +71,25 @@ def test_syntax_errors():
     for bad in ("x +", "(x", "x ** y", "piecewise(x)", "sin(x)", "1 2"):
         with pytest.raises(ExprSyntaxError):
             parse_expr(bad, VARS)
+    # input that ends where an operand or a ')' is due names the end, not None
+    for bad in ("", "2 +", "exp(", "x ^", "-"):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(bad, VARS)
+        assert str(err.value) == "unexpected end of expression", bad
+    for bad in ("exp(x", "(x", "piecewise(x < 1, 2"):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(bad, VARS)
+        assert str(err.value) == "expected ')', got end of expression", bad
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("(x, y)", VARS)
+    assert str(err.value) == "expected ')', got token ','"
 
 
 def test_tokenizer_names_an_unexpected_character_and_skips_trailing_space():
     with pytest.raises(ExprSyntaxError) as err:
-        parse_expr("x $ 1", ["x"])
+        parse_expr("x $ 1", VARS)
     assert str(err.value) == "unexpected character at ' $ 1'"
-    assert parse_expr("x + 1   ", ["x"]) == parse_expr("x + 1", ["x"])
+    assert parse_expr("x + 1   ", VARS) == parse_expr("x + 1", VARS)
 
 
 def test_nesting_limit_is_a_fixed_count_of_parser_calls():
@@ -97,8 +125,8 @@ def test_format_round_trip_random_corpus():
 
     for _ in range(40):
         e = rand_tree(4)
-        text = format_expr(e, VARS)
-        back = parse_expr(text, VARS)
+        text = format_expr(e, list(VARS))
+        back = parse_expr(text, with_params(e))
         u = rng.uniform(0.5, 1.5, size=3)
         v1 = eval_expr(e, u, {"k": 1.3})
         v2 = eval_expr(back, u, {"k": 1.3})
@@ -107,7 +135,7 @@ def test_format_round_trip_random_corpus():
 
 def test_format_piecewise_round_trip():
     e = parse_expr("piecewise(z >= 0.7, x, 0.5*x)", VARS)
-    back = parse_expr(format_expr(e, VARS), VARS)
+    back = parse_expr(format_expr(e, list(VARS)), with_params(e))
     for zz in (0.2, 0.7, 0.9):
         assert (eval_expr(e, [2.0, 0, zz], {})
                 == eval_expr(back, [2.0, 0, zz], {}))
